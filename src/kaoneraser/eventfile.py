@@ -1,97 +1,252 @@
-"""Line-oriented event file format: one CSV row per simulated pair.
+"""Event file format: one CSV row per simulated pair.
 
 Columns: pair_id, then (procedure, observable, outcome, time, channel) for the
 left and the right side.  A discarded side is written as 'discarded' with
 empty fields.  Times use Python's shortest round-trip float representation, so
 a file parses back to exactly the values that were written.
+
+Both directions work on whole columns, one block of rows at a time, so the
+memory they need beyond the event columns is one block.  The writer encodes
+each side's (procedure, observable, outcome, channel) codes as one integer,
+looks up the text before and after the time in a precomputed table, formats
+only the live times and writes each block with a single join.  The reader
+streams the file in blocks of about a megabyte of text, splits each block
+once, maps each side's four labels through one dict to one of the nine
+record kinds below and parses only the live times.
+
+The writer formats any combination of in-range codes the columns hold;
+``read_events`` is the gate.  It accepts exactly what the generators write, and rejects with a
+ValueError naming the file and the line:
+
+- a line without exactly 11 fields;
+- a pair_id that is not the row index, which catches duplicated and dropped
+  rows;
+- a side whose labels are not one of the nine record kinds:
+  ``discarded``; active strangeness with outcome K0 or K0bar and no channel;
+  active lifetime with outcome KS or KL and no channel; passive with a
+  channel, the outcome that channel identifies (``decay.CHANNEL_OUTCOME``)
+  and that outcome's observable;
+- a discarded side with any non-empty field;
+- a time of a recorded side that is not a finite, non-negative number.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .sim import _CHAN_INV, _OUT_INV, EventSet, SimConfig
+from .core import Procedure
+from .decay import CHANNEL_OUTCOME
+from .sim import (CHANNEL_BY_CODE, CHANNEL_CODES, OBSERVABLE_BY_CODE,
+                  OUTCOME_BY_CODE, OUTCOME_CODES, PROCEDURE_BY_CODE, EventSet,
+                  SimConfig)
 
 HEADER = ("pair_id,left_procedure,left_observable,left_outcome,left_time,"
           "left_channel,right_procedure,right_observable,right_outcome,"
           "right_time,right_channel")
 
-_PROC = {0: "active", 1: "passive"}
-_OBS = {0: "strangeness", 1: "lifetime"}
+_FIELDS = 11
+_WRITE_ROWS = 8192       # rows formatted and written at a time
+_READ_CHARS = 1 << 20    # text read at a time (readlines size hint)
 
 
-def _side_fields(events: EventSet, prefix: str, i: int) -> list[str]:
-    out = events.__dict__[prefix + "out"][i]
+def _labels(proc, obs, out, chan) -> tuple:
+    """Procedure, observable, outcome and channel fields of a side's codes."""
     if out < 0:
-        return ["discarded", "", "", "", ""]
-    chan = events.__dict__[prefix + "chan"][i]
-    return [
-        _PROC[int(events.__dict__[prefix + "proc"][i])],
-        _OBS[int(events.__dict__[prefix + "obs"][i])],
-        _OUT_INV[int(out)].value,
-        repr(float(events.__dict__[prefix + "time"][i])),
-        "" if chan < 0 else _CHAN_INV[int(chan)].value,
-    ]
+        return ("discarded", "", "", "")
+    return (PROCEDURE_BY_CODE[proc].value, OBSERVABLE_BY_CODE[obs].value,
+            OUTCOME_BY_CODE[out].value,
+            "" if chan < 0 else CHANNEL_BY_CODE[chan].value)
 
 
-def to_lines(events: EventSet):
-    yield HEADER
-    for i in range(len(events)):
-        fields = [str(i)] + _side_fields(events, "l_", i) + _side_fields(events, "r_", i)
-        yield ",".join(fields)
+# writer: a side's (proc, obs, out + 1, chan + 1) codes index this shape
+_CODE_SHAPE = (len(PROCEDURE_BY_CODE), len(OBSERVABLE_BY_CODE),
+               len(OUTCOME_BY_CODE) + 1, len(CHANNEL_BY_CODE) + 1)
+
+
+def _side_texts(start: str, end: str):
+    """Text before and after the time of a side, by writer code, with the
+    separators `start` and `end` around the side; a discarded side reads
+    'discarded,,,' + '' + ','."""
+    before, after = [], []
+    for p, o, u, c in np.ndindex(*_CODE_SHAPE):
+        proc, obs, out, chan = _labels(p, o, u - 1, c - 1)
+        before.append(f"{start}{proc},{obs},{out},")
+        after.append(f",{chan}{end}")
+    return np.array(before, dtype=object), np.array(after, dtype=object)
+
+
+_LEFT_TEXT = _side_texts(",", ",")
+_RIGHT_TEXT = _side_texts("", "\n")
+
+
+def _side_pieces(events: EventSet, prefix: str, lo: int, hi: int, tables):
+    """Per-row text before the time, the time and the text after it, for one
+    side of rows lo..hi; `tables` holds the (before, after) texts by code."""
+    proc, obs, out, chan = (getattr(events, prefix + c)[lo:hi]
+                            for c in ("proc", "obs", "out", "chan"))
+    code = np.ravel_multi_index((proc, obs, out + 1, chan + 1), _CODE_SHAPE)
+    live = out >= 0
+    times = getattr(events, prefix + "time")[lo:hi]
+    if live.all():
+        timetext = list(map(repr, times.tolist()))
+    else:
+        timetext = np.full(hi - lo, "", dtype=object)
+        timetext[live] = list(map(repr, times[live].tolist()))
+        timetext = timetext.tolist()
+    before, after = tables
+    return before[code].tolist(), timetext, after[code].tolist()
 
 
 def write_events(events: EventSet, path: str | Path) -> None:
+    """Write the event set as CSV, one block of rows at a time."""
     with open(path, "w") as fh:
-        for line in to_lines(events):
-            fh.write(line + "\n")
+        fh.write(HEADER + "\n")
+        for lo in range(0, len(events), _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, len(events))
+            pieces = [""] * (7 * (hi - lo))
+            pieces[0::7] = map(str, range(lo, hi))
+            pieces[1::7], pieces[2::7], pieces[3::7] = _side_pieces(
+                events, "l_", lo, hi, _LEFT_TEXT)
+            pieces[4::7], pieces[5::7], pieces[6::7] = _side_pieces(
+                events, "r_", lo, hi, _RIGHT_TEXT)
+            fh.write("".join(pieces))
 
 
-_PROC_CODE = {"active": 0, "passive": 1}
-_OBS_CODE = {"strangeness": 0, "lifetime": 1}
-_OUT_CODE = {o.value: c for c, o in _OUT_INV.items()}
-_CHAN_CODE = {ch.value: c for c, ch in _CHAN_INV.items()}
+def _codes(procedure, outcome, channel=None) -> tuple:
+    return (PROCEDURE_BY_CODE.index(procedure),
+            OBSERVABLE_BY_CODE.index(outcome.observable), OUTCOME_CODES[outcome],
+            -1 if channel is None else CHANNEL_CODES[channel])
+
+
+# reader: (proc, obs, out, chan) codes of the nine record kinds a side may
+# hold; kind 0 is a discarded side, which keeps the columns' fill values
+_KINDS = ([(0, 0, -1, -1)]
+          + [_codes(Procedure.ACTIVE, o) for o in OUTCOME_BY_CODE]
+          + [_codes(Procedure.PASSIVE, CHANNEL_OUTCOME[ch], ch)
+             for ch in CHANNEL_BY_CODE])
+_KIND_OF_LABELS = {_labels(*codes): kind for kind, codes in enumerate(_KINDS)}
+_KIND_COLUMNS = tuple(zip(("proc", "obs", "out", "chan"),
+                          np.array(_KINDS, dtype=np.int8).T))
+
+
+def _parse_side(fields, at, side, fail):
+    """Record kinds and times of one side of the rows whose split fields are
+    `fields`; the side's five fields start at offset `at` of each row."""
+    proc, obs, out, time, chan = (fields[at + j::_FIELDS] for j in range(5))
+    kinds = np.fromiter(map(_KIND_OF_LABELS.get, zip(proc, obs, out, chan),
+                            repeat(-1)), np.int8, len(proc))
+    if (kinds < 0).any():
+        row = int(np.argmax(kinds < 0))
+        raise fail(row, f"{side} side labels "
+                        f"{(proc[row], obs[row], out[row], chan[row])} "
+                        "are not a valid record")
+    live = kinds > 0
+    if "".join(compress(time, (~live).tolist())):
+        row = next(i for i in np.flatnonzero(~live) if time[i])
+        raise fail(row, f"discarded {side} side has time {time[row]!r}")
+    rows = np.flatnonzero(live)
+    try:
+        t = np.fromiter(map(float, compress(time, live.tolist())), float,
+                        len(rows))
+    except ValueError:
+        row = next(i for i in rows if not _is_float(time[i]))
+        raise fail(row, f"{side} time {time[row]!r} is not a number") from None
+    ok = (t >= 0.0) & (t < np.inf)
+    if not ok.all():
+        row = rows[np.argmin(ok)]
+        raise fail(row, f"{side} time {time[row]!r} is not a finite, "
+                        "non-negative number")
+    times = np.full(len(kinds), np.nan)
+    times[rows] = t
+    return kinds, times
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _split_rows(lines, text, ids, fail) -> list[str]:
+    """The fields of `lines`, whose concatenation is `text` and whose
+    pair_ids must be `ids`, as one flat list of _FIELDS per row."""
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(_FIELDS - 1) != len(lines):
+        row = next(i for i, c in enumerate(commas) if c != _FIELDS - 1)
+        raise fail(row, f"expected {_FIELDS} fields, got {commas[row] + 1}")
+    if text and not text.endswith("\n"):  # a file's last line may lack one
+        text += "\n"
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # the empty string after the last row's separator
+    if fields[0::_FIELDS] != ids:
+        row = next(i for i, pid in enumerate(fields[0::_FIELDS])
+                   if pid != ids[i])
+        raise fail(row, f"pair_id {fields[row * _FIELDS]!r} is not the row "
+                        f"index {ids[row]}")
+    return fields
+
+
+# a row discarded on both sides is its pair_id followed by this text
+_DEAD_ROW = ",discarded,,,,,discarded,,,,\n"
+_cut_dead_row = itemgetter(slice(None, -len(_DEAD_ROW)))
+
+
+def _parse_block(lines: list[str], first: int, path) -> dict:
+    """Event columns of the rows in `lines`, the first of which is row
+    `first` of the file."""
+    n = len(lines)
+    ids = list(map(str, range(first, first + n)))
+    rows = np.arange(n)  # the rows split into fields
+    text = "".join(lines)
+    if _DEAD_ROW in text:
+        # cheap path for rows discarded on both sides: compare a row's end
+        # with _DEAD_ROW, then the text before it with the row's pair_id
+        ends = list(map(str.endswith, lines, repeat(_DEAD_ROW)))
+        heads = map(_cut_dead_row, compress(lines, ends))
+        dead = np.zeros(n, dtype=bool)
+        dead[np.flatnonzero(ends)] = list(map(str.__eq__, heads,
+                                              compress(ids, ends)))
+        rows = np.flatnonzero(~dead)
+        keep = (~dead).tolist()
+        lines, ids = list(compress(lines, keep)), list(compress(ids, keep))
+        text = "".join(lines)
+
+    def fail(row, msg):
+        return ValueError(f"{path}: line {first + rows[row] + 2}: {msg}")
+
+    fields = _split_rows(lines, text, ids, fail)
+    cols = {}
+    for side, prefix, at in (("left", "l_", 1), ("right", "r_", 6)):
+        kinds = np.zeros(n, dtype=np.int8)
+        times = np.full(n, np.nan)
+        kinds[rows], times[rows] = _parse_side(fields, at, side, fail)
+        cols.update({prefix + c: table[kinds] for c, table in _KIND_COLUMNS})
+        cols[prefix + "time"] = times
+    return cols
 
 
 def read_events(path: str | Path, kind: str = "unknown",
                 config: SimConfig | None = None) -> EventSet:
-    """Parse an event file back into an EventSet; malformed rows raise a
+    """Parse an event file back into an EventSet; a malformed row raises a
     ValueError naming the line number."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != HEADER:
-        raise ValueError(f"{path}: line 1: missing or wrong header")
-    n = len(lines) - 1
+    blocks = []
+    n = 0
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != HEADER:
+            raise ValueError(f"{path}: line 1: missing or wrong header")
+        while lines := fh.readlines(_READ_CHARS):
+            blocks.append(_parse_block(lines, n, path))
+            n += len(lines)
     if n == 0:
         raise ValueError(f"{path}: no event records")
-    cols = {}
-    for prefix in ("l_", "r_"):
-        cols[prefix + "proc"] = np.zeros(n, dtype=np.int8)
-        cols[prefix + "obs"] = np.zeros(n, dtype=np.int8)
-        cols[prefix + "out"] = np.full(n, -1, dtype=np.int8)
-        cols[prefix + "time"] = np.full(n, np.nan)
-        cols[prefix + "chan"] = np.full(n, -1, dtype=np.int8)
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"{path}: line {lineno}: expected 11 fields, "
-                             f"got {len(parts)}")
-        try:
-            for prefix, fields in (("l_", parts[1:6]), ("r_", parts[6:11])):
-                proc, obs, out, time, chan = fields
-                if proc == "discarded":
-                    continue
-                cols[prefix + "proc"][i] = _PROC_CODE[proc]
-                cols[prefix + "obs"][i] = _OBS_CODE[obs]
-                cols[prefix + "out"][i] = _OUT_CODE[out]
-                cols[prefix + "time"][i] = float(time)
-                if chan:
-                    cols[prefix + "chan"][i] = _CHAN_CODE[chan]
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed record "
-                             f"({exc})") from None
+    cols = {c: np.concatenate([block[c] for block in blocks])
+            for c in blocks[0]}
     if config is None:
         config = SimConfig(n_pairs=n)
     return EventSet(kind=kind, config=config, **cols)

@@ -1,4 +1,4 @@
-"""Monte Carlo event generation for the four quantum eraser experiments, plus
+"""Monte Carlo event generation for the five quantum eraser experiments, plus
 estimators reconstructing probabilities and oscillation visibility from events.
 
 Experiments
@@ -29,14 +29,18 @@ from .single import MisidWindow
 
 RNG_SCHEME = "np-seedseq-spawnkey-pcg64-v1"
 
-# integer codes used in the columnar event store
-_OUT = {Outcome.K0: 0, Outcome.K0BAR: 1, Outcome.KS: 2, Outcome.KL: 3}
-_OUT_INV = {v: k for k, v in _OUT.items()}
-_CHAN = {DecayChannel.TWO_PI: 0, DecayChannel.THREE_PI: 1,
-         DecayChannel.SL_PLUS: 2, DecayChannel.SL_MINUS: 3}
-_CHAN_INV = {v: k for k, v in _CHAN.items()}
+# Integer codes of the columnar event store.  Each *_BY_CODE tuple lists the
+# values in code order (code = index); OUTCOME_CODES and CHANNEL_CODES invert
+# the outcome and channel tuples.
+PROCEDURE_BY_CODE = (Procedure.ACTIVE, Procedure.PASSIVE)
+OBSERVABLE_BY_CODE = (Observable.STRANGENESS, Observable.LIFETIME)
+OUTCOME_BY_CODE = (Outcome.K0, Outcome.K0BAR, Outcome.KS, Outcome.KL)
+CHANNEL_BY_CODE = (DecayChannel.TWO_PI, DecayChannel.THREE_PI,
+                   DecayChannel.SL_PLUS, DecayChannel.SL_MINUS)
+OUTCOME_CODES = {o: c for c, o in enumerate(OUTCOME_BY_CODE)}
+CHANNEL_CODES = {ch: c for c, ch in enumerate(CHANNEL_BY_CODE)}
 # outcome code identified by each channel code
-_CHAN_OUT = np.array([_OUT[CHANNEL_OUTCOME[_CHAN_INV[c]]] for c in range(4)])
+_CHAN_OUT = np.array([OUTCOME_CODES[CHANNEL_OUTCOME[ch]] for ch in CHANNEL_BY_CODE])
 
 
 class ExperimentKind:
@@ -142,13 +146,11 @@ class EventSet:
                 return None
             chan = getattr(self, prefix + "chan")[i]
             return MeasurementRecord(
-                procedure=Procedure.ACTIVE if getattr(self, prefix + "proc")[i] == 0
-                else Procedure.PASSIVE,
-                observable=Observable.STRANGENESS if getattr(self, prefix + "obs")[i] == 0
-                else Observable.LIFETIME,
-                outcome=_OUT_INV[int(out)],
+                procedure=PROCEDURE_BY_CODE[getattr(self, prefix + "proc")[i]],
+                observable=OBSERVABLE_BY_CODE[getattr(self, prefix + "obs")[i]],
+                outcome=OUTCOME_BY_CODE[out],
                 time=float(getattr(self, prefix + "time")[i]),
-                channel=None if chan < 0 else _CHAN_INV[int(chan)],
+                channel=None if chan < 0 else CHANNEL_BY_CODE[chan],
             )
         return EventRecord(pair_id=i, left=side("l_"), right=side("r_"))
 
@@ -180,9 +182,8 @@ def classify_lifetime(decay_time: float, measure_time: float,
 
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
     """Per-eigenstate channel probabilities |a_i(f)|^2 / Gamma_i, in code order."""
-    chans = [_CHAN_INV[c] for c in range(4)]
-    p_s = np.array([abs(model.a_S[f]) ** 2 for f in chans]) / k.gamma_S
-    p_l = np.array([abs(model.a_L[f]) ** 2 for f in chans]) / k.gamma_L
+    p_s = np.array([abs(model.a_S[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_S
+    p_l = np.array([abs(model.a_L[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_L
     return p_s, p_l
 
 
@@ -203,8 +204,8 @@ def _draw_passive_side(n, rng, k, model):
 def _collapsed_left_amps(chan, t_r, k, model):
     """Left-kaon amplitudes (at left proper time 0) after the right member
     decayed at t_r through the given channel; coherent in the channel."""
-    a_s = np.array([model.a_S[_CHAN_INV[c]] for c in range(4)])
-    a_l = np.array([model.a_L[_CHAN_INV[c]] for c in range(4)])
+    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE])
+    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE])
     f_s = np.exp(-0.5 * k.gamma_S * t_r)
     f_l = np.exp(-1j * k.delta_m * t_r) * np.exp(-0.5 * k.gamma_L * t_r)
     b_L = f_s * a_s[chan] / math.sqrt(2.0)
@@ -223,8 +224,8 @@ def _left_strangeness_after(b_S, b_L, tau_l, k, rng):
     n2_after = np.abs(bs) ** 2 + np.abs(bl) ** 2
     alive = rng.random(len(bs)) * n2_before < n2_after
     p_k0 = np.abs(bs + bl) ** 2 / (2.0 * n2_after)
-    out = np.where(rng.random(len(bs)) < p_k0, _OUT[Outcome.K0],
-                   _OUT[Outcome.K0BAR]).astype(np.int8)
+    out = np.where(rng.random(len(bs)) < p_k0, OUTCOME_CODES[Outcome.K0],
+                   OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     return alive, out
 
 
@@ -266,8 +267,8 @@ def active_measure_and_collapse(state: TwoKaonState, side: str,
 def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndarray:
     """Analytic 4x4 integrated weights of the joint decay rate per ordered
     channel pair (rows: left, cols: right); sums to one."""
-    a_s = np.array([model.a_S[_CHAN_INV[c]] for c in range(4)], dtype=float)
-    a_l = np.array([model.a_L[_CHAN_INV[c]] for c in range(4)], dtype=float)
+    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
     alpha = np.outer(a_l, a_s)
     beta = np.outer(a_s, a_l)
     cross = 1.0 / (k.gamma_mean ** 2 + k.delta_m ** 2)
@@ -323,8 +324,8 @@ def _sample_passive_pairs(n, k, model, rng):
     chan_r = (pick % 4).astype(np.int8)
     t_l = np.empty(n)
     t_r = np.empty(n)
-    a_s = np.array([model.a_S[_CHAN_INV[c]] for c in range(4)], dtype=float)
-    a_l = np.array([model.a_L[_CHAN_INV[c]] for c in range(4)], dtype=float)
+    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
     for code in range(16):
         sel = pick == code
         m = int(sel.sum())
@@ -342,8 +343,8 @@ def _sample_passive_pairs(n, k, model, rng):
 def sample_passive_pair(k: PhysicalConstants, model: AmplitudeModel, rng):
     """One draw from the joint decay density of the fully passive experiment."""
     cl, tl, cr, tr = _sample_passive_pairs(1, k, model, rng)
-    return (_CHAN_INV[int(cl[0])], float(tl[0]),
-            _CHAN_INV[int(cr[0])], float(tr[0]))
+    return (CHANNEL_BY_CODE[cl[0]], float(tl[0]),
+            CHANNEL_BY_CODE[cr[0]], float(tr[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,8 @@ def _gen_a1(n, rng, cfg, k, model):
     left_k0 = rng.random(n) < 0.5
     osc = _osc(tau_l - cfg.tau_r0, k)
     unlike = rng.random(n) < 0.5 * (1.0 + osc)
-    l_out = np.where(left_k0, _OUT[Outcome.K0], _OUT[Outcome.K0BAR]).astype(np.int8)
+    l_out = np.where(left_k0, OUTCOME_CODES[Outcome.K0],
+                     OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     r_out = np.where(unlike, 1 - l_out, l_out).astype(np.int8)
     cols["l_out"][survive] = l_out[survive]
     cols["r_out"][survive] = r_out[survive]
@@ -379,7 +381,8 @@ def _gen_a2(n, rng, cfg, k, model):
     cols["l_out"][alive] = l_out[alive]
     cols["l_time"][alive] = tau_l[alive]
     cols["r_obs"][right_ok] = 1
-    cols["r_out"][right_ok] = np.where(ks, _OUT[Outcome.KS], _OUT[Outcome.KL])[right_ok]
+    cols["r_out"][right_ok] = np.where(ks, OUTCOME_CODES[Outcome.KS],
+                                       OUTCOME_CODES[Outcome.KL])[right_ok]
     cols["r_time"][right_ok] = cfg.tau_r0
     return cols
 
@@ -403,7 +406,8 @@ def _gen_b(n, rng, cfg, k, model):
     # pre-detector decays: right recorded as an active lifetime measurement
     ks = t_r <= cfg.window.delta_tau_w
     cols["r_obs"][pre] = 1
-    cols["r_out"][pre] = np.where(ks, _OUT[Outcome.KS], _OUT[Outcome.KL])[pre]
+    cols["r_out"][pre] = np.where(ks, OUTCOME_CODES[Outcome.KS],
+                                  OUTCOME_CODES[Outcome.KL])[pre]
     cols["r_time"][pre] = t_r[pre]
     m = pre & alive_pre
     cols["l_out"][m] = lout_pre[m]
@@ -411,7 +415,8 @@ def _gen_b(n, rng, cfg, k, model):
 
     # survivors: active strangeness on the right at tau_r0
     post = ~pre
-    r_out = np.where(u_rout < 0.5, _OUT[Outcome.K0], _OUT[Outcome.K0BAR]).astype(np.int8)
+    r_out = np.where(u_rout < 0.5, OUTCOME_CODES[Outcome.K0],
+                     OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     cols["r_out"][post] = r_out[post]
     cols["r_time"][post] = cfg.tau_r0
     m = post & alive_post
@@ -518,7 +523,8 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
                 stderr=math.sqrt(p * (1.0 - p) / n),
                 n=n,
                 bin=float(centers[b]),
-                pair=(_OUT_INV[code // 4].value, _OUT_INV[code % 4].value),
+                pair=(OUTCOME_BY_CODE[code // 4].value,
+                      OUTCOME_BY_CODE[code % 4].value),
             ))
     return out
 

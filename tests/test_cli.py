@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kaoneraser import ExperimentKind
 from kaoneraser.cli import main
 
 
@@ -80,6 +81,22 @@ class TestSimulate:
         assert run("simulate", "--kind", "D", "--pairs", "0",
                    "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_regeneration_is_byte_identical(self, tmp_path, monkeypatch, kind):
+        # the summary records the --out value, so both runs use the same
+        # relative one from two different working directories
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"partitions": 3}))
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for cwd in runs:
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert run("simulate", "--kind", kind, "--pairs", "3000", "--seed",
+                       "11", "--config", str(cfg), "--out", "run") == 0
+        for name in (f"events_{kind}.csv", f"summary_{kind}.json"):
+            a, b = (cwd / "run" / name for cwd in runs)
+            assert a.read_bytes() == b.read_bytes(), name
+
 
 class TestVerify:
     def test_default_constants_pass(self, capsys):
@@ -111,6 +128,17 @@ class TestFit:
         p.write_text("wrong header\n")
         assert run("fit", str(p)) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_invalid_record_names_line(self, tmp_path, capsys):
+        assert run("simulate", "--kind", "A1", "--pairs", "50", "--seed", "1",
+                   "--out", str(tmp_path)) == 0
+        path = tmp_path / "events_A1.csv"
+        lines = path.read_text().splitlines()
+        lines[7] = "6,discarded,,,,,active,lifetime,K0,4.8,"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("fit", str(path), "--out", str(tmp_path)) == 1
+        assert f"{path}: line 8:" in capsys.readouterr().err
+        assert not (tmp_path / "visibility.csv").exists()
 
     def test_missing_file(self, tmp_path):
         assert run("fit", str(tmp_path / "nope.csv")) == 1
