@@ -6,8 +6,8 @@ Subcommands
     verify    -- run the internal verification suite
     fit       -- reconstruct oscillation visibility from an event file
 
-Exit status: 0 on success, 1 on configuration/validation errors, 2 when the
-verification suite reports a failure.
+Exit status: 0 on success, 1 on configuration/validation errors and sampler
+failures, 2 when the verification suite reports a failure.
 """
 
 from __future__ import annotations
@@ -75,10 +75,19 @@ def _constants(cfg: dict) -> PhysicalConstants:
     return PhysicalConstants.from_json(cfg.get("constants", {}))
 
 
+def _integer(cfg: dict, key: str, default: int) -> int:
+    """An integer setting; integral JSON numbers such as 1e6 are accepted."""
+    value = cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _sim_config(cfg: dict) -> SimConfig:
-    kwargs = {"n_pairs": int(cfg.get("n_pairs", 10000)),
-              "seed": int(cfg.get("seed", 0)),
-              "partitions": int(cfg.get("partitions", 1))}
+    kwargs = {"n_pairs": _integer(cfg, "n_pairs", 10000),
+              "seed": _integer(cfg, "seed", 0),
+              "partitions": _integer(cfg, "partitions", 1)}
     if "tau_r0" in cfg:
         kwargs["tau_r0"] = float(cfg["tau_r0"])
     if "window" in cfg:
@@ -246,7 +255,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ the Delta-S = Delta-Q rule and the basis convention K0 = (K_S + K_L)/sqrt(2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import (Outcome, PhysicalConstants, SingularStateError,
+from .core import (Outcome, PhysicalConstants, SingularStateError, beam_norm,
                    evolution_factors, make_state)
 
 _SQRT2 = math.sqrt(2.0)
@@ -159,10 +159,8 @@ def survivor_unitary_side(state: TwoKaonState, side: str, dt: float,
     carries even K_S/K_L weight -- such as the partner left over after
     projecting one side of an equal-time pair -- this preserves the norm,
     which is what makes measurement reordering possible."""
-    f_S = math.exp(-0.5 * k.gamma_S * dt)
-    f_L = cmath.exp(-1j * k.delta_m * dt) * math.exp(-0.5 * k.gamma_L * dt)
-    scale = 1.0 / math.sqrt(0.5 * (math.exp(-k.gamma_S * dt)
-                                   + math.exp(-k.gamma_L * dt)))
+    f_S, f_L = evolution_factors(dt, k)
+    scale = 1.0 / math.sqrt(beam_norm(dt, k))
     f = {"S": f_S * scale, "L": f_L * scale}
     amps = state.amps()
     idx = 0 if side == "left" else 1

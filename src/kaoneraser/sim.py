@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Observable, Outcome, PhysicalConstants, Procedure
-from .decay import CHANNEL_OUTCOME, AmplitudeModel, DecayChannel
-from .pairs import JointProjector, TwoKaonState, normalize_pair, project_side
+from .core import Observable, Outcome, PhysicalConstants, Procedure, beam_norm
+from .decay import CHANNEL_OUTCOME, AmplitudeModel, DecayChannel, pair_beam_norm
+from .pairs import closed_form_joint
 from .single import MisidWindow
 
 RNG_SCHEME = "np-seedseq-spawnkey-pcg64-v1"
@@ -95,6 +95,7 @@ class Estimate:
     n: int
     bin: float
     pair: tuple
+    count: int  # pairs in the bin with this outcome pair; p_hat = count / n
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,19 @@ def _empty_columns(n):
 # elementary sampling blocks
 # ---------------------------------------------------------------------------
 
-def classify_lifetime(decay_time: float, measure_time: float,
-                      window: MisidWindow) -> Outcome:
-    """Window rule: a decay within [measure_time, measure_time + window] is
-    read as K_S, any later decay as K_L."""
-    return Outcome.KS if decay_time <= measure_time + window.delta_tau_w else Outcome.KL
+def classify_lifetime(decay_time, measure_time, window: MisidWindow) -> np.ndarray:
+    """Window rule, as outcome codes: a decay within [measure_time,
+    measure_time + window] is read as K_S, any later decay as K_L."""
+    return np.where(decay_time <= measure_time + window.delta_tau_w,
+                    OUTCOME_CODES[Outcome.KS],
+                    OUTCOME_CODES[Outcome.KL]).astype(np.int8)
+
+
+def _channel_amps(model: AmplitudeModel):
+    """(a_S, a_L) in channel-code order; every model amplitude is real."""
+    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
+    return a_s, a_l
 
 
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
@@ -185,6 +194,23 @@ def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
     p_s = np.array([abs(model.a_S[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_S
     p_l = np.array([abs(model.a_L[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_L
     return p_s, p_l
+
+
+def _draw_tau_l(n, rng, cfg):
+    """The tau_l grid and each pair's index into it.  tau_l takes only
+    len(grid) values, so whatever depends on tau_l alone is evaluated once
+    on the grid and gathered per pair with [ig]."""
+    grid = np.asarray(cfg.tau_l_grid)
+    return grid, rng.integers(0, len(grid), n)
+
+
+def _strangeness_tables(grid, cfg, k):
+    """Survivor norm N(tau_l, tau_r0) and unlike-strangeness probability of
+    both kaons measured actively, per grid point, from the scalar oracles."""
+    norm = np.array([pair_beam_norm(t, cfg.tau_r0, k) for t in grid])
+    unlike = np.array([2.0 * closed_form_joint("ss_unlike", t - cfg.tau_r0, k)
+                       for t in grid])
+    return norm, unlike
 
 
 def _draw_passive_side(n, rng, k, model):
@@ -197,67 +223,45 @@ def _draw_passive_side(n, rng, k, model):
                     np.searchsorted(np.cumsum(p_l), u),
                     np.searchsorted(np.cumsum(p_s), u)).astype(np.int8)
     scale = np.where(is_l, 1.0 / k.gamma_L, 1.0 / k.gamma_S)
-    t = rng.exponential(scale)
+    t = rng.standard_exponential(n) * scale
     return chan, t
 
 
-def _collapsed_left_amps(chan, t_r, k, model):
-    """Left-kaon amplitudes (at left proper time 0) after the right member
-    decayed at t_r through the given channel; coherent in the channel."""
-    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE])
-    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE])
-    f_s = np.exp(-0.5 * k.gamma_S * t_r)
-    f_l = np.exp(-1j * k.delta_m * t_r) * np.exp(-0.5 * k.gamma_L * t_r)
-    b_L = f_s * a_s[chan] / math.sqrt(2.0)
-    b_S = -f_l * a_l[chan] / math.sqrt(2.0)
-    return b_S.astype(complex), b_L.astype(complex)
+def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
+                           model: AmplitudeModel):
+    """(p_survive, p_K0) of the left kaon, actively measured at tau_l =
+    grid[ig], after its partner decayed at t_r through channel code chan.
+
+    The right decay leaves the left kaon (at its proper time 0) with K_S and
+    K_L amplitudes r_S e^{-i dm t_r} and r_L, where r_S = -a_L(f) e^{-G_L t_r/2}
+    / sqrt2 and r_L = a_S(f) e^{-G_S t_r/2} / sqrt2.  Every model amplitude is
+    real, so the only phase is the oscillation term.  With bs = r_S e^{-G_S
+    tau_l/2} and bl = r_L e^{-G_L tau_l/2}:
+        p_survive = (bs^2 + bl^2) / (r_S^2 + r_L^2)
+        p_K0 = (bs^2 + bl^2 + 2 bs bl cos(dm (tau_l - t_r))) / (2 (bs^2 + bl^2)),
+    which is decay.mixed_active_passive_prob conditioned on the right decay.
+    """
+    a_s, a_l = _channel_amps(model)
+    r_s = -a_l[chan] * np.exp(-0.5 * k.gamma_L * t_r) / math.sqrt(2.0)
+    r_l = a_s[chan] * np.exp(-0.5 * k.gamma_S * t_r) / math.sqrt(2.0)
+    # the tau_l factors are grid tables gathered per pair
+    bs = r_s * np.exp(-0.5 * k.gamma_S * grid)[ig]
+    bl = r_l * np.exp(-0.5 * k.gamma_L * grid)[ig]
+    n2_after = bs * bs + bl * bl
+    p_survive = n2_after / (r_s * r_s + r_l * r_l)
+    p_k0 = ((n2_after + 2.0 * bs * bl * np.cos(k.delta_m * (grid[ig] - t_r)))
+            / (2.0 * n2_after))
+    return p_survive, p_k0
 
 
-def _left_strangeness_after(b_S, b_L, tau_l, k, rng):
-    """Evolve collapsed left amplitudes to tau_l; Bernoulli-sample survival and
-    the strangeness outcome of survivors.  Returns (alive, out_code)."""
-    e_S = np.exp(-0.5 * k.gamma_S * tau_l)
-    e_L = np.exp(-1j * k.delta_m * tau_l) * np.exp(-0.5 * k.gamma_L * tau_l)
-    bs = b_S * e_S
-    bl = b_L * e_L
-    n2_before = np.abs(b_S) ** 2 + np.abs(b_L) ** 2
-    n2_after = np.abs(bs) ** 2 + np.abs(bl) ** 2
-    alive = rng.random(len(bs)) * n2_before < n2_after
-    p_k0 = np.abs(bs + bl) ** 2 / (2.0 * n2_after)
-    out = np.where(rng.random(len(bs)) < p_k0, OUTCOME_CODES[Outcome.K0],
+def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
+    """Bernoulli-sample the left kaon's survival and its strangeness outcome.
+    Returns (alive, out_code)."""
+    p_survive, p_k0 = left_after_right_decay(chan, t_r, grid, ig, k, model)
+    alive = rng.random(len(ig)) < p_survive
+    out = np.where(rng.random(len(ig)) < p_k0, OUTCOME_CODES[Outcome.K0],
                    OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     return alive, out
-
-
-def _osc(delta_tau, k):
-    return (np.cos(k.delta_m * delta_tau)
-            / np.cosh(0.5 * k.delta_gamma * delta_tau))
-
-
-def _pair_norm_vec(tau_l, tau_r, k):
-    return (np.exp(-k.gamma_mean * (tau_l + tau_r))
-            * np.cosh(0.5 * k.delta_gamma * (tau_l - tau_r)))
-
-
-def active_measure_and_collapse(state: TwoKaonState, side: str,
-                                observable: Observable, tau: float,
-                                k: PhysicalConstants, rng):
-    """Sample one side's marginal outcome and collapse the pair state.
-
-    The state must already be survivor-normalized at the measurement times;
-    the returned state is normalized and ready for the partner's measurement.
-    """
-    if not state.normalized:
-        raise ValueError("state must be normalized at the measurement time")
-    if observable is Observable.STRANGENESS:
-        outcomes = (Outcome.K0, Outcome.K0BAR)
-    else:
-        outcomes = (Outcome.KS, Outcome.KL)
-    projected = [project_side(state, side, o) for o in outcomes]
-    probs = [s.norm_sq() for s in projected]
-    total = probs[0] + probs[1]
-    pick = 0 if rng.random() * total < probs[0] else 1
-    return outcomes[pick], normalize_pair(projected[pick])
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,7 @@ def active_measure_and_collapse(state: TwoKaonState, side: str,
 def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndarray:
     """Analytic 4x4 integrated weights of the joint decay rate per ordered
     channel pair (rows: left, cols: right); sums to one."""
-    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
-    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_s, a_l = _channel_amps(model)
     alpha = np.outer(a_l, a_s)
     beta = np.outer(a_s, a_l)
     cross = 1.0 / (k.gamma_mean ** 2 + k.delta_m ** 2)
@@ -324,8 +327,7 @@ def _sample_passive_pairs(n, k, model, rng):
     chan_r = (pick % 4).astype(np.int8)
     t_l = np.empty(n)
     t_r = np.empty(n)
-    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
-    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_s, a_l = _channel_amps(model)
     for code in range(16):
         sel = pick == code
         m = int(sel.sum())
@@ -353,65 +355,57 @@ def sample_passive_pair(k: PhysicalConstants, model: AmplitudeModel, rng):
 
 def _gen_a1(n, rng, cfg, k, model):
     cols = _empty_columns(n)
-    grid = np.asarray(cfg.tau_l_grid)
-    tau_l = grid[rng.integers(0, len(grid), n)]
-    survive = rng.random(n) < _pair_norm_vec(tau_l, cfg.tau_r0, k)
+    grid, ig = _draw_tau_l(n, rng, cfg)
+    norm, p_unlike = _strangeness_tables(grid, cfg, k)
+    survive = rng.random(n) < norm[ig]
     left_k0 = rng.random(n) < 0.5
-    osc = _osc(tau_l - cfg.tau_r0, k)
-    unlike = rng.random(n) < 0.5 * (1.0 + osc)
+    unlike = rng.random(n) < p_unlike[ig]
     l_out = np.where(left_k0, OUTCOME_CODES[Outcome.K0],
                      OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     r_out = np.where(unlike, 1 - l_out, l_out).astype(np.int8)
     cols["l_out"][survive] = l_out[survive]
     cols["r_out"][survive] = r_out[survive]
-    cols["l_time"][survive] = tau_l[survive]
+    cols["l_time"][survive] = grid[ig[survive]]
     cols["r_time"][survive] = cfg.tau_r0
     return cols
 
 
 def _gen_a2(n, rng, cfg, k, model):
     cols = _empty_columns(n)
-    grid = np.asarray(cfg.tau_l_grid)
-    tau_l = grid[rng.integers(0, len(grid), n)]
+    grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
-    b_S, b_L = _collapsed_left_amps(chan, t_r, k, model)
-    alive, l_out = _left_strangeness_after(b_S, b_L, tau_l, k, rng)
+    alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
+                                                  model, rng)
     right_ok = t_r >= cfg.tau_r0
-    ks = t_r <= cfg.tau_r0 + cfg.window.delta_tau_w
     cols["l_out"][alive] = l_out[alive]
-    cols["l_time"][alive] = tau_l[alive]
+    cols["l_time"][alive] = grid[ig[alive]]
     cols["r_obs"][right_ok] = 1
-    cols["r_out"][right_ok] = np.where(ks, OUTCOME_CODES[Outcome.KS],
-                                       OUTCOME_CODES[Outcome.KL])[right_ok]
+    cols["r_out"][right_ok] = classify_lifetime(t_r[right_ok], cfg.tau_r0,
+                                                cfg.window)
     cols["r_time"][right_ok] = cfg.tau_r0
     return cols
 
 
 def _gen_b(n, rng, cfg, k, model):
     cols = _empty_columns(n)
-    grid = np.asarray(cfg.tau_l_grid)
-    tau_l = grid[rng.integers(0, len(grid), n)]
+    grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
     pre = t_r < cfg.tau_r0
     # uniforms drawn unconditionally so the stream is data-independent
     u_rout = rng.random(n)
-    b_S, b_L = _collapsed_left_amps(chan, t_r, k, model)
-    alive_pre, lout_pre = _left_strangeness_after(b_S, b_L, tau_l, k, rng)
-    n1 = 0.5 * (math.exp(-k.gamma_S * cfg.tau_r0) + math.exp(-k.gamma_L * cfg.tau_r0))
-    surv_p = _pair_norm_vec(tau_l, cfg.tau_r0, k) / n1
-    alive_post = rng.random(n) < surv_p
-    osc = _osc(tau_l - cfg.tau_r0, k)
-    unlike = rng.random(n) < 0.5 * (1.0 + osc)
+    alive_pre, lout_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
+                                                         k, model, rng)
+    norm, p_unlike = _strangeness_tables(grid, cfg, k)
+    alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
+    unlike = rng.random(n) < p_unlike[ig]
 
     # pre-detector decays: right recorded as an active lifetime measurement
-    ks = t_r <= cfg.window.delta_tau_w
     cols["r_obs"][pre] = 1
-    cols["r_out"][pre] = np.where(ks, OUTCOME_CODES[Outcome.KS],
-                                  OUTCOME_CODES[Outcome.KL])[pre]
+    cols["r_out"][pre] = classify_lifetime(t_r[pre], 0.0, cfg.window)
     cols["r_time"][pre] = t_r[pre]
     m = pre & alive_pre
     cols["l_out"][m] = lout_pre[m]
-    cols["l_time"][m] = tau_l[m]
+    cols["l_time"][m] = grid[ig[m]]
 
     # survivors: active strangeness on the right at tau_r0
     post = ~pre
@@ -421,19 +415,18 @@ def _gen_b(n, rng, cfg, k, model):
     cols["r_time"][post] = cfg.tau_r0
     m = post & alive_post
     cols["l_out"][m] = np.where(unlike, 1 - r_out, r_out)[m]
-    cols["l_time"][m] = tau_l[m]
+    cols["l_time"][m] = grid[ig[m]]
     return cols
 
 
 def _gen_c(n, rng, cfg, k, model):
     cols = _empty_columns(n)
-    grid = np.asarray(cfg.tau_l_grid)
-    tau_l = grid[rng.integers(0, len(grid), n)]
+    grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
-    b_S, b_L = _collapsed_left_amps(chan, t_r, k, model)
-    alive, l_out = _left_strangeness_after(b_S, b_L, tau_l, k, rng)
+    alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
+                                                  model, rng)
     cols["l_out"][alive] = l_out[alive]
-    cols["l_time"][alive] = tau_l[alive]
+    cols["l_time"][alive] = grid[ig[alive]]
     cols["r_proc"][:] = 1
     cols["r_obs"][:] = np.where(_CHAN_OUT[chan] >= 2, 1, 0)
     cols["r_out"][:] = _CHAN_OUT[chan]
@@ -504,20 +497,19 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
         raise ValueError("empty event set")
     mask = events.classified
     dt = events.l_time[mask] - events.r_time[mask]
-    lo_, ro_ = events.l_out[mask], events.r_out[mask]
     nbins = int(round((binning.hi - binning.lo) / binning.width))
     ib = np.floor((dt - binning.lo) / binning.width).astype(int)
     ok = (ib >= 0) & (ib < nbins)
-    ib, lo_, ro_ = ib[ok], lo_[ok], ro_[ok]
+    # one pass: cell = bin * 16 + left code * 4 + right code
+    cell = ib[ok] * 16 + events.l_out[mask][ok] * 4 + events.r_out[mask][ok]
+    counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 16)
+    totals = counts.sum(axis=1)
     centers = binning.centers()
     out = []
-    for b in np.unique(ib):
-        sel = ib == b
-        n = int(sel.sum())
-        key = lo_[sel] * 4 + ro_[sel]
-        counts = np.bincount(key, minlength=16)
-        for code in np.nonzero(counts)[0]:
-            p = counts[code] / n
+    for b in np.nonzero(totals)[0]:
+        n = int(totals[b])
+        for code in np.nonzero(counts[b])[0]:
+            p = counts[b, code] / n
             out.append(Estimate(
                 p_hat=p,
                 stderr=math.sqrt(p * (1.0 - p) / n),
@@ -525,6 +517,7 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
                 bin=float(centers[b]),
                 pair=(OUTCOME_BY_CODE[code // 4].value,
                       OUTCOME_BY_CODE[code % 4].value),
+                count=int(counts[b, code]),
             ))
     return out
 
@@ -537,11 +530,10 @@ def _ss_counts(estimates: list[Estimate]):
         if l not in ("K0", "K0bar") or r not in ("K0", "K0bar"):
             continue
         like, unlike = bins.setdefault(e.bin, [0, 0])
-        count = int(round(e.p_hat * e.n))
         if l == r:
-            bins[e.bin][0] = like + count
+            bins[e.bin][0] = like + e.count
         else:
-            bins[e.bin][1] = unlike + count
+            bins[e.bin][1] = unlike + e.count
     return bins
 
 

@@ -81,6 +81,34 @@ class TestSimulate:
         assert run("simulate", "--kind", "D", "--pairs", "0",
                    "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_pairs", 1.5), ("seed", "7"), ("partitions", True),
+        ("n_pairs", float("nan")), ("partitions", [2])])
+    def test_non_integer_setting_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run("simulate", "--kind", "A1", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 1
+        assert f"'{key}' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "events_A1.csv").exists()
+
+    def test_integral_float_setting_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_pairs": 1e3, "seed": 3.0, "partitions": 2.0}')
+        assert run("simulate", "--kind", "A1", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary_A1.json").read_text())
+        assert (summary["n_pairs"], summary["seed"], summary["partitions"]) == (1000, 3, 2)
+
+    def test_sampler_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("rejection envelope violated; amplitude math bug")
+        monkeypatch.setattr("kaoneraser.sim._sample_pair_times", broken)
+        assert run("simulate", "--kind", "D", "--pairs", "10",
+                   "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: rejection envelope violated; amplitude math bug\n")
+
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
     def test_regeneration_is_byte_identical(self, tmp_path, monkeypatch, kind):
         # the summary records the --out value, so both runs use the same
