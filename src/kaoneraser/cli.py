@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalConstants
+from .core import PhysicalConstants, finite_number
 from .decay import build_amplitude_model
 from .eventfile import write_events, read_events
 from .pairs import closed_form_joint, pair_visibility
@@ -72,7 +72,10 @@ def _effective(args) -> dict:
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
-    return PhysicalConstants.from_json(cfg.get("constants", {}))
+    doc = cfg.get("constants", {})
+    if not isinstance(doc, dict):
+        raise ValueError(f"config key 'constants' must be a JSON object, got {doc!r}")
+    return PhysicalConstants.from_json(doc)
 
 
 def _integer(cfg: dict, key: str, default: int) -> int:
@@ -84,16 +87,35 @@ def _integer(cfg: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _numbers(cfg: dict, key: str) -> list[float]:
+    """A list of finite numbers; empty when the key is absent."""
+    values = cfg.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"config key {key!r} must be a list of numbers, "
+                         f"got {values!r}")
+    return [finite_number(f"config key {key!r} entry", v) for v in values]
+
+
+def _out_dir(cfg: dict) -> Path:
+    out = cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise ValueError(f"config key 'out' must be a path string, got {out!r}")
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _sim_config(cfg: dict) -> SimConfig:
     kwargs = {"n_pairs": _integer(cfg, "n_pairs", 10000),
               "seed": _integer(cfg, "seed", 0),
               "partitions": _integer(cfg, "partitions", 1)}
     if "tau_r0" in cfg:
-        kwargs["tau_r0"] = float(cfg["tau_r0"])
+        kwargs["tau_r0"] = finite_number("config key 'tau_r0'", cfg["tau_r0"])
     if "window" in cfg:
-        kwargs["window"] = MisidWindow(float(cfg["window"]))
+        kwargs["window"] = MisidWindow(finite_number("config key 'window'",
+                                                     cfg["window"]))
     if "tau_l_grid" in cfg:
-        kwargs["tau_l_grid"] = tuple(float(t) for t in cfg["tau_l_grid"])
+        kwargs["tau_l_grid"] = tuple(_numbers(cfg, "tau_l_grid"))
     sim = SimConfig(**kwargs)
     sim.validate()
     return sim
@@ -118,11 +140,11 @@ def _write_csv(path: Path, comment: str, header: str, rows) -> None:
 def cmd_analytic(args) -> int:
     cfg = _effective(args)
     k = _constants(cfg)
-    out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    tau_grid = _numbers(cfg, "tau_grid") or np.arange(0, 121) * 0.1
+    dt_grid = _numbers(cfg, "delta_tau_grid") or np.arange(-100, 101) * 0.1
+    out = _out_dir(cfg)
     comment = _config_comment(cfg)
 
-    tau_grid = cfg.get("tau_grid") or np.arange(0, 121) * 0.1
     rows = []
     for tau in tau_grid:
         tau = float(tau)
@@ -132,7 +154,6 @@ def cmd_analytic(args) -> int:
     _write_csv(out / "single_kaon.csv", comment,
                "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", rows)
 
-    dt_grid = cfg.get("delta_tau_grid") or np.arange(-100, 101) * 0.1
     rows = []
     for dt in dt_grid:
         dt = float(dt)
@@ -156,8 +177,7 @@ def cmd_simulate(args) -> int:
     k = _constants(cfg)
     sim = _sim_config(cfg)
     model = build_amplitude_model(k)
-    out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
 
     events = run_experiment(kind, sim, k, model)
     events_path = out / f"events_{kind}.csv"
@@ -215,9 +235,7 @@ def cmd_fit(args) -> int:
     rows = fit_visibility(estimates, k)
     if not rows:
         raise ValueError("no strangeness-strangeness events to fit")
-    out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "visibility.csv"
+    path = _out_dir(cfg) / "visibility.csv"
     _write_csv(path, _config_comment(cfg),
                "delta_tau_bin,v_hat,stderr,excluded_flag",
                ((r.delta_tau, r.v_hat, r.stderr, int(r.excluded))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -21,6 +22,19 @@ _NORM_TOL = 1e-12
 
 class SingularStateError(ValueError):
     """Raised when an operation needs a nonzero-norm state and gets none."""
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite
+    real number (booleans and strings are not numbers)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class Observable(Enum):
@@ -80,6 +94,10 @@ class PhysicalConstants:
     epsilon_overlap: float = 3.2e-3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                finite_number(f"constants field {f.name!r}", value)
         if self.br_2pi_S is None:
             object.__setattr__(self, "br_2pi_S", 1.0 - self.br_sl_S)
         if self.br_3pi_L is None:
@@ -126,6 +144,8 @@ class PhysicalConstants:
         else:
             text = Path(source).read_text() if Path(str(source)).exists() else str(source)
             doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"constants must be a JSON object, got {doc!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

@@ -11,8 +11,10 @@ Experiments
     D   fully passive on both sides
 
 Event generation is partitioned; partition p uses the generator seeded by
-numpy's SeedSequence(entropy=master_seed, spawn_key=(p,)) and partitions are
-merged in index order, so a run is reproducible given (seed, partitions).
+numpy's SeedSequence(entropy=master_seed, spawn_key=(p,)) and fills its
+slice of one column set, in index order, so a run is reproducible given
+(seed, partitions).  The left-kaon kernel of A2, B and C runs on cache-sized
+blocks and skips its cosine where that cannot change the result.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Observable, Outcome, PhysicalConstants, Procedure, beam_norm
+from .core import (Observable, Outcome, PhysicalConstants, Procedure, beam_norm,
+                   finite_number)
 from .decay import CHANNEL_OUTCOME, AmplitudeModel, DecayChannel, pair_beam_norm
 from .pairs import closed_form_joint
 from .single import MisidWindow
@@ -39,8 +42,12 @@ CHANNEL_BY_CODE = (DecayChannel.TWO_PI, DecayChannel.THREE_PI,
                    DecayChannel.SL_PLUS, DecayChannel.SL_MINUS)
 OUTCOME_CODES = {o: c for c, o in enumerate(OUTCOME_BY_CODE)}
 CHANNEL_CODES = {ch: c for c, ch in enumerate(CHANNEL_BY_CODE)}
-# outcome code identified by each channel code
-_CHAN_OUT = np.array([OUTCOME_CODES[CHANNEL_OUTCOME[ch]] for ch in CHANNEL_BY_CODE])
+# outcome and observable codes identified by each channel code
+_CHAN_OUT = np.array([OUTCOME_CODES[CHANNEL_OUTCOME[ch]] for ch in CHANNEL_BY_CODE],
+                     dtype=np.int8)
+_CHAN_OBS = (_CHAN_OUT >= OUTCOME_CODES[Outcome.KS]).astype(np.int8)
+# pairs per call of the left-kaon kernel: keeps its temporaries in L2
+_BLOCK = 16384
 
 
 class ExperimentKind:
@@ -66,10 +73,13 @@ class SimConfig:
             raise ValueError("n_pairs must be >= 1")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
-        if self.tau_r0 < 0:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if finite_number("tau_r0", self.tau_r0) < 0:
             raise ValueError("tau_r0 must be nonnegative")
-        if not self.tau_l_grid or any(t < 0 for t in self.tau_l_grid):
-            raise ValueError("tau_l grid must be nonempty and nonnegative")
+        if (not self.tau_l_grid
+                or any(finite_number("tau_l_grid", t) < 0 for t in self.tau_l_grid)):
+            raise ValueError("tau_l_grid must be nonempty and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -191,9 +201,8 @@ def _channel_amps(model: AmplitudeModel):
 
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
     """Per-eigenstate channel probabilities |a_i(f)|^2 / Gamma_i, in code order."""
-    p_s = np.array([abs(model.a_S[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_S
-    p_l = np.array([abs(model.a_L[f]) ** 2 for f in CHANNEL_BY_CODE]) / k.gamma_L
-    return p_s, p_l
+    a_s, a_l = _channel_amps(model)
+    return a_s * a_s / k.gamma_S, a_l * a_l / k.gamma_L
 
 
 def _draw_tau_l(n, rng, cfg):
@@ -240,6 +249,14 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
         p_survive = (bs^2 + bl^2) / (r_S^2 + r_L^2)
         p_K0 = (bs^2 + bl^2 + 2 bs bl cos(dm (tau_l - t_r))) / (2 (bs^2 + bl^2)),
     which is decay.mixed_active_passive_prob conditioned on the right decay.
+
+    The cosine is evaluated only where it can change p_K0.  Let n2 = bs^2 +
+    bl^2 (finite, bounded by the widths), cross = 2 bs bl and 2^e <= n2 <
+    2^(e+1).  For a finite argument |cos| <= 1, so |cross*cos| <= |cross|
+    after rounding.  Where |cross| 2^55 < n2, |cross*cos| < 2^(e-54), less than
+    half the spacing of doubles on either side of n2: n2 + cross*cos rounds to
+    n2 and p_K0 = n2 / (2 n2) = 0.5 exactly.  Scaling by 2^55 is exact, so the
+    test is exact; a NaN fails it and takes the full formula, as before.
     """
     a_s, a_l = _channel_amps(model)
     r_s = -a_l[chan] * np.exp(-0.5 * k.gamma_L * t_r) / math.sqrt(2.0)
@@ -249,17 +266,27 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
     bl = r_l * np.exp(-0.5 * k.gamma_L * grid)[ig]
     n2_after = bs * bs + bl * bl
     p_survive = n2_after / (r_s * r_s + r_l * r_l)
-    p_k0 = ((n2_after + 2.0 * bs * bl * np.cos(k.delta_m * (grid[ig] - t_r)))
-            / (2.0 * n2_after))
+    cross = 2.0 * bs * bl
+    p_k0 = np.full(len(n2_after), 0.5)
+    m = np.flatnonzero(~(np.abs(cross) * 2.0 ** 55 < n2_after))
+    n2 = n2_after[m]
+    p_k0[m] = ((n2 + cross[m] * np.cos(k.delta_m * (grid[ig[m]] - t_r[m])))
+               / (2.0 * n2))
     return p_survive, p_k0
 
 
 def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
     """Bernoulli-sample the left kaon's survival and its strangeness outcome.
-    Returns (alive, out_code)."""
-    p_survive, p_k0 = left_after_right_decay(chan, t_r, grid, ig, k, model)
-    alive = rng.random(len(ig)) < p_survive
-    out = np.where(rng.random(len(ig)) < p_k0, OUTCOME_CODES[Outcome.K0],
+    The kernel runs on blocks of _BLOCK pairs so that its temporaries stay in
+    cache.  Returns (alive, out_code)."""
+    n = len(ig)
+    p_survive, p_k0 = np.empty(n), np.empty(n)
+    for s in range(0, n, _BLOCK):
+        b = slice(s, s + _BLOCK)
+        p_survive[b], p_k0[b] = left_after_right_decay(chan[b], t_r[b], grid,
+                                                       ig[b], k, model)
+    alive = rng.random(n) < p_survive
+    out = np.where(rng.random(n) < p_k0, OUTCOME_CODES[Outcome.K0],
                    OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
     return alive, out
 
@@ -320,25 +347,21 @@ def _sample_pair_times(n, alpha, beta, k, rng):
 def _sample_passive_pairs(n, k, model, rng):
     """Vectorized draw of n (chan_l, t_l, chan_r, t_r) from the joint decay
     density: channel pair from analytic weights, times by rejection."""
-    w = passive_pair_weights(k, model)
-    flat = w.reshape(-1)
+    flat = passive_pair_weights(k, model).reshape(-1)
     pick = np.searchsorted(np.cumsum(flat) / flat.sum(), rng.random(n))
     chan_l = (pick // 4).astype(np.int8)
     chan_r = (pick % 4).astype(np.int8)
-    t_l = np.empty(n)
-    t_r = np.empty(n)
+    t_l, t_r = np.empty(n), np.empty(n)
     a_s, a_l = _channel_amps(model)
+    # a stable sort lists each channel pair's indices in increasing order, and
+    # an empty pair draws nothing
+    order = np.argsort(pick.astype(np.int8), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(pick, minlength=16))))
     for code in range(16):
-        sel = pick == code
-        m = int(sel.sum())
-        if m == 0:
-            continue
+        sel = order[bounds[code]:bounds[code + 1]]
         cl, cr = code // 4, code % 4
-        alpha = a_l[cl] * a_s[cr]
-        beta = a_s[cl] * a_l[cr]
-        tl, tr = _sample_pair_times(m, alpha, beta, k, rng)
-        t_l[sel] = tl
-        t_r[sel] = tr
+        t_l[sel], t_r[sel] = _sample_pair_times(len(sel), a_l[cl] * a_s[cr],
+                                                a_s[cl] * a_l[cr], k, rng)
     return chan_l, t_l, chan_r, t_r
 
 
@@ -350,11 +373,25 @@ def sample_passive_pair(k: PhysicalConstants, model: AmplitudeModel, rng):
 
 
 # ---------------------------------------------------------------------------
-# experiment generators (one partition each)
+# experiment generators (one partition each, written into its column slices)
 # ---------------------------------------------------------------------------
 
-def _gen_a1(n, rng, cfg, k, model):
-    cols = _empty_columns(n)
+def _write_passive_side(cols, prefix, chan, t):
+    """Record a free kaon's decay as a passive measurement."""
+    cols[prefix + "proc"].fill(1)
+    cols[prefix + "obs"][:] = _CHAN_OBS[chan]
+    cols[prefix + "out"][:] = _CHAN_OUT[chan]
+    cols[prefix + "time"][:] = t
+    cols[prefix + "chan"][:] = chan
+
+
+def _write_left_active(cols, alive, l_out, grid, ig):
+    """Record the left kaon's active measurement at tau_l where it survived."""
+    np.copyto(cols["l_out"], l_out, where=alive)
+    np.copyto(cols["l_time"], grid[ig], where=alive)
+
+
+def _gen_a1(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
     survive = rng.random(n) < norm[ig]
@@ -362,32 +399,25 @@ def _gen_a1(n, rng, cfg, k, model):
     unlike = rng.random(n) < p_unlike[ig]
     l_out = np.where(left_k0, OUTCOME_CODES[Outcome.K0],
                      OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
-    r_out = np.where(unlike, 1 - l_out, l_out).astype(np.int8)
-    cols["l_out"][survive] = l_out[survive]
-    cols["r_out"][survive] = r_out[survive]
-    cols["l_time"][survive] = grid[ig[survive]]
-    cols["r_time"][survive] = cfg.tau_r0
-    return cols
+    _write_left_active(cols, survive, l_out, grid, ig)
+    np.copyto(cols["r_out"], np.where(unlike, 1 - l_out, l_out), where=survive)
+    np.copyto(cols["r_time"], cfg.tau_r0, where=survive)
 
 
-def _gen_a2(n, rng, cfg, k, model):
-    cols = _empty_columns(n)
+def _gen_a2(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
     alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
                                                   model, rng)
+    _write_left_active(cols, alive, l_out, grid, ig)
     right_ok = t_r >= cfg.tau_r0
-    cols["l_out"][alive] = l_out[alive]
-    cols["l_time"][alive] = grid[ig[alive]]
-    cols["r_obs"][right_ok] = 1
-    cols["r_out"][right_ok] = classify_lifetime(t_r[right_ok], cfg.tau_r0,
-                                                cfg.window)
-    cols["r_time"][right_ok] = cfg.tau_r0
-    return cols
+    cols["r_obs"][:] = right_ok
+    np.copyto(cols["r_out"], classify_lifetime(t_r, cfg.tau_r0, cfg.window),
+              where=right_ok)
+    np.copyto(cols["r_time"], cfg.tau_r0, where=right_ok)
 
 
-def _gen_b(n, rng, cfg, k, model):
-    cols = _empty_columns(n)
+def _gen_b(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
     pre = t_r < cfg.tau_r0
@@ -398,53 +428,31 @@ def _gen_b(n, rng, cfg, k, model):
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
     alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
     unlike = rng.random(n) < p_unlike[ig]
-
-    # pre-detector decays: right recorded as an active lifetime measurement
-    cols["r_obs"][pre] = 1
-    cols["r_out"][pre] = classify_lifetime(t_r[pre], 0.0, cfg.window)
-    cols["r_time"][pre] = t_r[pre]
-    m = pre & alive_pre
-    cols["l_out"][m] = lout_pre[m]
-    cols["l_time"][m] = grid[ig[m]]
-
-    # survivors: active strangeness on the right at tau_r0
-    post = ~pre
-    r_out = np.where(u_rout < 0.5, OUTCOME_CODES[Outcome.K0],
-                     OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
-    cols["r_out"][post] = r_out[post]
-    cols["r_time"][post] = cfg.tau_r0
-    m = post & alive_post
-    cols["l_out"][m] = np.where(unlike, 1 - r_out, r_out)[m]
-    cols["l_time"][m] = grid[ig[m]]
-    return cols
+    # right: active lifetime if it decayed before tau_r0, else strangeness
+    r_post = np.where(u_rout < 0.5, OUTCOME_CODES[Outcome.K0],
+                      OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
+    cols["r_obs"][:] = pre
+    cols["r_out"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
+                                r_post)
+    cols["r_time"][:] = np.where(pre, t_r, cfg.tau_r0)
+    alive = np.where(pre, alive_pre, alive_post)
+    l_out = np.where(pre, lout_pre, np.where(unlike, 1 - r_post, r_post))
+    _write_left_active(cols, alive, l_out, grid, ig)
 
 
-def _gen_c(n, rng, cfg, k, model):
-    cols = _empty_columns(n)
+def _gen_c(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
     alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
                                                   model, rng)
-    cols["l_out"][alive] = l_out[alive]
-    cols["l_time"][alive] = grid[ig[alive]]
-    cols["r_proc"][:] = 1
-    cols["r_obs"][:] = np.where(_CHAN_OUT[chan] >= 2, 1, 0)
-    cols["r_out"][:] = _CHAN_OUT[chan]
-    cols["r_time"][:] = t_r
-    cols["r_chan"][:] = chan
-    return cols
+    _write_left_active(cols, alive, l_out, grid, ig)
+    _write_passive_side(cols, "r_", chan, t_r)
 
 
-def _gen_d(n, rng, cfg, k, model):
-    cols = _empty_columns(n)
+def _gen_d(n, rng, cfg, k, model, cols):
     chan_l, t_l, chan_r, t_r = _sample_passive_pairs(n, k, model, rng)
-    for prefix, chan, t in (("l_", chan_l, t_l), ("r_", chan_r, t_r)):
-        cols[prefix + "proc"][:] = 1
-        cols[prefix + "obs"][:] = np.where(_CHAN_OUT[chan] >= 2, 1, 0)
-        cols[prefix + "out"][:] = _CHAN_OUT[chan]
-        cols[prefix + "time"][:] = t
-        cols[prefix + "chan"][:] = chan
-    return cols
+    _write_passive_side(cols, "l_", chan_l, t_l)
+    _write_passive_side(cols, "r_", chan_r, t_r)
 
 
 _GENERATORS = {"A1": _gen_a1, "A2": _gen_a2, "B": _gen_b, "C": _gen_c, "D": _gen_d}
@@ -457,19 +465,16 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
         raise ValueError(f"unknown experiment kind {kind!r}")
     cfg.validate()
     gen = _GENERATORS[kind]
-    sizes = [cfg.n_pairs // cfg.partitions
-             + (1 if i < cfg.n_pairs % cfg.partitions else 0)
-             for i in range(cfg.partitions)]
-    parts = []
-    for p, size in enumerate(sizes):
-        if size == 0:
-            continue
+    cols = _empty_columns(cfg.n_pairs)
+    start = 0
+    for p in range(cfg.partitions):
+        size = cfg.n_pairs // cfg.partitions + (p < cfg.n_pairs % cfg.partitions)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(p,)))
-        parts.append(gen(size, rng, cfg, k, model))
-    merged = {col: np.concatenate([part[col] for part in parts])
-              for col in EventSet._COLS}
-    return EventSet(kind=kind, config=cfg, **merged)
+        gen(size, rng, cfg, k, model,
+            {col: v[start:start + size] for col, v in cols.items()})
+        start += size
+    return EventSet(kind=kind, config=cfg, **cols)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +532,8 @@ def _ss_counts(estimates: list[Estimate]):
     bins = {}
     for e in estimates:
         l, r = e.pair
-        if l not in ("K0", "K0bar") or r not in ("K0", "K0bar"):
-            continue
-        like, unlike = bins.setdefault(e.bin, [0, 0])
-        if l == r:
-            bins[e.bin][0] = like + e.count
-        else:
-            bins[e.bin][1] = unlike + e.count
+        if l in ("K0", "K0bar") and r in ("K0", "K0bar"):
+            bins.setdefault(e.bin, [0, 0])[l != r] += e.count
     return bins
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Outcome, PhysicalConstants, beam_norm, evolution_factors
+from .core import (Outcome, PhysicalConstants, beam_norm, evolution_factors,
+                   finite_number)
 from .decay import OUTCOME_CHANNEL, AmplitudeModel, DecayChannel, decay_width
 
 
@@ -16,7 +17,7 @@ class MisidWindow:
     delta_tau_w: float = 4.8
 
     def __post_init__(self):
-        if self.delta_tau_w <= 0:
+        if finite_number("window", self.delta_tau_w) <= 0:
             raise ValueError("window length must be positive")
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kaoneraser import ExperimentKind
+from kaoneraser import ExperimentKind, read_events
 from kaoneraser.cli import main
 
 
@@ -32,6 +32,18 @@ class TestAnalytic:
             assert run("analytic", "--out", str(out)) == 0
         assert (a / "single_kaon.csv").read_bytes() == (b / "single_kaon.csv").read_bytes()
         assert (a / "joint.csv").read_bytes() == (b / "joint.csv").read_bytes()
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"tau_grid": 3}, "'tau_grid' must be a list of numbers, got 3"),
+        ({"delta_tau_grid": [0.5, float("inf")]},
+         "'delta_tau_grid' entry must be a finite number, got inf")])
+    def test_bad_grid_rejected_naming_key(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("analytic", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: config key {message}\n"
+        assert not out.exists()
 
     def test_constants_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -91,6 +103,45 @@ class TestSimulate:
                    "--out", str(tmp_path)) == 1
         assert f"'{key}' must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "events_A1.csv").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"tau_l_grid": 5}, "config key 'tau_l_grid' must be a list of numbers, got 5"),
+        ({"tau_l_grid": [1e400]},
+         "config key 'tau_l_grid' entry must be a finite number, got inf"),
+        ({"tau_r0": float("nan")},
+         "config key 'tau_r0' must be a finite number, got nan"),
+        ({"tau_r0": "abc"}, "config key 'tau_r0' must be a finite number, got 'abc'"),
+        ({"window": "w"}, "config key 'window' must be a finite number, got 'w'"),
+        ({"constants": []}, "config key 'constants' must be a JSON object, got []"),
+        ({"constants": None}, "config key 'constants' must be a JSON object, got None"),
+        ({"constants": {"gamma_S": "x"}},
+         "constants field 'gamma_S' must be a finite number, got 'x'"),
+        ({"constants": {"delta_m": float("nan")}},
+         "constants field 'delta_m' must be a finite number, got nan"),
+        ({"out": 5}, "config key 'out' must be a path string, got 5")])
+    def test_bad_value_rejected_naming_key(self, tmp_path, monkeypatch, capsys,
+                                           doc, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert run("simulate", "--kind", "A1", "--pairs", "10",
+                   "--config", "cfg.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        assert run("simulate", "--kind", "A1", "--pairs", "10", "--seed", "-5",
+                   "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+
+    def test_numeric_settings_reach_the_events(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_r0": 3, "window": 4.8,
+                                   "tau_l_grid": [3, 5.5]}))
+        assert run("simulate", "--kind", "B", "--pairs", "200", "--config",
+                   str(cfg), "--out", str(tmp_path)) == 0
+        ev = read_events(tmp_path / "events_B.csv")
+        assert set(ev.l_time[ev.l_out >= 0]) == {3.0, 5.5}
+        assert set(ev.r_time[ev.r_obs == 0]) == {3.0}
 
     def test_integral_float_setting_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

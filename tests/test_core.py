@@ -55,6 +55,23 @@ class TestPhysicalConstants:
         p.write_text('{"br_sl_L": 0.5}')
         assert PhysicalConstants.from_json(p).br_sl_L == 0.5
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma_S", "x"), ("gamma_L", None), ("delta_m", math.nan),
+        ("br_sl_S", math.inf), ("br_2pi_S", True), ("epsilon_overlap", 10 ** 400)])
+    def test_rejects_non_finite_or_non_numeric_field(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"field '{field}' must be a finite number"):
+            PhysicalConstants(**{field: value})
+
+    def test_integer_fields_accepted(self):
+        assert PhysicalConstants(gamma_S=1, delta_m=0) == PhysicalConstants(
+            gamma_S=1.0, delta_m=0.0)
+
+    @pytest.mark.parametrize("doc", [[], "[1]", "5"])
+    def test_from_json_needs_object(self, doc):
+        with pytest.raises(ValueError, match="constants must be a JSON object"):
+            PhysicalConstants.from_json(doc)
+
     def test_from_json_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             PhysicalConstants.from_json({"gamma_X": 1.0})

@@ -43,6 +43,12 @@ class TestConfig:
             SimConfig(n_pairs=10, tau_r0=-1.0).validate()
         with pytest.raises(ValueError):
             SimConfig(n_pairs=10, tau_l_grid=(1.0, -2.0)).validate()
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(n_pairs=10, seed=-5).validate()
+        with pytest.raises(ValueError, match="tau_r0 must be a finite number"):
+            SimConfig(n_pairs=10, tau_r0=math.nan).validate()
+        with pytest.raises(ValueError, match="tau_l_grid must be a finite number"):
+            SimConfig(n_pairs=10, tau_l_grid=(1.0, math.inf)).validate()
 
     def test_default_grid_brackets_tau_r0(self):
         grid = SimConfig(n_pairs=1).tau_l_grid
@@ -103,14 +109,37 @@ _PINNED_DIGESTS = {
 }
 
 
+# The same digests at 100 003 pairs, partitions=3: ragged partitions of
+# 33 335/33 334/33 334 pairs, each several blocks of the left-kaon kernel;
+# recorded before the generators were cache-blocked.
+_PINNED_MULTIBLOCK_DIGESTS = {
+    "A1": "73e4f8721f7e657c03dd7bd32885eec02f48a85a635ac9aae89bffd079be1c04",
+    "A2": "9f0a92d9679386285aa1b0739eeaf32eed3a46bd62ee9e508fbced3ffc4ece31",
+    "B": "90901da068b4b5cd8ca17cf912613f5f7cc277e62fa0756334142e266f960266",
+    "C": "a5c192e3a33d92b1bf7c67a9b13925eef4c14dcee3c720d006b5192103080613",
+    "D": "79ef429ca15665ab22689805da0c25588f3ff94b4424ea49019a4e19e92c465f",
+}
+
+
+def _digest(ev):
+    h = hashlib.sha256()
+    for col in EventSet._COLS:
+        h.update(np.ascontiguousarray(getattr(ev, col)).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("kind", ExperimentKind.ALL)
 def test_pinned_event_digest(k, model, kind):
     ev = run_experiment(kind, SimConfig(n_pairs=50000, seed=20040212,
                                         partitions=4), k, model)
-    h = hashlib.sha256()
-    for col in EventSet._COLS:
-        h.update(np.ascontiguousarray(getattr(ev, col)).tobytes())
-    assert h.hexdigest() == _PINNED_DIGESTS[kind]
+    assert _digest(ev) == _PINNED_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ExperimentKind.ALL)
+def test_pinned_multiblock_event_digest(k, model, kind):
+    ev = run_experiment(kind, SimConfig(n_pairs=100003, seed=20040212,
+                                        partitions=3), k, model)
+    assert _digest(ev) == _PINNED_MULTIBLOCK_DIGESTS[kind]
 
 
 class TestExperimentInvariants:
@@ -251,6 +280,46 @@ class TestLeftAfterRightDecay:
             survivors = ((abs(c_S * g_S) ** 2 + abs(c_L * g_L) ** 2)
                          / (abs(c_S) ** 2 + abs(c_L) ** 2))
             assert p_survive[i] == pytest.approx(survivors, rel=1e-12)
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_cosine_skip_is_exact(self, k, model, code):
+        """Bitwise equal to the formula with the cosine evaluated everywhere,
+        for t_r in [0, 5000] and densely where the skip switches on."""
+        grid = np.asarray(SimConfig(n_pairs=1).tau_l_grid)
+        # semileptonic channels: |2 bs bl| / (bs^2 + bl^2) falls below 2^-55
+        # once (G_S - G_L)(t_r - tau_l)/2 passes 56 ln 2
+        onset = 112.0 * math.log(2.0) / (k.gamma_S - k.gamma_L)
+        dense = np.arange(onset + grid.min() - 2.0, onset + grid.max() + 2.0, 1e-3)
+        per_tau_l = np.concatenate([np.linspace(0.0, 5000.0, 5001), dense])
+        ig = np.repeat(np.arange(len(grid)), len(per_tau_l))
+        t_r = np.tile(per_tau_l, len(grid))
+        chan = np.full(len(t_r), code, dtype=np.int8)
+        # a 2pi decay late enough for e^{-G_S t_r} to underflow leaves 0/0
+        with np.errstate(invalid="ignore"):
+            p_survive, p_k0 = left_after_right_decay(chan, t_r, grid, ig, k, model)
+            ref_survive, ref_k0 = _full_cosine_kernel(chan, t_r, grid, ig, k, model)
+        np.testing.assert_array_equal(p_k0.view(np.uint64), ref_k0.view(np.uint64))
+        np.testing.assert_array_equal(p_survive.view(np.uint64),
+                                      ref_survive.view(np.uint64))
+        if CHANNEL_OUTCOME[CHANNEL_BY_CODE[code]].observable is Observable.STRANGENESS:
+            near = ref_k0.reshape(len(grid), -1)[:, -len(dense):]
+            assert np.any(near == 0.5) and np.any(near != 0.5)
+
+
+def _full_cosine_kernel(chan, t_r, grid, ig, k, model):
+    """left_after_right_decay as it was before the cosine skip: np.cos is
+    evaluated for every pair."""
+    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
+    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
+    r_s = -a_l[chan] * np.exp(-0.5 * k.gamma_L * t_r) / math.sqrt(2.0)
+    r_l = a_s[chan] * np.exp(-0.5 * k.gamma_S * t_r) / math.sqrt(2.0)
+    bs = r_s * np.exp(-0.5 * k.gamma_S * grid)[ig]
+    bl = r_l * np.exp(-0.5 * k.gamma_L * grid)[ig]
+    n2_after = bs * bs + bl * bl
+    p_survive = n2_after / (r_s * r_s + r_l * r_l)
+    p_k0 = ((n2_after + 2.0 * bs * bl * np.cos(k.delta_m * (grid[ig] - t_r)))
+            / (2.0 * n2_after))
+    return p_survive, p_k0
 
 
 class TestActiveCollapse:

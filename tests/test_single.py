@@ -69,6 +69,9 @@ class TestMisidWindow:
             MisidWindow(0.0)
         with pytest.raises(ValueError):
             MisidWindow(-2.0)
+        for bad in (float("nan"), float("inf"), "w"):
+            with pytest.raises(ValueError, match="window must be a finite number"):
+                MisidWindow(bad)
 
     def test_window_tradeoff(self, k):
         """Longer windows misread fewer K_S and more K_L."""
