@@ -276,6 +276,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print("error: a configured value is outside the range the closed "
+              f"forms can evaluate ({exc}); check 'constants' and the grid "
+              "keys 'tau_grid', 'delta_tau_grid', 'tau_l_grid' and 'tau_r0'",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

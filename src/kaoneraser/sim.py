@@ -188,8 +188,8 @@ def classify_lifetime(decay_time, measure_time, window: MisidWindow) -> np.ndarr
     """Window rule, as outcome codes: a decay within [measure_time,
     measure_time + window] is read as K_S, any later decay as K_L."""
     return np.where(decay_time <= measure_time + window.delta_tau_w,
-                    OUTCOME_CODES[Outcome.KS],
-                    OUTCOME_CODES[Outcome.KL]).astype(np.int8)
+                    np.int8(OUTCOME_CODES[Outcome.KS]),
+                    np.int8(OUTCOME_CODES[Outcome.KL]))
 
 
 def _channel_amps(model: AmplitudeModel):
@@ -222,15 +222,24 @@ def _strangeness_tables(grid, cfg, k):
     return norm, unlike
 
 
+def _count_below(cdf, u):
+    """Inverse-CDF draw: the int8 count of entries of the non-decreasing cdf
+    below each u, np.searchsorted(cdf, u) for u <= cdf[-1].  The last entry
+    counts as 1.0, so u in [0, 1) never passes a sum that rounds below 1."""
+    count = np.zeros(len(u), dtype=np.int8)
+    for c in cdf[:-1]:
+        count += c < u
+    return count
+
+
 def _draw_passive_side(n, rng, k, model):
     """Sample a free kaon's decay (channel code, decay time) from the marginal
     of one member of the pair: an even K_S/K_L mixture."""
     p_s, p_l = _channel_tables(model, k)
     is_l = rng.random(n) < 0.5
     u = rng.random(n)
-    chan = np.where(is_l,
-                    np.searchsorted(np.cumsum(p_l), u),
-                    np.searchsorted(np.cumsum(p_s), u)).astype(np.int8)
+    chan = np.where(is_l, _count_below(np.cumsum(p_l), u),
+                    _count_below(np.cumsum(p_s), u))
     scale = np.where(is_l, 1.0 / k.gamma_L, 1.0 / k.gamma_S)
     t = rng.standard_exponential(n) * scale
     return chan, t
@@ -286,8 +295,8 @@ def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
         p_survive[b], p_k0[b] = left_after_right_decay(chan[b], t_r[b], grid,
                                                        ig[b], k, model)
     alive = rng.random(n) < p_survive
-    out = np.where(rng.random(n) < p_k0, OUTCOME_CODES[Outcome.K0],
-                   OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
+    out = np.where(rng.random(n) < p_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
+                   np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     return alive, out
 
 
@@ -348,14 +357,13 @@ def _sample_passive_pairs(n, k, model, rng):
     """Vectorized draw of n (chan_l, t_l, chan_r, t_r) from the joint decay
     density: channel pair from analytic weights, times by rejection."""
     flat = passive_pair_weights(k, model).reshape(-1)
-    pick = np.searchsorted(np.cumsum(flat) / flat.sum(), rng.random(n))
-    chan_l = (pick // 4).astype(np.int8)
-    chan_r = (pick % 4).astype(np.int8)
+    pick = _count_below(np.cumsum(flat) / flat.sum(), rng.random(n))
+    chan_l, chan_r = pick // 4, pick % 4
     t_l, t_r = np.empty(n), np.empty(n)
     a_s, a_l = _channel_amps(model)
     # a stable sort lists each channel pair's indices in increasing order, and
     # an empty pair draws nothing
-    order = np.argsort(pick.astype(np.int8), kind="stable")
+    order = np.argsort(pick, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pick, minlength=16))))
     for code in range(16):
         sel = order[bounds[code]:bounds[code + 1]]
@@ -397,8 +405,8 @@ def _gen_a1(n, rng, cfg, k, model, cols):
     survive = rng.random(n) < norm[ig]
     left_k0 = rng.random(n) < 0.5
     unlike = rng.random(n) < p_unlike[ig]
-    l_out = np.where(left_k0, OUTCOME_CODES[Outcome.K0],
-                     OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
+    l_out = np.where(left_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
+                     np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     _write_left_active(cols, survive, l_out, grid, ig)
     np.copyto(cols["r_out"], np.where(unlike, 1 - l_out, l_out), where=survive)
     np.copyto(cols["r_time"], cfg.tau_r0, where=survive)
@@ -429,8 +437,8 @@ def _gen_b(n, rng, cfg, k, model, cols):
     alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
     unlike = rng.random(n) < p_unlike[ig]
     # right: active lifetime if it decayed before tau_r0, else strangeness
-    r_post = np.where(u_rout < 0.5, OUTCOME_CODES[Outcome.K0],
-                      OUTCOME_CODES[Outcome.K0BAR]).astype(np.int8)
+    r_post = np.where(u_rout < 0.5, np.int8(OUTCOME_CODES[Outcome.K0]),
+                      np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     cols["r_obs"][:] = pre
     cols["r_out"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
                                 r_post)
@@ -496,17 +504,19 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
     """Per-bin frequencies of ordered outcome pairs among classified pairs.
 
     Discarded pairs never enter denominators (survivor normalization); empty
-    bins are omitted rather than zero-filled.
+    bins are omitted rather than zero-filled.  Columns are gathered by index:
+    over B's and C's half-dense masks that costs a fraction of a mask compress.
     """
     if len(events) == 0:
         raise ValueError("empty event set")
-    mask = events.classified
-    dt = events.l_time[mask] - events.r_time[mask]
+    idx = np.flatnonzero(events.classified)
     nbins = int(round((binning.hi - binning.lo) / binning.width))
-    ib = np.floor((dt - binning.lo) / binning.width).astype(int)
-    ok = (ib >= 0) & (ib < nbins)
+    ib = np.floor((events.l_time[idx] - events.r_time[idx] - binning.lo)
+                  / binning.width)
+    sel = np.flatnonzero((ib >= 0) & (ib < nbins))
+    j = idx[sel]
     # one pass: cell = bin * 16 + left code * 4 + right code
-    cell = ib[ok] * 16 + events.l_out[mask][ok] * 4 + events.r_out[mask][ok]
+    cell = ib[sel].astype(np.intp) * 16 + events.l_out[j] * 4 + events.r_out[j]
     counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 16)
     totals = counts.sum(axis=1)
     centers = binning.centers()

@@ -221,3 +221,32 @@ class TestFit:
 
     def test_missing_file(self, tmp_path):
         assert run("fit", str(tmp_path / "nope.csv")) == 1
+
+
+class TestOutOfRange:
+    """Finite inputs that overflow a closed form end in an error line, not a
+    traceback."""
+
+    @pytest.mark.parametrize("doc,argv", [
+        ({"constants": {"gamma_S": 1e5}}, ("simulate", "--kind", "A1")),
+        ({"constants": {"gamma_S": 1e5}}, ("simulate", "--kind", "B")),
+        ({"constants": {"gamma_S": 1e5}}, ("analytic",)),
+        ({"constants": {"gamma_S": 1e5}}, ("verify",)),
+        ({"tau_grid": [1e5]}, ("analytic",)),
+        ({"delta_tau_grid": [2000]}, ("analytic",)),
+        ({"tau_l_grid": [2000], "tau_r0": 0}, ("simulate", "--kind", "A1"))])
+    # with gamma_S = 1e5 both of the left kaon's amplitudes at tau_l underflow
+    # to 0 for some of B's pairs before the overflow: their p_K0 is 0/0, but
+    # their survival probability is 0, so they are discarded
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_overflow_is_an_error_line(self, tmp_path, capsys, doc, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(*argv, "--pairs", "10", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a configured value is outside the range "
+                              "the closed forms can evaluate")
+        assert "'constants'" in err and "'tau_l_grid'" in err
+        assert "Traceback" not in err

@@ -18,8 +18,8 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         pair_visibility, project_side, read_events,
                         run_experiment, sample_passive_pair, write_events)
 from kaoneraser.sim import (CHANNEL_BY_CODE, OUTCOME_BY_CODE,
-                            classify_lifetime, left_after_right_decay,
-                            passive_pair_weights)
+                            _channel_tables, _count_below, classify_lifetime,
+                            left_after_right_decay, passive_pair_weights)
 from kaoneraser.pairs import normalized_pair
 
 
@@ -121,6 +121,18 @@ _PINNED_MULTIBLOCK_DIGESTS = {
 }
 
 
+# sha256 over repr((bin, pair, count, n, p_hat, stderr)) of each
+# estimate_probs row, for the runs of _PINNED_MULTIBLOCK_DIGESTS; recorded
+# before the estimator gathered columns by index.
+_PINNED_ESTIMATE_DIGESTS = {
+    "A1": "8087e706e46f10af35780451f968fd94802b8d3cfcbc7b114ad896fc4fd242d5",
+    "A2": "53963745bd89a9a7ead653fd6a999197144834a199800636cf51791c3f5364d4",
+    "B": "331f0f6ff62b073a562442ee814b36bd49d3479a8ad3917ca16e47b00dbd0226",
+    "C": "e8b30a42758044c0380116e2cc79d6565445f2cbcdae6a92f39983b9a39214b2",
+    "D": "fba2d26b7c48822fda8a4ed926262b4ee2b2cb6481bee6baa40fc47c9276716e",
+}
+
+
 def _digest(ev):
     h = hashlib.sha256()
     for col in EventSet._COLS:
@@ -140,6 +152,16 @@ def test_pinned_multiblock_event_digest(k, model, kind):
     ev = run_experiment(kind, SimConfig(n_pairs=100003, seed=20040212,
                                         partitions=3), k, model)
     assert _digest(ev) == _PINNED_MULTIBLOCK_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ExperimentKind.ALL)
+def test_pinned_multiblock_estimate_digest(k, model, kind):
+    ev = run_experiment(kind, SimConfig(n_pairs=100003, seed=20040212,
+                                        partitions=3), k, model)
+    h = hashlib.sha256()
+    for e in estimate_probs(ev):
+        h.update(repr((e.bin, e.pair, e.count, e.n, e.p_hat, e.stderr)).encode())
+    assert h.hexdigest() == _PINNED_ESTIMATE_DIGESTS[kind]
 
 
 class TestExperimentInvariants:
@@ -322,6 +344,47 @@ def _full_cosine_kernel(chan, t_r, grid, ig, k, model):
     return p_survive, p_k0
 
 
+def _default_cdfs(k, model):
+    """The channel CDFs the generators build from the default constants: a
+    free K_S, a free K_L, and D's 16 ordered channel pairs."""
+    p_s, p_l = _channel_tables(model, k)
+    flat = passive_pair_weights(k, model).reshape(-1)
+    return {"K_S": np.cumsum(p_s), "K_L": np.cumsum(p_l),
+            "D": np.cumsum(flat) / flat.sum()}
+
+
+class TestCountBelow:
+    def test_forced_tail_draw(self, k, model):
+        # the largest uniform draw lies above D's last entry,
+        # 0.9999999999999998, where np.searchsorted gives pick 16
+        u = np.array([np.nextafter(1.0, 0.0)])
+        cdfs = _default_cdfs(k, model)
+        assert cdfs["D"][-1] < u[0]
+        assert {name: int(_count_below(cdf, u)[0])
+                for name, cdf in cdfs.items()} == {"K_S": 3, "K_L": 3, "D": 15}
+
+    def test_matches_searchsorted(self, k, model):
+        rng = np.random.default_rng(99)
+        cdfs = _default_cdfs(k, model)
+        # a zero-weight channel repeats an entry
+        assert np.any(np.diff(cdfs["K_S"]) == 0) and np.any(np.diff(cdfs["D"]) == 0)
+        tables = list(cdfs.values())
+        for size in (1, 2, 4, 7, 16):
+            w = rng.random(size) * (rng.random(size) < 0.7)
+            w[-1] = 1.0
+            cdf = np.cumsum(w) / w.sum()
+            cdf[-1] = 1.0
+            tables.append(cdf)
+        for cdf in tables:
+            u = np.concatenate((rng.random(10**5), [0.0], cdf,
+                                np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)))
+            # above the last entry the two differ (test_forced_tail_draw)
+            u = u[u <= cdf[-1]]
+            got = _count_below(cdf, u)
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, np.searchsorted(cdf, u))
+
+
 class TestActiveCollapse:
     def test_marginals_match_closed_forms(self, k):
         rng = np.random.default_rng(7)
@@ -381,16 +444,16 @@ def _naive_estimates(events, binning=Binning()):
     return out
 
 
-def _random_events(rng, n):
-    """Random classified/discarded pairs; times on a quarter grid in [0, 24]
-    so that time differences hit bin edges, fall outside [lo, hi) and leave
-    most bins empty."""
+def _random_events(rng, n, low=-1, high=4, t_max=24):
+    """Random pairs with outcome codes in [low, high), -1 marking a discarded
+    side; times on a quarter grid in [0, t_max] so that time differences hit
+    bin edges, fall outside [lo, hi) and leave most bins empty."""
     cols = {}
     for side in ("l_", "r_"):
-        out = rng.integers(-1, 4, n).astype(np.int8)
+        out = rng.integers(low, high, n).astype(np.int8)
         cols[side + "out"] = out
-        cols[side + "time"] = np.where(out >= 0, 0.25 * rng.integers(0, 97, n),
-                                       np.nan)
+        cols[side + "time"] = np.where(
+            out >= 0, 0.25 * rng.integers(0, 4 * t_max + 1, n), np.nan)
         cols[side + "proc"] = np.zeros(n, dtype=np.int8)
         cols[side + "obs"] = np.zeros(n, dtype=np.int8)
         cols[side + "chan"] = np.full(n, -1, dtype=np.int8)
@@ -443,6 +506,15 @@ class TestEstimators:
         assert estimate_probs(ev) == _naive_estimates(ev)
         narrow = Binning(lo=-1.0, hi=2.0, width=0.25)
         assert estimate_probs(ev, narrow) == _naive_estimates(ev, narrow)
+        # every pair classified (the shape of D), and time differences up to
+        # 10^4, both inside and far outside the binning
+        wide = Binning(lo=-1e4, hi=1e4, width=0.5)
+        for ev in (_random_events(rng, 300, low=0),
+                   _random_events(rng, 300, t_max=10**4)):
+            for binning in (Binning(), narrow, wide):
+                assert estimate_probs(ev, binning) == _naive_estimates(ev, binning)
+            assert estimate_probs(ev, wide)
+        assert estimate_probs(_random_events(rng, 300, high=0)) == []
 
     def test_fit_uses_counts_not_rounded_frequencies(self, k):
         # p_hat carried to six digits, as a table read back from text would be
