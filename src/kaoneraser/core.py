@@ -133,9 +133,6 @@ class PhysicalConstants:
         ws = self.br_sl_S * self.gamma_S
         return abs(wl - ws) / max(wl, ws)
 
-    def delta_s_delta_q_consistent(self, tol: float = 0.10) -> bool:
-        return self.semileptonic_width_mismatch() <= tol
-
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "PhysicalConstants":
         """Build constants from a JSON document; missing fields take defaults."""
@@ -165,17 +162,20 @@ class SingleKaonState:
         return abs(self.c_S) ** 2 + abs(self.c_L) ** 2
 
 
+_EIGENSTATES = {
+    Outcome.K0: SingleKaonState(1.0 / _SQRT2, 1.0 / _SQRT2, normalized=True),
+    Outcome.K0BAR: SingleKaonState(1.0 / _SQRT2, -1.0 / _SQRT2, normalized=True),
+    Outcome.KS: SingleKaonState(1.0, 0.0, normalized=True),
+    Outcome.KL: SingleKaonState(0.0, 1.0, normalized=True),
+}
+
+
 def make_state(outcome: Outcome) -> SingleKaonState:
-    """The normalized eigenstate associated with a measurement outcome."""
-    if outcome is Outcome.K0:
-        return SingleKaonState(1.0 / _SQRT2, 1.0 / _SQRT2, normalized=True)
-    if outcome is Outcome.K0BAR:
-        return SingleKaonState(1.0 / _SQRT2, -1.0 / _SQRT2, normalized=True)
-    if outcome is Outcome.KS:
-        return SingleKaonState(1.0, 0.0, normalized=True)
-    if outcome is Outcome.KL:
-        return SingleKaonState(0.0, 1.0, normalized=True)
-    raise ValueError(f"unknown outcome {outcome!r}")
+    """The normalized eigenstate of a measurement outcome (a shared instance)."""
+    try:
+        return _EIGENSTATES[outcome]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown outcome {outcome!r}") from None
 
 
 def evolution_factors(tau: float, k: PhysicalConstants) -> tuple[complex, complex]:

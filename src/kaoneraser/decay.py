@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Outcome, PhysicalConstants, evolution_factors
+from .core import Outcome, PhysicalConstants, evolution_factors, make_state
 
 
 class DecayChannel(Enum):
@@ -49,13 +49,6 @@ class AmplitudeModel:
     a_L: dict
     warnings: tuple = ()
 
-    def amp(self, channel: DecayChannel, eigen: Outcome) -> complex:
-        if eigen is Outcome.KS:
-            return self.a_S[channel]
-        if eigen is Outcome.KL:
-            return self.a_L[channel]
-        raise ValueError("eigenstate must be KS or KL")
-
 
 def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
     """Fix the effective amplitudes from widths and branching ratios.
@@ -66,7 +59,7 @@ def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
     a(2pi, K_L) = a(3pi, K_S) = 0 exactly.
     """
     warnings = ()
-    if not k.delta_s_delta_q_consistent():
+    if not k.semileptonic_width_mismatch() <= 0.10:
         warnings = (
             "branching ratios violate the 10% Delta-S=Delta-Q width check: "
             f"br_sl_L*gamma_L={k.br_sl_L * k.gamma_L:.4g} vs "
@@ -135,10 +128,7 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     Computed by contracting the channel amplitudes with the tagged state, e.g.
     Gamma(K0 -> pi- l+ nu) = |<f|T|K0>|^2 = 2 |a_sl|^2 = br_sl_L * Gamma_L.
     """
-    outcome = CHANNEL_OUTCOME[channel]
-    from .core import make_state  # local import keeps module load order simple
-
-    bra = make_state(outcome)
+    bra = make_state(CHANNEL_OUTCOME[channel])
     amp = bra.c_S * model.a_S[channel] + bra.c_L * model.a_L[channel]
     w = abs(amp) ** 2
     if w <= 0.0:

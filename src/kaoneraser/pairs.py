@@ -5,6 +5,13 @@ Amplitudes live on the product lifetime basis |K_i>_l |K_j>_r.  The physical
 pair created in a phi decay or p-pbar annihilation is antisymmetric, so under
 free evolution only the LS and SL components are ever populated; the SS and LL
 slots exist so that one-sided collapsed states fit in the same type.
+
+A state is an immutable ``NamedTuple`` and each operation works on ``c_LS,
+c_SL, c_SS, c_LL`` directly: ``verify`` runs these scalar oracles thousands of
+times, and per-label dicts and loops cost more than the physics.  Sums keep
+the term order of a loop over the labels (S before L; LS, SL, SS, LL for a
+full contraction), so every probability and norm is the same to the last bit;
+``tests/test_oracle_digest.py`` pins them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (Outcome, PhysicalConstants, SingularStateError, beam_norm,
                    evolution_factors, make_state)
@@ -19,8 +27,7 @@ from .core import (Outcome, PhysicalConstants, SingularStateError, beam_norm,
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TwoKaonState:
+class TwoKaonState(NamedTuple):
     c_LS: complex
     c_SL: complex
     c_SS: complex = 0.0
@@ -30,11 +37,6 @@ class TwoKaonState:
     def norm_sq(self) -> float:
         return (abs(self.c_LS) ** 2 + abs(self.c_SL) ** 2
                 + abs(self.c_SS) ** 2 + abs(self.c_LL) ** 2)
-
-    def amps(self) -> dict:
-        """Amplitudes keyed by (left, right) lifetime labels."""
-        return {("L", "S"): self.c_LS, ("S", "L"): self.c_SL,
-                ("S", "S"): self.c_SS, ("L", "L"): self.c_LL}
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,16 @@ def initial_pair() -> TwoKaonState:
     return TwoKaonState(c_LS=1.0 / _SQRT2, c_SL=-1.0 / _SQRT2, normalized=True)
 
 
-def _side_factors(tau: float, k: PhysicalConstants) -> dict:
-    f_S, f_L = evolution_factors(tau, k)
-    return {"S": f_S, "L": f_L}
-
-
 def evolve_pair(state: TwoKaonState, tau_l: float, tau_r: float,
                 k: PhysicalConstants) -> TwoKaonState:
     """Two-time non-unitary evolution; output is not survivor-normalized."""
     if tau_l < 0 or tau_r < 0:
         raise ValueError("evolution times must be nonnegative")
-    fl = _side_factors(tau_l, k)
-    fr = _side_factors(tau_r, k)
-    return TwoKaonState(
-        c_LS=fl["L"] * fr["S"] * state.c_LS,
-        c_SL=fl["S"] * fr["L"] * state.c_SL,
-        c_SS=fl["S"] * fr["S"] * state.c_SS,
-        c_LL=fl["L"] * fr["L"] * state.c_LL,
-        normalized=False,
-    )
+    s_l, l_l = evolution_factors(tau_l, k)
+    s_r, l_r = evolution_factors(tau_r, k)
+    c_LS, c_SL, c_SS, c_LL, _ = state
+    return TwoKaonState(l_l * s_r * c_LS, s_l * l_r * c_SL, s_l * s_r * c_SS,
+                        l_l * l_r * c_LL, False)
 
 
 def normalize_pair(state: TwoKaonState) -> TwoKaonState:
@@ -97,9 +90,10 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
         raise ValueError("joint_projective_prob needs a normalized state")
     bl = make_state(p.left)
     br = make_state(p.right)
-    left = {"S": bl.c_S.conjugate(), "L": bl.c_L.conjugate()}
-    right = {"S": br.c_S.conjugate(), "L": br.c_L.conjugate()}
-    amp = sum(left[i] * right[j] * c for (i, j), c in state.amps().items())
+    ls, ll = bl.c_S.conjugate(), bl.c_L.conjugate()
+    rs, rl = br.c_S.conjugate(), br.c_L.conjugate()
+    c_LS, c_SL, c_SS, c_LL, _ = state
+    amp = ll * rs * c_LS + ls * rl * c_SL + ls * rs * c_SS + ll * rl * c_LL
     return abs(amp) ** 2
 
 
@@ -130,25 +124,22 @@ def pair_visibility(delta_tau: float, k: PhysicalConstants) -> float:
 def project_side(state: TwoKaonState, side: str, outcome: Outcome) -> TwoKaonState:
     """Apply the one-sided projector |outcome><outcome| without renormalizing."""
     b = make_state(outcome)
-    comp = {"S": b.c_S, "L": b.c_L}
-    amps = state.amps()
-    new = {}
-    labels = ("S", "L")
+    b_S, b_L = b.c_S, b.c_L
+    bra_S, bra_L = b_S.conjugate(), b_L.conjugate()
+    c_LS, c_SL, c_SS, c_LL, _ = state
+    # contract <outcome| with the chosen side per label of the other side,
+    # then put |outcome> back on the chosen side
     if side == "left":
-        for j in labels:
-            inner = sum(comp[i].conjugate() * amps[(i, j)] for i in labels)
-            for i in labels:
-                new[(i, j)] = comp[i] * inner
-    elif side == "right":
-        for i in labels:
-            inner = sum(comp[j].conjugate() * amps[(i, j)] for j in labels)
-            for j in labels:
-                new[(i, j)] = comp[j] * inner
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return TwoKaonState(c_LS=new[("L", "S")], c_SL=new[("S", "L")],
-                        c_SS=new[("S", "S")], c_LL=new[("L", "L")],
-                        normalized=False)
+        in_S = bra_S * c_SS + bra_L * c_LS
+        in_L = bra_S * c_SL + bra_L * c_LL
+        return TwoKaonState(b_L * in_S, b_S * in_L, b_S * in_S, b_L * in_L,
+                            False)
+    if side == "right":
+        in_S = bra_S * c_SS + bra_L * c_SL
+        in_L = bra_S * c_LS + bra_L * c_LL
+        return TwoKaonState(b_S * in_L, b_L * in_S, b_S * in_S, b_L * in_L,
+                            False)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def survivor_unitary_side(state: TwoKaonState, side: str, dt: float,
@@ -161,13 +152,13 @@ def survivor_unitary_side(state: TwoKaonState, side: str, dt: float,
     which is what makes measurement reordering possible."""
     f_S, f_L = evolution_factors(dt, k)
     scale = 1.0 / math.sqrt(beam_norm(dt, k))
-    f = {"S": f_S * scale, "L": f_L * scale}
-    amps = state.amps()
-    idx = 0 if side == "left" else 1
-    new = {key: f[key[idx]] * c for key, c in amps.items()}
-    return TwoKaonState(c_LS=new[("L", "S")], c_SL=new[("S", "L")],
-                        c_SS=new[("S", "S")], c_LL=new[("L", "L")],
-                        normalized=state.normalized)
+    f_S, f_L = f_S * scale, f_L * scale
+    c_LS, c_SL, c_SS, c_LL, normalized = state
+    if side == "left":
+        return TwoKaonState(f_L * c_LS, f_S * c_SL, f_S * c_SS, f_L * c_LL,
+                            normalized)
+    return TwoKaonState(f_S * c_LS, f_L * c_SL, f_S * c_SS, f_L * c_LL,
+                        normalized)
 
 
 def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,

@@ -266,6 +266,10 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
     half the spacing of doubles on either side of n2: n2 + cross*cos rounds to
     n2 and p_K0 = n2 / (2 n2) = 0.5 exactly.  Scaling by 2^55 is exact, so the
     test is exact; a NaN fails it and takes the full formula, as before.
+
+    A late enough 2pi or 3pi decay, or a huge Gamma_S, underflows both
+    amplitudes: the divisions give 0/0 = NaN, which discards the pair (no
+    uniform draw is below it), so their invalid-value warning is off.
     """
     a_s, a_l = _channel_amps(model)
     r_s = -a_l[chan] * np.exp(-0.5 * k.gamma_L * t_r) / math.sqrt(2.0)
@@ -274,13 +278,14 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
     bs = r_s * np.exp(-0.5 * k.gamma_S * grid)[ig]
     bl = r_l * np.exp(-0.5 * k.gamma_L * grid)[ig]
     n2_after = bs * bs + bl * bl
-    p_survive = n2_after / (r_s * r_s + r_l * r_l)
     cross = 2.0 * bs * bl
     p_k0 = np.full(len(n2_after), 0.5)
     m = np.flatnonzero(~(np.abs(cross) * 2.0 ** 55 < n2_after))
     n2 = n2_after[m]
-    p_k0[m] = ((n2 + cross[m] * np.cos(k.delta_m * (grid[ig[m]] - t_r[m])))
-               / (2.0 * n2))
+    num = n2 + cross[m] * np.cos(k.delta_m * (grid[ig[m]] - t_r[m]))
+    with np.errstate(invalid="ignore"):
+        p_survive = n2_after / (r_s * r_s + r_l * r_l)
+        p_k0[m] = num / (2.0 * n2)
     return p_survive, p_k0
 
 

@@ -235,11 +235,6 @@ class TestOutOfRange:
         ({"tau_grid": [1e5]}, ("analytic",)),
         ({"delta_tau_grid": [2000]}, ("analytic",)),
         ({"tau_l_grid": [2000], "tau_r0": 0}, ("simulate", "--kind", "A1"))])
-    # with gamma_S = 1e5 both of the left kaon's amplitudes at tau_l underflow
-    # to 0 for some of B's pairs before the overflow: their p_K0 is 0/0, but
-    # their survival probability is 0, so they are discarded
-    @pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in divide:RuntimeWarning")
     def test_overflow_is_an_error_line(self, tmp_path, capsys, doc, argv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

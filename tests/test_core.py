@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kaoneraser import (Outcome, PhysicalConstants, SingularStateError,
-                        beam_norm, evolve, make_state, normalize_to_survivors,
-                        project, survival_probability)
+                        beam_norm, build_amplitude_model, evolve, make_state,
+                        normalize_to_survivors, project, survival_probability)
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 
@@ -37,11 +37,11 @@ class TestPhysicalConstants:
 
     def test_delta_s_delta_q_default_ok(self, k):
         # measured ratios agree to ~3.5%
-        assert k.delta_s_delta_q_consistent()
+        assert build_amplitude_model(k).warnings == ()
         assert 0.02 < k.semileptonic_width_mismatch() < 0.05
 
     def test_delta_s_delta_q_inconsistent(self):
-        assert not PhysicalConstants(br_sl_L=0.9).delta_s_delta_q_consistent()
+        assert build_amplitude_model(PhysicalConstants(br_sl_L=0.9)).warnings
 
     def test_from_json_dict_and_text(self):
         from_dict = PhysicalConstants.from_json({"delta_m": 0.5})
@@ -93,6 +93,17 @@ class TestStates:
         for out in Outcome:
             assert project(make_state(out), out) == pytest.approx(1.0)
             assert project(make_state(out), out.conjugate) == pytest.approx(0.0, abs=1e-15)
+
+    def test_basis_states_are_shared_and_immutable(self):
+        for out in Outcome:
+            assert make_state(out) is make_state(out)
+            with pytest.raises(AttributeError):
+                make_state(out).c_S = 0.0
+
+    @pytest.mark.parametrize("bad", ["K0", None, 0, [Outcome.K0]])
+    def test_make_state_rejects_non_outcomes(self, bad):
+        with pytest.raises(ValueError):
+            make_state(bad)
 
     def test_outcome_metadata(self):
         assert Outcome.K0.conjugate is Outcome.K0BAR

@@ -63,11 +63,6 @@ class TestAmplitudeModel:
     def test_no_warning_by_default(self, model):
         assert model.warnings == ()
 
-    def test_amp_accessor(self, model):
-        assert model.amp(DecayChannel.TWO_PI, Outcome.KS) == model.a_S[DecayChannel.TWO_PI]
-        with pytest.raises(ValueError):
-            model.amp(DecayChannel.TWO_PI, Outcome.K0)
-
 
 class TestDecayWidths:
     def test_identifying_widths(self, k, model):

@@ -128,8 +128,16 @@ class TestStateOperations:
         state = normalized_pair(1.3, k)
         once = project_side(state, "left", Outcome.K0)
         twice = project_side(once, "left", Outcome.K0)
-        for a, b in zip(once.amps().values(), twice.amps().values()):
+        for name in ("c_LS", "c_SL", "c_SS", "c_LL"):
+            a, b = getattr(once, name), getattr(twice, name)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
+
+    def test_states_are_immutable(self, k):
+        state = normalized_pair(0.7, k)
+        with pytest.raises(AttributeError):
+            state.c_LS = 0.0
+        with pytest.raises(AttributeError):
+            state.normalized = False
 
     def test_project_side_bad_side(self, k):
         with pytest.raises(ValueError):

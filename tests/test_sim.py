@@ -18,7 +18,8 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         pair_visibility, project_side, read_events,
                         run_experiment, sample_passive_pair, write_events)
 from kaoneraser.sim import (CHANNEL_BY_CODE, OUTCOME_BY_CODE,
-                            _channel_tables, _count_below, classify_lifetime,
+                            _channel_tables, _count_below,
+                            _sample_left_after_right_decay, classify_lifetime,
                             left_after_right_decay, passive_pair_weights)
 from kaoneraser.pairs import normalized_pair
 
@@ -316,9 +317,9 @@ class TestLeftAfterRightDecay:
         ig = np.repeat(np.arange(len(grid)), len(per_tau_l))
         t_r = np.tile(per_tau_l, len(grid))
         chan = np.full(len(t_r), code, dtype=np.int8)
+        p_survive, p_k0 = left_after_right_decay(chan, t_r, grid, ig, k, model)
         # a 2pi decay late enough for e^{-G_S t_r} to underflow leaves 0/0
         with np.errstate(invalid="ignore"):
-            p_survive, p_k0 = left_after_right_decay(chan, t_r, grid, ig, k, model)
             ref_survive, ref_k0 = _full_cosine_kernel(chan, t_r, grid, ig, k, model)
         np.testing.assert_array_equal(p_k0.view(np.uint64), ref_k0.view(np.uint64))
         np.testing.assert_array_equal(p_survive.view(np.uint64),
@@ -326,6 +327,21 @@ class TestLeftAfterRightDecay:
         if CHANNEL_OUTCOME[CHANNEL_BY_CODE[code]].observable is Observable.STRANGENESS:
             near = ref_k0.reshape(len(grid), -1)[:, -len(dense):]
             assert np.any(near == 0.5) and np.any(near != 0.5)
+
+    def test_underflowed_partner_is_discarded_silently(self, k, model):
+        """A 2pi decay at t_r = 2000 underflows both left amplitudes (0/0);
+        under the suite's warnings-as-errors the kernel stays silent and the
+        pair is never alive."""
+        grid = np.asarray(SimConfig(n_pairs=1).tau_l_grid)
+        n = len(grid)
+        chan = np.full(n, CHANNEL_BY_CODE.index(DecayChannel.TWO_PI), dtype=np.int8)
+        t_r = np.full(n, 2000.0)
+        ig = np.arange(n)
+        p_survive, _ = left_after_right_decay(chan, t_r, grid, ig, k, model)
+        assert np.all(np.isnan(p_survive))
+        alive, _ = _sample_left_after_right_decay(chan, t_r, grid, ig, k, model,
+                                                  np.random.default_rng(3))
+        assert not alive.any()
 
 
 def _full_cosine_kernel(chan, t_r, grid, ig, k, model):
