@@ -3,9 +3,8 @@ closed-form probabilities, active/passive decay-mode reconstruction, Monte
 Carlo event generation and estimators."""
 
 from .core import (Observable, Outcome, PhysicalConstants, Procedure,
-                   SingleKaonState, SingularStateError, beam_norm, evolve,
-                   evolution_factors, make_state, normalize_to_survivors,
-                   project, survival_probability)
+                   SingleKaonState, SingularStateError, beam_norm,
+                   evolution_factors, make_state)
 from .decay import (CHANNEL_OUTCOME, OUTCOME_CHANNEL, AmplitudeModel,
                     DecayChannel, build_amplitude_model, decay_width,
                     joint_decay_rate, mixed_active_passive_prob,
@@ -15,10 +14,9 @@ from .pairs import (JointProjector, TwoKaonState, closed_form_joint,
                     delayed_choice_norms, evolve_pair, initial_pair,
                     joint_projective_prob, normalize_pair, normalized_pair,
                     pair_visibility, project_side, survivor_unitary_side)
-from .sim import (RNG_SCHEME, Binning, Estimate, EventRecord, EventSet,
-                  ExperimentKind, FitRow, MeasurementRecord, SimConfig,
-                  estimate_probs, fit_visibility, run_experiment,
-                  sample_passive_pair)
+from .sim import (RNG_SCHEME, Binning, Estimate, EventSet, ExperimentKind,
+                  FitRow, SimConfig, estimate_probs, fit_visibility,
+                  run_experiment)
 from .single import (MisidWindow, lifetime_probs, misid_probs,
                      passive_single_prob, single_decay_rate,
                      strangeness_probs, visibility_single)

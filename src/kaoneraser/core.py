@@ -1,4 +1,5 @@
-"""Neutral kaon basics: constants, single-kaon states, evolution and projections.
+"""Neutral kaon basics: constants, the single-kaon eigenstates and their
+free-propagation factors.
 
 All times are measured in units of the K_S mean lifetime tau_S, so gamma_S = 1
 by default and every other scale is a ratio.  The strangeness basis is fixed by
@@ -17,7 +18,6 @@ from enum import Enum
 from pathlib import Path
 
 _SQRT2 = math.sqrt(2.0)
-_NORM_TOL = 1e-12
 
 
 class SingularStateError(ValueError):
@@ -54,19 +54,6 @@ class Outcome(Enum):
             return Observable.STRANGENESS
         return Observable.LIFETIME
 
-    @property
-    def conjugate(self) -> "Outcome":
-        """The orthogonal outcome in the same basis."""
-        return _CONJUGATE[self]
-
-
-_CONJUGATE = {
-    Outcome.K0: Outcome.K0BAR,
-    Outcome.K0BAR: Outcome.K0,
-    Outcome.KS: Outcome.KL,
-    Outcome.KL: Outcome.KS,
-}
-
 
 class Procedure(Enum):
     ACTIVE = "active"
@@ -80,8 +67,6 @@ class PhysicalConstants:
     ``gamma_S`` is in units of 1/tau_S, ``delta_m`` in hbar/tau_S.  The two-pion
     and three-pion branching ratios default to the complements of the
     semileptonic ones, so each eigenstate's branching ratios sum to one.
-    ``epsilon_overlap`` records the CP-violating <K_S|K_L> overlap as data only;
-    it never enters any computation.
     """
 
     gamma_S: float = 1.0
@@ -91,7 +76,6 @@ class PhysicalConstants:
     br_sl_S: float = 1.1e-3
     br_2pi_S: float | None = None
     br_3pi_L: float | None = None
-    epsilon_overlap: float = 3.2e-3
 
     def __post_init__(self):
         for f in fields(self):
@@ -127,10 +111,13 @@ class PhysicalConstants:
 
         The Delta-S = Delta-Q rule makes both products equal to the
         semileptonic partial width of either strangeness eigenstate; with the
-        measured defaults they agree to about 4 percent.
+        measured defaults they agree to about 4 percent.  Two zero widths
+        agree exactly.
         """
         wl = self.br_sl_L * self.gamma_L
         ws = self.br_sl_S * self.gamma_S
+        if wl == ws == 0.0:
+            return 0.0
         return abs(wl - ws) / max(wl, ws)
 
     @classmethod
@@ -152,21 +139,17 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class SingleKaonState:
-    """Amplitudes on |K_S> and |K_L>, with a survival-normalization flag."""
+    """Amplitudes on |K_S> and |K_L>."""
 
     c_S: complex
     c_L: complex
-    normalized: bool = False
-
-    def norm_sq(self) -> float:
-        return abs(self.c_S) ** 2 + abs(self.c_L) ** 2
 
 
 _EIGENSTATES = {
-    Outcome.K0: SingleKaonState(1.0 / _SQRT2, 1.0 / _SQRT2, normalized=True),
-    Outcome.K0BAR: SingleKaonState(1.0 / _SQRT2, -1.0 / _SQRT2, normalized=True),
-    Outcome.KS: SingleKaonState(1.0, 0.0, normalized=True),
-    Outcome.KL: SingleKaonState(0.0, 1.0, normalized=True),
+    Outcome.K0: SingleKaonState(1.0 / _SQRT2, 1.0 / _SQRT2),
+    Outcome.K0BAR: SingleKaonState(1.0 / _SQRT2, -1.0 / _SQRT2),
+    Outcome.KS: SingleKaonState(1.0, 0.0),
+    Outcome.KL: SingleKaonState(0.0, 1.0),
 }
 
 
@@ -187,42 +170,6 @@ def evolution_factors(tau: float, k: PhysicalConstants) -> tuple[complex, comple
     f_S = math.exp(-0.5 * k.gamma_S * tau)
     f_L = cmath.exp(-1j * k.delta_m * tau) * math.exp(-0.5 * k.gamma_L * tau)
     return f_S, f_L
-
-
-def evolve(state: SingleKaonState, tau: float, k: PhysicalConstants) -> SingleKaonState:
-    """Non-unitary free evolution for a proper time tau >= 0 (in tau_S)."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    f_S, f_L = evolution_factors(tau, k)
-    return SingleKaonState(f_S * state.c_S, f_L * state.c_L, normalized=False)
-
-
-def survival_probability(state: SingleKaonState, tau: float, k: PhysicalConstants) -> float:
-    """Probability that a kaon prepared in `state` at the origin is undecayed at tau."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    if not state.normalized:
-        raise ValueError("survival_probability needs a normalized initial state")
-    return (abs(state.c_S) ** 2 * math.exp(-k.gamma_S * tau)
-            + abs(state.c_L) ** 2 * math.exp(-k.gamma_L * tau))
-
-
-def normalize_to_survivors(state: SingleKaonState) -> SingleKaonState:
-    """Rescale the amplitudes to unit norm (conditioning on no decay)."""
-    n2 = state.norm_sq()
-    if n2 <= 0.0:
-        raise SingularStateError("cannot normalize a zero-norm state")
-    n = math.sqrt(n2)
-    return SingleKaonState(state.c_S / n, state.c_L / n, normalized=True)
-
-
-def project(state: SingleKaonState, outcome: Outcome) -> float:
-    """Projective probability |<outcome|state>|^2 for a normalized state."""
-    if not state.normalized:
-        raise ValueError("project needs a normalized state")
-    bra = make_state(outcome)
-    amp = bra.c_S.conjugate() * state.c_S + bra.c_L.conjugate() * state.c_L
-    return abs(amp) ** 2
 
 
 def beam_norm(tau: float, k: PhysicalConstants) -> float:

@@ -23,6 +23,11 @@ class DecayChannel(Enum):
     SL_MINUS = "sl-"  # pi+ l- nubar, tags K0bar
 
 
+#: Channels in integer-code order (code = index, the definition order above),
+#: the order of the event store's channel codes and of the amplitude tuples.
+CHANNEL_BY_CODE = tuple(DecayChannel)
+CHANNEL_CODES = {ch: c for c, ch in enumerate(CHANNEL_BY_CODE)}
+
 #: Which measurement outcome each observed decay mode identifies.
 CHANNEL_OUTCOME = {
     DecayChannel.TWO_PI: Outcome.KS,
@@ -38,15 +43,16 @@ OUTCOME_CHANNEL = {v: k for k, v in CHANNEL_OUTCOME.items()}
 class AmplitudeModel:
     """Effective transition amplitudes a(channel, eigenstate).
 
-    ``a_S``/``a_L`` map each channel to <f|T|K_S> and <f|T|K_L>.  The moduli
+    ``a_S``/``a_L`` hold <f|T|K_S> and <f|T|K_L> as real floats, one per
+    channel in channel-code order (``CHANNEL_BY_CODE``).  The moduli
     saturate the total widths exactly: sum_f |a_S(f)|^2 = Gamma_S and
     sum_f |a_L(f)|^2 = Gamma_L, which makes every decay-rate normalization
     integral close exactly.  ``warnings`` carries a note when the input
     branching ratios violate the Delta-S = Delta-Q width consistency.
     """
 
-    a_S: dict
-    a_L: dict
+    a_S: tuple
+    a_L: tuple
     warnings: tuple = ()
 
 
@@ -69,19 +75,9 @@ def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
     a_sl = math.sqrt(0.5 * k.br_sl_L * k.gamma_L)
     a_3pi = math.sqrt(k.br_3pi_L * k.gamma_L)
     a_2pi = math.sqrt(k.gamma_S - k.br_sl_L * k.gamma_L)
-    a_S = {
-        DecayChannel.TWO_PI: a_2pi,
-        DecayChannel.THREE_PI: 0.0,
-        DecayChannel.SL_PLUS: a_sl,
-        DecayChannel.SL_MINUS: a_sl,
-    }
-    a_L = {
-        DecayChannel.TWO_PI: 0.0,
-        DecayChannel.THREE_PI: a_3pi,
-        DecayChannel.SL_PLUS: a_sl,
-        DecayChannel.SL_MINUS: -a_sl,
-    }
-    return AmplitudeModel(a_S=a_S, a_L=a_L, warnings=warnings)
+    # channel-code order: 2pi, 3pi, sl+, sl-
+    return AmplitudeModel(a_S=(a_2pi, 0.0, a_sl, a_sl),
+                          a_L=(0.0, a_3pi, a_sl, -a_sl), warnings=warnings)
 
 
 def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants) -> float:
@@ -96,10 +92,11 @@ def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
     """Joint decay rate density of the entangled pair into (f_l, f_r)."""
     if tau_l < 0 or tau_r < 0:
         raise ValueError("decay times must be nonnegative")
+    i, j = CHANNEL_CODES[f_l], CHANNEL_CODES[f_r]
     eS_l, eL_l = evolution_factors(tau_l, k)
     eS_r, eL_r = evolution_factors(tau_r, k)
-    amp = (eL_l * eS_r * model.a_L[f_l] * model.a_S[f_r]
-           - eS_l * eL_r * model.a_S[f_l] * model.a_L[f_r])
+    amp = (eL_l * eS_r * model.a_L[i] * model.a_S[j]
+           - eS_l * eL_r * model.a_S[i] * model.a_L[j])
     return 0.5 * abs(amp) ** 2
 
 
@@ -107,9 +104,10 @@ def _mixed_amp_sq(f_r: DecayChannel, tau_l: float, tau_r: float,
                   k: PhysicalConstants, model: AmplitudeModel,
                   left_sign: float) -> float:
     # left_sign +1 selects an active K0 on the left, -1 a K0bar.
+    j = CHANNEL_CODES[f_r]
     eS_l, eL_l = evolution_factors(tau_l, k)
     eS_r, eL_r = evolution_factors(tau_r, k)
-    amp = (eL_l * eS_r * model.a_S[f_r] - left_sign * eS_l * eL_r * model.a_L[f_r])
+    amp = (eL_l * eS_r * model.a_S[j] - left_sign * eS_l * eL_r * model.a_L[j])
     return abs(amp) ** 2
 
 
@@ -129,7 +127,8 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     Gamma(K0 -> pi- l+ nu) = |<f|T|K0>|^2 = 2 |a_sl|^2 = br_sl_L * Gamma_L.
     """
     bra = make_state(CHANNEL_OUTCOME[channel])
-    amp = bra.c_S * model.a_S[channel] + bra.c_L * model.a_L[channel]
+    c = CHANNEL_CODES[channel]
+    amp = bra.c_S * model.a_S[c] + bra.c_L * model.a_L[c]
     w = abs(amp) ** 2
     if w <= 0.0:
         raise ValueError(f"identifying width undefined for channel {channel}")

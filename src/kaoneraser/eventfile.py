@@ -39,10 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import Procedure
-from .decay import CHANNEL_OUTCOME
-from .sim import (CHANNEL_BY_CODE, CHANNEL_CODES, OBSERVABLE_BY_CODE,
-                  OUTCOME_BY_CODE, OUTCOME_CODES, PROCEDURE_BY_CODE, EventSet,
-                  SimConfig)
+from .decay import CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME
+from .sim import (OBSERVABLE_BY_CODE, OUTCOME_BY_CODE, OUTCOME_CODES,
+                  PROCEDURE_BY_CODE, EventSet, SimConfig)
 
 HEADER = ("pair_id,left_procedure,left_observable,left_outcome,left_time,"
           "left_channel,right_procedure,right_observable,right_outcome,"

@@ -157,8 +157,10 @@ def survivor_unitary_side(state: TwoKaonState, side: str, dt: float,
     if side == "left":
         return TwoKaonState(f_L * c_LS, f_S * c_SL, f_S * c_SS, f_L * c_LL,
                             normalized)
-    return TwoKaonState(f_S * c_LS, f_L * c_SL, f_S * c_SS, f_L * c_LL,
-                        normalized)
+    if side == "right":
+        return TwoKaonState(f_S * c_LS, f_L * c_SL, f_S * c_SS, f_L * c_LL,
+                            normalized)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,

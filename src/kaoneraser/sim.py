@@ -26,22 +26,20 @@ import numpy as np
 
 from .core import (Observable, Outcome, PhysicalConstants, Procedure, beam_norm,
                    finite_number)
-from .decay import CHANNEL_OUTCOME, AmplitudeModel, DecayChannel, pair_beam_norm
+from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
+                    pair_beam_norm)
 from .pairs import closed_form_joint
 from .single import MisidWindow
 
 RNG_SCHEME = "np-seedseq-spawnkey-pcg64-v1"
 
 # Integer codes of the columnar event store.  Each *_BY_CODE tuple lists the
-# values in code order (code = index); OUTCOME_CODES and CHANNEL_CODES invert
-# the outcome and channel tuples.
+# values in code order (code = index), OUTCOME_CODES inverts the outcome
+# tuple; the channel codes are decay.CHANNEL_BY_CODE and decay.CHANNEL_CODES.
 PROCEDURE_BY_CODE = (Procedure.ACTIVE, Procedure.PASSIVE)
 OBSERVABLE_BY_CODE = (Observable.STRANGENESS, Observable.LIFETIME)
 OUTCOME_BY_CODE = (Outcome.K0, Outcome.K0BAR, Outcome.KS, Outcome.KL)
-CHANNEL_BY_CODE = (DecayChannel.TWO_PI, DecayChannel.THREE_PI,
-                   DecayChannel.SL_PLUS, DecayChannel.SL_MINUS)
 OUTCOME_CODES = {o: c for c, o in enumerate(OUTCOME_BY_CODE)}
-CHANNEL_CODES = {ch: c for c, ch in enumerate(CHANNEL_BY_CODE)}
 # outcome and observable codes identified by each channel code
 _CHAN_OUT = np.array([OUTCOME_CODES[CHANNEL_OUTCOME[ch]] for ch in CHANNEL_BY_CODE],
                      dtype=np.int8)
@@ -51,11 +49,6 @@ _BLOCK = 16384
 
 
 class ExperimentKind:
-    A1 = "A1"
-    A2 = "A2"
-    B = "B"
-    C = "C"
-    D = "D"
     ALL = ("A1", "A2", "B", "C", "D")
 
 
@@ -80,22 +73,6 @@ class SimConfig:
         if (not self.tau_l_grid
                 or any(finite_number("tau_l_grid", t) < 0 for t in self.tau_l_grid)):
             raise ValueError("tau_l_grid must be nonempty and nonnegative")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    procedure: Procedure
-    observable: Observable
-    outcome: Outcome
-    time: float
-    channel: DecayChannel | None = None
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    pair_id: int
-    left: MeasurementRecord | None  # None marks a discarded side
-    right: MeasurementRecord | None
 
 
 @dataclass(frozen=True)
@@ -150,24 +127,6 @@ class EventSet:
     def n_discarded(self) -> int:
         return int(np.sum(~self.classified))
 
-    def record(self, i: int) -> EventRecord:
-        def side(prefix):
-            out = getattr(self, prefix + "out")[i]
-            if out < 0:
-                return None
-            chan = getattr(self, prefix + "chan")[i]
-            return MeasurementRecord(
-                procedure=PROCEDURE_BY_CODE[getattr(self, prefix + "proc")[i]],
-                observable=OBSERVABLE_BY_CODE[getattr(self, prefix + "obs")[i]],
-                outcome=OUTCOME_BY_CODE[out],
-                time=float(getattr(self, prefix + "time")[i]),
-                channel=None if chan < 0 else CHANNEL_BY_CODE[chan],
-            )
-        return EventRecord(pair_id=i, left=side("l_"), right=side("r_"))
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
 
 def _empty_columns(n):
     cols = {}
@@ -192,16 +151,9 @@ def classify_lifetime(decay_time, measure_time, window: MisidWindow) -> np.ndarr
                     np.int8(OUTCOME_CODES[Outcome.KL]))
 
 
-def _channel_amps(model: AmplitudeModel):
-    """(a_S, a_L) in channel-code order; every model amplitude is real."""
-    a_s = np.array([model.a_S[f] for f in CHANNEL_BY_CODE], dtype=float)
-    a_l = np.array([model.a_L[f] for f in CHANNEL_BY_CODE], dtype=float)
-    return a_s, a_l
-
-
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
     """Per-eigenstate channel probabilities |a_i(f)|^2 / Gamma_i, in code order."""
-    a_s, a_l = _channel_amps(model)
+    a_s, a_l = np.asarray(model.a_S), np.asarray(model.a_L)
     return a_s * a_s / k.gamma_S, a_l * a_l / k.gamma_L
 
 
@@ -271,7 +223,7 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
     amplitudes: the divisions give 0/0 = NaN, which discards the pair (no
     uniform draw is below it), so their invalid-value warning is off.
     """
-    a_s, a_l = _channel_amps(model)
+    a_s, a_l = np.asarray(model.a_S), np.asarray(model.a_L)
     r_s = -a_l[chan] * np.exp(-0.5 * k.gamma_L * t_r) / math.sqrt(2.0)
     r_l = a_s[chan] * np.exp(-0.5 * k.gamma_S * t_r) / math.sqrt(2.0)
     # the tau_l factors are grid tables gathered per pair
@@ -312,9 +264,8 @@ def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
 def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndarray:
     """Analytic 4x4 integrated weights of the joint decay rate per ordered
     channel pair (rows: left, cols: right); sums to one."""
-    a_s, a_l = _channel_amps(model)
-    alpha = np.outer(a_l, a_s)
-    beta = np.outer(a_s, a_l)
+    alpha = np.outer(model.a_L, model.a_S)
+    beta = np.outer(model.a_S, model.a_L)
     cross = 1.0 / (k.gamma_mean ** 2 + k.delta_m ** 2)
     w = ((alpha ** 2 + beta ** 2) / (2.0 * k.gamma_S * k.gamma_L)
          - alpha * beta * cross)
@@ -365,7 +316,7 @@ def _sample_passive_pairs(n, k, model, rng):
     pick = _count_below(np.cumsum(flat) / flat.sum(), rng.random(n))
     chan_l, chan_r = pick // 4, pick % 4
     t_l, t_r = np.empty(n), np.empty(n)
-    a_s, a_l = _channel_amps(model)
+    a_s, a_l = np.asarray(model.a_S), np.asarray(model.a_L)
     # a stable sort lists each channel pair's indices in increasing order, and
     # an empty pair draws nothing
     order = np.argsort(pick, kind="stable")
@@ -376,13 +327,6 @@ def _sample_passive_pairs(n, k, model, rng):
         t_l[sel], t_r[sel] = _sample_pair_times(len(sel), a_l[cl] * a_s[cr],
                                                 a_s[cl] * a_l[cr], k, rng)
     return chan_l, t_l, chan_r, t_r
-
-
-def sample_passive_pair(k: PhysicalConstants, model: AmplitudeModel, rng):
-    """One draw from the joint decay density of the fully passive experiment."""
-    cl, tl, cr, tr = _sample_passive_pairs(1, k, model, rng)
-    return (CHANNEL_BY_CODE[cl[0]], float(tl[0]),
-            CHANNEL_BY_CODE[cr[0]], float(tr[0]))
 
 
 # ---------------------------------------------------------------------------

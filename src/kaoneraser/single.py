@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .core import (Outcome, PhysicalConstants, beam_norm, evolution_factors,
                    finite_number)
-from .decay import OUTCOME_CHANNEL, AmplitudeModel, DecayChannel, decay_width
+from .decay import (CHANNEL_CODES, OUTCOME_CHANNEL, AmplitudeModel,
+                    DecayChannel, decay_width)
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,9 @@ def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
         raise ValueError("tau must be nonnegative")
     if channel not in DecayChannel:
         raise ValueError(f"unknown channel {channel!r}")
+    c = CHANNEL_CODES[channel]
     f_S, f_L = evolution_factors(tau, k)
-    amp = f_S * model.a_S[channel] + f_L * model.a_L[channel]
+    amp = f_S * model.a_S[c] + f_L * model.a_L[c]
     return 0.5 * abs(amp) ** 2
 
 

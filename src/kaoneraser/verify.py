@@ -12,9 +12,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .core import Outcome, PhysicalConstants, beam_norm
-from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
-                    mixed_decay_rate, mixed_active_passive_prob,
-                    passive_joint_prob)
+from .decay import (CHANNEL_BY_CODE, AmplitudeModel, DecayChannel,
+                    build_amplitude_model, mixed_decay_rate,
+                    mixed_active_passive_prob, passive_joint_prob)
 from .pairs import (JointProjector, closed_form_joint, delayed_choice_norms,
                     joint_projective_prob, normalized_pair)
 from .single import (MisidWindow, lifetime_probs, misid_probs,
@@ -94,11 +94,9 @@ def single_rate_normalization(k: PhysicalConstants, model: AmplitudeModel,
     exponential tail beyond the cutoff is added exactly."""
     total = 0.0
     lam = k.gamma_mean + 1j * k.delta_m
-    for f in DecayChannel:
+    for f, a_s, a_l in zip(CHANNEL_BY_CODE, model.a_S, model.a_L):
         part, _ = quad(lambda t: single_decay_rate(f, t, k, model),
                        0.0, cutoff, limit=200)
-        a_s = model.a_S[f]
-        a_l = model.a_L[f]
         tail = (0.5 * (abs(a_s) ** 2 * math.exp(-k.gamma_S * cutoff) / k.gamma_S
                        + abs(a_l) ** 2 * math.exp(-k.gamma_L * cutoff) / k.gamma_L)
                 + (a_s * a_l) * (np.exp(-lam * cutoff) / lam).real)
@@ -116,10 +114,10 @@ def joint_rate_normalization(k: PhysicalConstants, model: AmplitudeModel) -> flo
     i_n, _ = quad(lambda t: math.exp(-k.gamma_mean * t) * math.sin(k.delta_m * t),
                   0.0, np.inf, limit=200)
     total = 0.0
-    for f_l in DecayChannel:
-        for f_r in DecayChannel:
-            alpha = model.a_L[f_l] * model.a_S[f_r]
-            beta = model.a_S[f_l] * model.a_L[f_r]
+    for aS_l, aL_l in zip(model.a_S, model.a_L):
+        for aS_r, aL_r in zip(model.a_S, model.a_L):
+            alpha = aL_l * aS_r
+            beta = aS_l * aL_r
             total += (0.5 * (alpha ** 2 + beta ** 2) * i_l * i_s
                       - alpha * beta * (i_c ** 2 + i_n ** 2))
     return total

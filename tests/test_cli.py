@@ -118,7 +118,9 @@ class TestSimulate:
          "constants field 'gamma_S' must be a finite number, got 'x'"),
         ({"constants": {"delta_m": float("nan")}},
          "constants field 'delta_m' must be a finite number, got nan"),
-        ({"out": 5}, "config key 'out' must be a path string, got 5")])
+        ({"out": 5}, "config key 'out' must be a path string, got 5"),
+        ({"constants": {"epsilon_overlap": 3.2e-3}},
+         "unknown constants field(s): ['epsilon_overlap']")])
     def test_bad_value_rejected_naming_key(self, tmp_path, monkeypatch, capsys,
                                            doc, message):
         monkeypatch.chdir(tmp_path)
@@ -190,6 +192,33 @@ class TestVerify:
         assert run("verify", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
         assert "WARN" in out and "FAIL" not in out
+
+
+class TestZeroSemileptonicWidths:
+    """br_sl_L = br_sl_S = 0 passes the constants boundary: simulation runs
+    with no semileptonic decays, and verify names the channel whose
+    identifying width is undefined."""
+
+    DOC = {"constants": {"br_sl_L": 0.0, "br_sl_S": 0.0}}
+
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_simulate(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.DOC))
+        assert run("simulate", "--kind", kind, "--pairs", "2000", "--config",
+                   str(cfg), "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        ev = read_events(tmp_path / f"events_{kind}.csv")
+        # channel codes 2 and 3 are sl+ and sl-
+        assert not (ev.l_chan >= 2).any() and not (ev.r_chan >= 2).any()
+
+    def test_verify(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.DOC))
+        assert run("verify", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            "error: identifying width undefined for channel "
+            "DecayChannel.SL_PLUS\n")
 
 
 class TestFit:

@@ -6,11 +6,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kaoneraser import (Outcome, PhysicalConstants, SingularStateError,
-                        beam_norm, build_amplitude_model, evolve, make_state,
-                        normalize_to_survivors, project, survival_probability)
+from kaoneraser import (DecayChannel, Outcome, PhysicalConstants, beam_norm,
+                        build_amplitude_model, evolution_factors, make_state,
+                        single_decay_rate, strangeness_probs)
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
+
+
+def _norm_sq(c_S, c_L):
+    return abs(c_S) ** 2 + abs(c_L) ** 2
+
+
+def _evolved(out, tau, k):
+    """Amplitudes of the eigenstate of `out` after free propagation for tau."""
+    s = make_state(out)
+    f_S, f_L = evolution_factors(tau, k)
+    return f_S * s.c_S, f_L * s.c_L
 
 
 class TestPhysicalConstants:
@@ -57,7 +68,8 @@ class TestPhysicalConstants:
 
     @pytest.mark.parametrize("field,value", [
         ("gamma_S", "x"), ("gamma_L", None), ("delta_m", math.nan),
-        ("br_sl_S", math.inf), ("br_2pi_S", True), ("epsilon_overlap", 10 ** 400)])
+        ("br_sl_S", math.inf), ("br_2pi_S", True),
+        pytest.param("delta_m", 10 ** 400, id="delta_m-10**400")])
     def test_rejects_non_finite_or_non_numeric_field(self, field, value):
         with pytest.raises(ValueError,
                            match=f"field '{field}' must be a finite number"):
@@ -76,11 +88,32 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError, match="unknown"):
             PhysicalConstants.from_json({"gamma_X": 1.0})
 
+    def test_epsilon_overlap_is_not_a_field(self):
+        with pytest.raises(ValueError, match=r"\['epsilon_overlap'\]"):
+            PhysicalConstants.from_json({"epsilon_overlap": 3.2e-3})
+
+
+class TestZeroSemileptonicWidths:
+    """br_sl_L = br_sl_S = 0: both partial widths vanish, so they agree."""
+
+    def test_mismatch_is_zero(self):
+        k = PhysicalConstants(br_sl_L=0.0, br_sl_S=0.0)
+        assert k.semileptonic_width_mismatch() == 0.0
+        assert (k.br_2pi_S, k.br_3pi_L) == (1.0, 1.0)
+
+    def test_amplitude_model(self):
+        k = PhysicalConstants(br_sl_L=0.0, br_sl_S=0.0)
+        m = build_amplitude_model(k)
+        assert m.warnings == ()
+        assert m.a_S == (1.0, 0.0, 0.0, 0.0)
+        assert m.a_L == (0.0, math.sqrt(k.gamma_L), 0.0, 0.0)
+
 
 class TestStates:
     def test_basis_states_normalized(self):
         for out in Outcome:
-            assert make_state(out).norm_sq() == pytest.approx(1.0, abs=1e-15)
+            s = make_state(out)
+            assert _norm_sq(s.c_S, s.c_L) == pytest.approx(1.0, abs=1e-15)
 
     def test_strangeness_decomposition(self):
         k0 = make_state(Outcome.K0)
@@ -90,9 +123,16 @@ class TestStates:
         assert k0b.c_L == pytest.approx(-1 / math.sqrt(2))
 
     def test_projection_on_self_and_conjugate(self):
-        for out in Outcome:
-            assert project(make_state(out), out) == pytest.approx(1.0)
-            assert project(make_state(out), out.conjugate) == pytest.approx(0.0, abs=1e-15)
+        def prob(bra, ket):  # |<bra|ket>|^2
+            amp = bra.c_S.conjugate() * ket.c_S + bra.c_L.conjugate() * ket.c_L
+            return abs(amp) ** 2
+
+        # each outcome and the orthogonal one in the same basis
+        for a, b in ((Outcome.K0, Outcome.K0BAR), (Outcome.KS, Outcome.KL)):
+            for out, other in ((a, b), (b, a)):
+                s = make_state(out)
+                assert prob(s, s) == pytest.approx(1.0)
+                assert prob(make_state(other), s) == pytest.approx(0.0, abs=1e-15)
 
     def test_basis_states_are_shared_and_immutable(self):
         for out in Outcome:
@@ -106,57 +146,59 @@ class TestStates:
             make_state(bad)
 
     def test_outcome_metadata(self):
-        assert Outcome.K0.conjugate is Outcome.K0BAR
-        assert Outcome.KS.conjugate is Outcome.KL
         assert Outcome.K0.observable.value == "strangeness"
+        assert Outcome.K0BAR.observable.value == "strangeness"
+        assert Outcome.KS.observable.value == "lifetime"
         assert Outcome.KL.observable.value == "lifetime"
-
-    def test_project_requires_normalized(self, k):
-        decayed = evolve(make_state(Outcome.K0), 1.0, k)
-        with pytest.raises(ValueError):
-            project(decayed, Outcome.K0)
-
-    def test_normalize_zero_norm(self):
-        from kaoneraser import SingleKaonState
-        with pytest.raises(SingularStateError):
-            normalize_to_survivors(SingleKaonState(0.0, 0.0))
 
 
 class TestEvolution:
     def test_negative_time_rejected(self, k):
         with pytest.raises(ValueError):
-            evolve(make_state(Outcome.K0), -0.1, k)
+            strangeness_probs(-0.1, k)
+        with pytest.raises(ValueError):
+            single_decay_rate(DecayChannel.SL_PLUS, -0.1, k,
+                              build_amplitude_model(k))
 
     def test_ks_pure_exponential(self, k):
-        s = evolve(make_state(Outcome.KS), 2.5, k)
-        assert s.norm_sq() == pytest.approx(math.exp(-2.5), rel=1e-12)
-        assert s.c_L == 0.0
+        c_S, c_L = _evolved(Outcome.KS, 2.5, k)
+        assert _norm_sq(c_S, c_L) == pytest.approx(math.exp(-2.5), rel=1e-12)
+        assert c_L == 0.0
 
     @given(tau=times)
     def test_norm_equals_survival(self, k, tau):
         for out in (Outcome.K0, Outcome.KL):
-            init = make_state(out)
-            assert evolve(init, tau, k).norm_sq() == pytest.approx(
-                survival_probability(init, tau, k), rel=1e-12, abs=1e-300)
+            s = make_state(out)
+            survival = (abs(s.c_S) ** 2 * math.exp(-k.gamma_S * tau)
+                        + abs(s.c_L) ** 2 * math.exp(-k.gamma_L * tau))
+            assert _norm_sq(*_evolved(out, tau, k)) == pytest.approx(
+                survival, rel=1e-12, abs=1e-300)
 
     @given(tau=times)
     def test_strangeness_survival_is_beam_norm(self, k, tau):
-        init = make_state(Outcome.K0)
-        assert survival_probability(init, tau, k) == pytest.approx(
-            beam_norm(tau, k), rel=1e-12)
+        for out in (Outcome.K0, Outcome.K0BAR):
+            assert _norm_sq(*_evolved(out, tau, k)) == pytest.approx(
+                beam_norm(tau, k), rel=1e-12)
 
     def test_beam_norm_value(self, k):
         assert beam_norm(2.5, k) == pytest.approx(0.53888825879118025, abs=1e-15)
 
     @given(t1=times, t2=st.floats(min_value=0.0, max_value=10.0))
     def test_evolution_composes(self, k, t1, t2):
-        one = evolve(make_state(Outcome.K0), t1 + t2, k)
-        two = evolve(evolve(make_state(Outcome.K0), t1, k), t2, k)
-        assert two.c_S == pytest.approx(one.c_S, rel=1e-9, abs=1e-300)
-        assert two.c_L == pytest.approx(one.c_L, rel=1e-9, abs=1e-300)
+        one_S, one_L = _evolved(Outcome.K0, t1 + t2, k)
+        f_S, f_L = evolution_factors(t2, k)
+        two_S, two_L = _evolved(Outcome.K0, t1, k)
+        assert f_S * two_S == pytest.approx(one_S, rel=1e-9, abs=1e-300)
+        assert f_L * two_L == pytest.approx(one_L, rel=1e-9, abs=1e-300)
 
     @given(tau=times)
     def test_survivor_normalization(self, k, tau):
-        s = normalize_to_survivors(evolve(make_state(Outcome.K0), tau, k))
-        assert s.norm_sq() == pytest.approx(1.0, rel=1e-12)
-        assert s.normalized
+        """Conditioning an evolved K0 on survival, i.e. dividing by
+        sqrt(beam_norm), gives a unit state whose K0 weight is the
+        closed-form strangeness probability."""
+        n = math.sqrt(beam_norm(tau, k))
+        c_S, c_L = (c / n for c in _evolved(Outcome.K0, tau, k))
+        assert _norm_sq(c_S, c_L) == pytest.approx(1.0, rel=1e-12)
+        k0 = make_state(Outcome.K0)
+        p_k0 = abs(k0.c_S * c_S + k0.c_L * c_L) ** 2
+        assert p_k0 == pytest.approx(strangeness_probs(tau, k)[0], abs=1e-12)

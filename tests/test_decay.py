@@ -9,11 +9,14 @@ from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
                         build_amplitude_model, closed_form_joint, decay_width,
                         joint_decay_rate, mixed_active_passive_prob,
                         pair_beam_norm, passive_joint_prob)
+from kaoneraser.decay import CHANNEL_BY_CODE, CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
 
 SS_OUTCOMES = [Outcome.K0, Outcome.K0BAR]
 ALL_OUTCOMES = list(Outcome)
+# channel codes: the index of each channel's amplitude in a_S and a_L
+TWO_PI, THREE_PI, SL_PLUS, SL_MINUS = range(4)
 
 
 def _kind(out_l, out_r):
@@ -25,35 +28,47 @@ def _kind(out_l, out_r):
 
 
 class TestAmplitudeModel:
+    def test_code_order(self, model):
+        """Channel codes follow the enum's definition order, and the model
+        holds one Python float per channel in that order."""
+        assert CHANNEL_BY_CODE == tuple(DecayChannel) == (
+            DecayChannel.TWO_PI, DecayChannel.THREE_PI, DecayChannel.SL_PLUS,
+            DecayChannel.SL_MINUS)
+        assert {ch: CHANNEL_CODES[ch] for ch in DecayChannel} == {
+            ch: c for c, ch in enumerate(CHANNEL_BY_CODE)}
+        for amps in (model.a_S, model.a_L):
+            assert type(amps) is tuple and len(amps) == 4
+            assert all(type(a) is float for a in amps)
+
     def test_moduli(self, model):
-        assert model.a_S[DecayChannel.SL_PLUS] == pytest.approx(
+        assert model.a_S[SL_PLUS] == pytest.approx(
             0.023873587634214038, abs=1e-15)
-        assert model.a_L[DecayChannel.THREE_PI] == pytest.approx(
+        assert model.a_L[THREE_PI] == pytest.approx(
             0.024232609097990824, abs=1e-15)
-        assert model.a_S[DecayChannel.TWO_PI] == pytest.approx(
+        assert model.a_S[TWO_PI] == pytest.approx(
             0.99942988930036658, abs=1e-15)
 
     def test_cp_limit_zeros(self, model):
-        assert model.a_L[DecayChannel.TWO_PI] == 0.0
-        assert model.a_S[DecayChannel.THREE_PI] == 0.0
+        assert model.a_L[TWO_PI] == 0.0
+        assert model.a_S[THREE_PI] == 0.0
 
     def test_semileptonic_sign(self, model):
         """The lepton-charge tag forces opposite K_L couplings."""
-        assert model.a_L[DecayChannel.SL_MINUS] == -model.a_L[DecayChannel.SL_PLUS]
-        assert model.a_S[DecayChannel.SL_MINUS] == +model.a_S[DecayChannel.SL_PLUS]
+        assert model.a_L[SL_MINUS] == -model.a_L[SL_PLUS]
+        assert model.a_S[SL_MINUS] == +model.a_S[SL_PLUS]
 
     def test_width_saturation(self, k, model):
         """Summed squared moduli reproduce the total widths exactly."""
-        tot_s = sum(abs(a) ** 2 for a in model.a_S.values())
-        tot_l = sum(abs(a) ** 2 for a in model.a_L.values())
+        tot_s = sum(abs(a) ** 2 for a in model.a_S)
+        tot_l = sum(abs(a) ** 2 for a in model.a_L)
         assert tot_s == pytest.approx(k.gamma_S, rel=1e-15)
         assert tot_l == pytest.approx(k.gamma_L, rel=1e-15)
 
     def test_saturation_for_arbitrary_constants(self):
         k = PhysicalConstants(gamma_L=0.05, br_sl_L=0.3, br_sl_S=0.02)
         m = build_amplitude_model(k)
-        assert sum(abs(a) ** 2 for a in m.a_S.values()) == pytest.approx(k.gamma_S)
-        assert sum(abs(a) ** 2 for a in m.a_L.values()) == pytest.approx(k.gamma_L)
+        assert sum(abs(a) ** 2 for a in m.a_S) == pytest.approx(k.gamma_S)
+        assert sum(abs(a) ** 2 for a in m.a_L) == pytest.approx(k.gamma_L)
 
     def test_warning_on_inconsistent_branching(self):
         m = build_amplitude_model(PhysicalConstants(br_sl_L=0.9))

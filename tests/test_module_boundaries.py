@@ -1,0 +1,97 @@
+"""Package modules use only each other's public names, and only names that exist.
+
+Modules under src/kaoneraser are read with ast, never imported, so a broken
+import shows up here as a failed assertion naming it.  A module may not import
+a ``_private`` name from another package module, nor reach one as an attribute
+of a package name (``sim._CHAN_OUT``).  Every name a module imports from
+another package module must be defined there, which covers what ``__init__``
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kaoneraser"
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_imports(tree):
+    """(source module, name, local name) for each name the module imports from
+    the package; the source is '' for a submodule imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module or ""
+            elif node.level == 0 and (node.module or "").split(".")[0] == "kaoneraser":
+                source = node.module.partition(".")[2]
+            else:
+                continue
+            for a in node.names:
+                yield source, a.name, a.asname or a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "kaoneraser":
+                    yield "", a.name.partition(".")[2], a.asname or "kaoneraser"
+
+
+def _defined(tree):
+    """Names bound at the top level of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_private_imports():
+    bad = [f"{mod}: from .{source} import {name}"
+           for mod, tree in _trees().items()
+           for source, name, _ in _package_imports(tree)
+           if any(_private(part) for part in name.split("."))]
+    assert not bad, f"modules import private names of other modules: {bad}"
+
+
+def test_no_private_attributes_of_package_names():
+    bad = []
+    for mod, tree in _trees().items():
+        local = {alias for _, _, alias in _package_imports(tree)}
+        bad += [f"{mod}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and _private(node.attr)
+                and _root(node.value) in local]
+    assert not bad, f"modules reach private names of other modules: {bad}"
+
+
+def test_imported_names_exist():
+    trees = _trees()
+    defined = {mod: _defined(tree) for mod, tree in trees.items()}
+    imported = {mod: list(_package_imports(tree)) for mod, tree in trees.items()}
+    # the scan sees the package's re-exports
+    assert ("sim", "run_experiment", "run_experiment") in imported["__init__"]
+    assert ("decay", "CHANNEL_BY_CODE", "CHANNEL_BY_CODE") in imported["eventfile"]
+    missing = [f"{mod}: {source or 'kaoneraser'}.{name}"
+               for mod, names in imported.items()
+               for source, name, _ in names
+               if (name not in defined.get(source, ()) if source
+                   else name and not (PACKAGE / f"{name}.py").is_file())]
+    assert not missing, f"modules import names the package lacks: {missing}"

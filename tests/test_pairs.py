@@ -143,6 +143,13 @@ class TestStateOperations:
         with pytest.raises(ValueError):
             project_side(normalized_pair(0.0, k), "middle", Outcome.K0)
 
+    @pytest.mark.parametrize("side", ["Left", "RIGHT", "middle", "", None])
+    def test_survivor_unitary_bad_side(self, k, side):
+        """A misspelt side raises instead of evolving the right-hand kaon."""
+        state = project_side(normalized_pair(0.0, k), "right", Outcome.K0)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            survivor_unitary_side(state, side, 1.0, k)
+
     def test_one_sided_projections_sum_to_one(self, k):
         state = normalized_pair(2.0, k)
         for side in ("left", "right"):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from kaoneraser import (Outcome, DecayChannel, MisidWindow, lifetime_probs,
                         misid_probs, passive_single_prob, single_decay_rate,
                         strangeness_probs, visibility_single)
+from kaoneraser.decay import CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=25.0, allow_nan=False)
 
@@ -92,11 +93,12 @@ class TestPassiveSingle:
         """2pi never comes from K_L, 3pi never from K_S (CP limit)."""
         r_2pi = single_decay_rate(DecayChannel.TWO_PI, 3.0, k, model)
         assert r_2pi == pytest.approx(
-            0.5 * abs(model.a_S[DecayChannel.TWO_PI]) ** 2 * math.exp(-3.0),
+            0.5 * abs(model.a_S[CHANNEL_CODES[DecayChannel.TWO_PI]]) ** 2
+            * math.exp(-3.0),
             rel=1e-12)
         r_3pi = single_decay_rate(DecayChannel.THREE_PI, 3.0, k, model)
         assert r_3pi == pytest.approx(
-            0.5 * abs(model.a_L[DecayChannel.THREE_PI]) ** 2
+            0.5 * abs(model.a_L[CHANNEL_CODES[DecayChannel.THREE_PI]]) ** 2
             * math.exp(-3.0 * k.gamma_L), rel=1e-12)
 
     @given(tau=times)
