@@ -122,12 +122,11 @@ class PhysicalConstants:
 
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "PhysicalConstants":
-        """Build constants from a JSON document; missing fields take defaults."""
-        if isinstance(source, dict):
-            doc = source
-        else:
-            text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-            doc = json.loads(text)
+        """Build constants from a dict, JSON text (a ``str``, never read as a
+        file name) or a JSON file (a ``Path``); missing fields take defaults."""
+        if isinstance(source, Path):
+            source = source.read_text()
+        doc = json.loads(source) if isinstance(source, str) else source
         if not isinstance(doc, dict):
             raise ValueError(f"constants must be a JSON object, got {doc!r}")
         known = {f.name for f in fields(cls)}

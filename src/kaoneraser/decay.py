@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Outcome, PhysicalConstants, evolution_factors, make_state
+import numpy as np
+
+from .core import Outcome, PhysicalConstants, make_state
 
 
 class DecayChannel(Enum):
@@ -37,6 +39,13 @@ CHANNEL_OUTCOME = {
 }
 
 OUTCOME_CHANNEL = {v: k for k, v in CHANNEL_OUTCOME.items()}
+
+
+def channel_code(channel: DecayChannel) -> int:
+    """The integer code of a decay channel; ValueError for anything else."""
+    if (code := CHANNEL_CODES.get(channel)) is None:
+        raise ValueError(f"unknown channel {channel!r}")
+    return code
 
 
 @dataclass(frozen=True)
@@ -86,29 +95,41 @@ def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants) -> float:
             * math.cosh(0.5 * k.delta_gamma * (tau_l - tau_r)))
 
 
+def pair_rate_terms(alpha, beta, tau_l, tau_r, k: PhysicalConstants,
+                    exp=math.exp, cos=math.cos):
+    """(direct, cross) of every passive rate's form |alpha e_L(tau_l) e_S(tau_r)
+    - beta e_S(tau_l) e_L(tau_r)|^2 = direct - cross, e_S(t) = e^{-G_S t/2},
+    e_L(t) = e^{-i dm t - G_L t/2}; with real amplitudes the only phase is the
+    cross term's cos.  Floats use ``math``; arrays pass ``np.exp, np.cos``."""
+    direct = (alpha * alpha * exp(-k.gamma_L * tau_l - k.gamma_S * tau_r)
+              + beta * beta * exp(-k.gamma_S * tau_l - k.gamma_L * tau_r))
+    cross = (2.0 * alpha * beta * exp(-k.gamma_mean * (tau_l + tau_r))
+             * cos(k.delta_m * (tau_l - tau_r)))
+    return direct, cross
+
+
+def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndarray:
+    """Analytic 4x4 integrated weights of the joint decay rate per ordered
+    channel pair (rows: left, cols: right), 0.5 (direct - cross) of
+    ``pair_rate_terms`` integrated over tau_l, tau_r >= 0; sums to one."""
+    alpha = np.outer(model.a_L, model.a_S)
+    beta = np.outer(model.a_S, model.a_L)
+    cross = 1.0 / (k.gamma_mean ** 2 + k.delta_m ** 2)
+    return ((alpha ** 2 + beta ** 2) / (2.0 * k.gamma_S * k.gamma_L)
+            - alpha * beta * cross)
+
+
 def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
                      tau_r: float, k: PhysicalConstants,
                      model: AmplitudeModel) -> float:
     """Joint decay rate density of the entangled pair into (f_l, f_r)."""
     if tau_l < 0 or tau_r < 0:
         raise ValueError("decay times must be nonnegative")
-    i, j = CHANNEL_CODES[f_l], CHANNEL_CODES[f_r]
-    eS_l, eL_l = evolution_factors(tau_l, k)
-    eS_r, eL_r = evolution_factors(tau_r, k)
-    amp = (eL_l * eS_r * model.a_L[i] * model.a_S[j]
-           - eS_l * eL_r * model.a_S[i] * model.a_L[j])
-    return 0.5 * abs(amp) ** 2
-
-
-def _mixed_amp_sq(f_r: DecayChannel, tau_l: float, tau_r: float,
-                  k: PhysicalConstants, model: AmplitudeModel,
-                  left_sign: float) -> float:
-    # left_sign +1 selects an active K0 on the left, -1 a K0bar.
-    j = CHANNEL_CODES[f_r]
-    eS_l, eL_l = evolution_factors(tau_l, k)
-    eS_r, eL_r = evolution_factors(tau_r, k)
-    amp = (eL_l * eS_r * model.a_S[j] - left_sign * eS_l * eL_r * model.a_L[j])
-    return abs(amp) ** 2
+    i, j = channel_code(f_l), channel_code(f_r)
+    direct, cross = pair_rate_terms(model.a_L[i] * model.a_S[j],
+                                    model.a_S[i] * model.a_L[j],
+                                    tau_l, tau_r, k)
+    return 0.5 * (direct - cross)
 
 
 def mixed_decay_rate(f_r: DecayChannel, tau_l: float, tau_r: float,
@@ -116,7 +137,9 @@ def mixed_decay_rate(f_r: DecayChannel, tau_l: float, tau_r: float,
     """Rate density for an active left K0 at tau_l and a right decay (f_r, tau_r)."""
     if tau_l < 0 or tau_r < 0:
         raise ValueError("times must be nonnegative")
-    return 0.25 * _mixed_amp_sq(f_r, tau_l, tau_r, k, model, +1.0)
+    j = channel_code(f_r)
+    direct, cross = pair_rate_terms(model.a_S[j], model.a_L[j], tau_l, tau_r, k)
+    return 0.25 * (direct - cross)
 
 
 def decay_width(channel: DecayChannel, k: PhysicalConstants,
@@ -126,8 +149,8 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     Computed by contracting the channel amplitudes with the tagged state, e.g.
     Gamma(K0 -> pi- l+ nu) = |<f|T|K0>|^2 = 2 |a_sl|^2 = br_sl_L * Gamma_L.
     """
+    c = channel_code(channel)
     bra = make_state(CHANNEL_OUTCOME[channel])
-    c = CHANNEL_CODES[channel]
     amp = bra.c_S * model.a_S[c] + bra.c_L * model.a_L[c]
     w = abs(amp) ** 2
     if w <= 0.0:
@@ -162,6 +185,9 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
         raise ValueError("times must be nonnegative")
     sign = +1.0 if active_out_l is Outcome.K0 else -1.0
     f_r = OUTCOME_CHANNEL[out_r]
-    rate = 0.25 * _mixed_amp_sq(f_r, tau_l, tau_r, k, model, sign)
+    j = CHANNEL_CODES[f_r]
+    direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
+                                    tau_l, tau_r, k)
+    rate = 0.25 * (direct - cross)
     denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k)
     return rate / denom

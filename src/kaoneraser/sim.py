@@ -27,7 +27,7 @@ import numpy as np
 from .core import (Observable, Outcome, PhysicalConstants, Procedure, beam_norm,
                    finite_number)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
-                    pair_beam_norm)
+                    pair_beam_norm, pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
 from .single import MisidWindow
 
@@ -210,6 +210,9 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
         p_survive = (bs^2 + bl^2) / (r_S^2 + r_L^2)
         p_K0 = (bs^2 + bl^2 + 2 bs bl cos(dm (tau_l - t_r))) / (2 (bs^2 + bl^2)),
     which is decay.mixed_active_passive_prob conditioned on the right decay.
+    It stays apart from decay.pair_rate_terms, the form that rate shares: it
+    reads tau_l factors from grid tables and skips the cosine exactly (below),
+    where the shared form would cost per-pair exponentials and change bytes.
 
     The cosine is evaluated only where it can change p_K0.  Let n2 = bs^2 +
     bl^2 (finite, bounded by the widths), cross = 2 bs bl and 2^e <= n2 <
@@ -261,20 +264,9 @@ def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
 # joint passive sampling (experiment D)
 # ---------------------------------------------------------------------------
 
-def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndarray:
-    """Analytic 4x4 integrated weights of the joint decay rate per ordered
-    channel pair (rows: left, cols: right); sums to one."""
-    alpha = np.outer(model.a_L, model.a_S)
-    beta = np.outer(model.a_S, model.a_L)
-    cross = 1.0 / (k.gamma_mean ** 2 + k.delta_m ** 2)
-    w = ((alpha ** 2 + beta ** 2) / (2.0 * k.gamma_S * k.gamma_L)
-         - alpha * beta * cross)
-    return w
-
-
 def _sample_pair_times(n, alpha, beta, k, rng):
     """Rejection-sample (t_l, t_r) for one channel pair with couplings
-    (alpha, beta) of the two propagation terms."""
+    (alpha, beta), under the envelope of pair_rate_terms' direct term."""
     g_l, g_s = k.gamma_L, k.gamma_S
     if beta == 0.0:
         return rng.exponential(1.0 / g_l, n), rng.exponential(1.0 / g_s, n)
@@ -291,13 +283,9 @@ def _sample_pair_times(n, alpha, beta, k, rng):
                           rng.exponential(1.0 / g_s, m))
         cand_r = np.where(first, rng.exponential(1.0 / g_s, m),
                           rng.exponential(1.0 / g_l, m))
-        u = np.exp(-g_l * cand_l - g_s * cand_r)
-        v = np.exp(-g_s * cand_l - g_l * cand_r)
-        envelope = a2 * u + b2 * v
-        dens = 0.5 * (envelope - 2.0 * alpha * beta
-                      * np.exp(-k.gamma_mean * (cand_l + cand_r))
-                      * np.cos(k.delta_m * (cand_l - cand_r)))
-        ratio = dens / envelope
+        envelope, cross = pair_rate_terms(alpha, beta, cand_l, cand_r, k,
+                                          np.exp, np.cos)
+        ratio = 0.5 * (envelope - cross) / envelope
         if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
             raise RuntimeError("rejection envelope violated; amplitude math bug")
         keep = rng.random(m) < ratio

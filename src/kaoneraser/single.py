@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (Outcome, PhysicalConstants, beam_norm, evolution_factors,
-                   finite_number)
-from .decay import (CHANNEL_CODES, OUTCOME_CHANNEL, AmplitudeModel,
-                    DecayChannel, decay_width)
+from .core import Outcome, PhysicalConstants, beam_norm, finite_number
+from .decay import (OUTCOME_CHANNEL, AmplitudeModel, DecayChannel,
+                    channel_code, decay_width, pair_rate_terms)
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,13 @@ def misid_probs(window: MisidWindow, k: PhysicalConstants) -> tuple[float, float
 
 def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
                       model: AmplitudeModel) -> float:
-    """Decay rate density Gamma(f, tau) of an initial K0 into the given mode."""
+    """Decay rate density Gamma(f, tau) of an initial K0 into the given mode:
+    the pair form at tau_r = 0 with (alpha, beta) = (a_L, -a_S)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if channel not in DecayChannel:
-        raise ValueError(f"unknown channel {channel!r}")
-    c = CHANNEL_CODES[channel]
-    f_S, f_L = evolution_factors(tau, k)
-    amp = f_S * model.a_S[c] + f_L * model.a_L[c]
-    return 0.5 * abs(amp) ** 2
+    c = channel_code(channel)
+    direct, cross = pair_rate_terms(model.a_L[c], -model.a_S[c], tau, 0.0, k)
+    return 0.5 * (direct - cross)
 
 
 def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,

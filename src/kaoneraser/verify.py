@@ -1,6 +1,7 @@
 """Self-contained verification suite: oracle equivalences, normalization
-integrals, the delayed-choice ordering identity and the misidentification
-window, each reported with its worst-case deviation."""
+integrals, the channel-pair weights experiment D draws from (cell by cell),
+the delayed-choice ordering identity and the misidentification window, each
+reported with its worst-case deviation."""
 
 from __future__ import annotations
 
@@ -8,13 +9,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .core import Outcome, PhysicalConstants, beam_norm
-from .decay import (CHANNEL_BY_CODE, AmplitudeModel, DecayChannel,
-                    build_amplitude_model, mixed_decay_rate,
-                    mixed_active_passive_prob, passive_joint_prob)
+from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
+                    mixed_active_passive_prob, mixed_decay_rate,
+                    pair_rate_terms, passive_joint_prob, passive_pair_weights)
 from .pairs import (JointProjector, closed_form_joint, delayed_choice_norms,
                     joint_projective_prob, normalized_pair)
 from .single import (MisidWindow, lifetime_probs, misid_probs,
@@ -88,67 +88,56 @@ def check_active_passive(k: PhysicalConstants, model: AmplitudeModel,
     return CheckResult("active-passive-coincidence", worst < tol, worst, tol)
 
 
-def single_rate_normalization(k: PhysicalConstants, model: AmplitudeModel,
-                              cutoff: float = 40.0) -> float:
-    """Numerically integrate the four single-kaon decay rates; the closed-form
-    exponential tail beyond the cutoff is added exactly."""
-    total = 0.0
-    lam = k.gamma_mean + 1j * k.delta_m
-    for f, a_s, a_l in zip(CHANNEL_BY_CODE, model.a_S, model.a_L):
-        part, _ = quad(lambda t: single_decay_rate(f, t, k, model),
-                       0.0, cutoff, limit=200)
-        tail = (0.5 * (abs(a_s) ** 2 * math.exp(-k.gamma_S * cutoff) / k.gamma_S
-                       + abs(a_l) ** 2 * math.exp(-k.gamma_L * cutoff) / k.gamma_L)
-                + (a_s * a_l) * (np.exp(-lam * cutoff) / lam).real)
-        total += part + tail
-    return total
+def decay_time_nodes(k: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, inf) for exp(-G_S t), exp(-G_L t) and
+    exp(-Gbar t) cos(dm t + phase) terms: Gauss-Legendre on [0, T = 32/Gbar],
+    its node count growing with the phase r T of the fastest term, r = max(G_S,
+    |Gbar + i dm|); past T, Gauss-Laguerre in G_L for the exp(-G_L t) left."""
+    edge = 32.0 / k.gamma_mean
+    rate = max(k.gamma_S, math.hypot(k.gamma_mean, k.delta_m))
+    n = min(16 + math.ceil(0.3 * rate * edge), 1024)  # dm up to about 100 Gbar
+    x, w = np.polynomial.legendre.leggauss(n)
+    x_tail, w_tail = np.polynomial.laguerre.laggauss(8)
+    return (np.concatenate((0.5 * edge * (x + 1.0), edge + x_tail / k.gamma_L)),
+            np.concatenate((0.5 * edge * w, w_tail * np.exp(x_tail) / k.gamma_L)))
 
 
-def joint_rate_normalization(k: PhysicalConstants, model: AmplitudeModel) -> float:
-    """Integrate the joint decay rate over all 16 channel pairs using the
-    separable structure of each term (1D quadratures on [0, inf))."""
-    i_l, _ = quad(lambda t: math.exp(-k.gamma_L * t), 0.0, np.inf, limit=200)
-    i_s, _ = quad(lambda t: math.exp(-k.gamma_S * t), 0.0, np.inf, limit=200)
-    i_c, _ = quad(lambda t: math.exp(-k.gamma_mean * t) * math.cos(k.delta_m * t),
-                  0.0, np.inf, limit=200)
-    i_n, _ = quad(lambda t: math.exp(-k.gamma_mean * t) * math.sin(k.delta_m * t),
-                  0.0, np.inf, limit=200)
-    total = 0.0
-    for aS_l, aL_l in zip(model.a_S, model.a_L):
-        for aS_r, aL_r in zip(model.a_S, model.a_L):
-            alpha = aL_l * aS_r
-            beta = aS_l * aL_r
-            total += (0.5 * (alpha ** 2 + beta ** 2) * i_l * i_s
-                      - alpha * beta * (i_c ** 2 + i_n ** 2))
-    return total
-
-
-def mixed_rate_normalization(tau_l: float, k: PhysicalConstants,
-                             model: AmplitudeModel) -> tuple[float, float]:
-    """(numeric integral, expected N(tau_l, 0)/2) for the mixed-measurement
-    rate summed over right channels."""
-    def integrand(t):
-        return sum(mixed_decay_rate(f, tau_l, t, k, model) for f in DecayChannel)
-
-    got, _ = quad(integrand, 0.0, np.inf, limit=400)
-    want = 0.5 * beam_norm(tau_l, k)
-    return got, want
+def integrated_pair_weights(k: PhysicalConstants, model: AmplitudeModel,
+                            nodes) -> np.ndarray:
+    """The joint rate 0.5 (direct - cross) of ``pair_rate_terms`` for all 16
+    channel pairs, integrated on the nodes' grid in chunks of 2^20 values."""
+    t, w = nodes
+    alpha = np.outer(model.a_L, model.a_S).reshape(16, 1, 1)
+    beta = np.outer(model.a_S, model.a_L).reshape(16, 1, 1)
+    cells = np.zeros(16)
+    step = max(1, 2 ** 16 // len(t))
+    for s in range(0, len(t), step):
+        direct, cross = pair_rate_terms(alpha, beta, t[s:s + step, None], t, k,
+                                        np.exp, np.cos)
+        cells += 0.5 * (direct - cross) @ w @ w[s:s + step]
+    return cells.reshape(4, 4)
 
 
 def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[CheckResult]:
-    out = []
-    single = single_rate_normalization(k, model)
-    out.append(CheckResult("single-rate-normalization",
-                           abs(single - 1.0) < 1e-6, abs(single - 1.0), 1e-6))
-    joint = joint_rate_normalization(k, model)
-    out.append(CheckResult("joint-rate-normalization",
-                           abs(joint - 1.0) < 1e-5, abs(joint - 1.0), 1e-5))
-    worst = 0.0
-    for tau_l in (0.0, 1.0, 4.0):
-        got, want = mixed_rate_normalization(tau_l, k, model)
-        worst = max(worst, abs(got - want))
-    out.append(CheckResult("mixed-rate-normalization", worst < 1e-5, worst, 1e-5))
-    return out
+    """Rate integrals vs survivor norms, and D's channel-pair weights cell by
+    cell: sums miss the cross term, zero over the cells (sum_f a_S a_L = 0)."""
+    nodes = decay_time_nodes(k)
+    tw = list(zip(nodes[0].tolist(), nodes[1].tolist()))
+    single = abs(sum(w * single_decay_rate(f, t, k, model)
+                     for f in DecayChannel for t, w in tw) - 1.0)
+    cells = integrated_pair_weights(k, model, nodes)
+    joint = abs(float(cells.sum()) - 1.0)
+    weights = max(map(_deviation, cells.ravel().tolist(),
+                      passive_pair_weights(k, model).ravel().tolist()))
+    # the mixed rate summed over right channels integrates to N(tau_l, 0)/2
+    mixed = max(abs(sum(w * mixed_decay_rate(f, tau_l, t, k, model)
+                        for f in DecayChannel for t, w in tw)
+                    - 0.5 * beam_norm(tau_l, k)) for tau_l in (0.0, 1.0, 4.0))
+    return [CheckResult("single-rate-normalization", single < 1e-6, single, 1e-6),
+            CheckResult("joint-rate-normalization", joint < 1e-5, joint, 1e-5),
+            CheckResult("passive-pair-weights", weights < 1e-10, weights, 1e-10,
+                        detail=f"{len(nodes[0])} nodes per decay-time axis"),
+            CheckResult("mixed-rate-normalization", mixed < 1e-5, mixed, 1e-5)]
 
 
 def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,

@@ -66,6 +66,14 @@ class TestPhysicalConstants:
         p.write_text('{"br_sl_L": 0.5}')
         assert PhysicalConstants.from_json(p).br_sl_L == 0.5
 
+    def test_from_json_long_text_is_parsed_not_opened(self):
+        """A str is JSON text, never a file name, whatever its length."""
+        doc = {"delta_m": 0.5, "br_sl_L": 0.5, "gamma_L": 0.002,
+               "br_sl_S": 0.001, "gamma_S": 1.0}
+        text = json.dumps(doc, indent=60)  # longer than a file name may be
+        assert len(text) > 300
+        assert PhysicalConstants.from_json(text) == PhysicalConstants(**doc)
+
     @pytest.mark.parametrize("field,value", [
         ("gamma_S", "x"), ("gamma_L", None), ("delta_m", math.nan),
         ("br_sl_S", math.inf), ("br_2pi_S", True),

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
                         build_amplitude_model, closed_form_joint, decay_width,
                         joint_decay_rate, mixed_active_passive_prob,
-                        pair_beam_norm, passive_joint_prob)
+                        mixed_decay_rate, pair_beam_norm, passive_joint_prob,
+                        single_decay_rate)
 from kaoneraser.decay import CHANNEL_BY_CODE, CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
@@ -96,6 +97,25 @@ class TestDecayWidths:
         through the small semileptonic-width mismatch of the inputs."""
         assert decay_width(DecayChannel.TWO_PI, k, model) == pytest.approx(
             k.br_2pi_S * k.gamma_S, rel=1e-4)
+
+
+# each rate or width with a bad channel in its channel slot
+CHANNEL_TAKERS = {
+    "single_decay_rate": lambda ch, k, m: single_decay_rate(ch, 1.0, k, m),
+    "joint_decay_rate": lambda ch, k, m: joint_decay_rate(
+        DecayChannel.SL_PLUS, 1.0, ch, 2.0, k, m),
+    "mixed_decay_rate": lambda ch, k, m: mixed_decay_rate(ch, 1.0, 2.0, k, m),
+    "decay_width": lambda ch, k, m: decay_width(ch, k, m),
+}
+
+
+@pytest.mark.parametrize("call", CHANNEL_TAKERS.values(), ids=CHANNEL_TAKERS)
+@pytest.mark.parametrize("bad", ["2pi", 5, None])
+def test_unknown_channel_is_a_value_error(k, model, call, bad):
+    """A channel value, int or None is refused by name, with no KeyError,
+    TypeError or DeprecationWarning on the way."""
+    with pytest.raises(ValueError, match=f"^unknown channel {bad!r}$"):
+        call(bad, k, model)
 
 
 class TestJointRates:

@@ -1,7 +1,7 @@
 """Bit-level pin of the scalar oracles.
 
 A sha256 over the ``repr`` of every output of the scalar oracles on verify's
-own inputs.  The identities verify checks hold to 1e-10..1e-12, so they cannot
+own inputs, and of experiment D's 16 channel-pair weights.  The identities verify checks hold to 1e-10..1e-12, so they cannot
 tell a reordered floating-point step from the original; this digest can.  A
 change that alters any output bit (operation order, types, constants) must
 update ``ORACLE_DIGEST`` and say why.  The pinned value was taken with
@@ -15,12 +15,13 @@ import itertools
 import numpy as np
 
 from kaoneraser import (DecayChannel, JointProjector, Outcome,
-                        delayed_choice_norms, decay_width,
+                        delayed_choice_norms, decay_width, joint_decay_rate,
                         joint_projective_prob, mixed_active_passive_prob,
                         normalized_pair, passive_joint_prob,
-                        passive_single_prob)
+                        passive_single_prob, single_decay_rate)
+from kaoneraser.decay import passive_pair_weights
 
-ORACLE_DIGEST = "6d80d66c86b1408e3298e8e51f99e8a04e4a432facc75b7d39d71937b2481941"
+ORACLE_DIGEST = "e727232e1de15fcdf43c87868dffb3c16e90f70f3883f7c742ee43e3c47dde27"
 
 
 # the 8 ordered outcome pairs of check_active_passive
@@ -56,6 +57,14 @@ def oracle_outputs(k, model):
             yield passive_single_prob(outcome, float(tau), k, model)
     for channel in DecayChannel:
         yield decay_width(channel, k, model)
+    # the rates behind them on the same grids, and D's channel-pair weights
+    for tl, tr in itertools.product(grid, repeat=2):
+        for f_l, f_r in itertools.product(DecayChannel, repeat=2):
+            yield joint_decay_rate(f_l, tl, f_r, tr, k, model)
+    for tau in np.arange(0.0, 12.0 + 1e-9, 0.5):
+        for channel in DecayChannel:
+            yield single_decay_rate(channel, float(tau), k, model)
+    yield from passive_pair_weights(k, model).ravel().tolist()
 
 
 def oracle_digest(k, model) -> str:

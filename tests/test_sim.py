@@ -17,10 +17,10 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         mixed_active_passive_prob, normalize_pair,
                         pair_visibility, project_side, read_events,
                         run_experiment, write_events)
-from kaoneraser.decay import CHANNEL_BY_CODE
+from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
 from kaoneraser.sim import (OUTCOME_BY_CODE, _channel_tables, _count_below,
                             _sample_left_after_right_decay, classify_lifetime,
-                            left_after_right_decay, passive_pair_weights)
+                            left_after_right_decay)
 from kaoneraser.pairs import normalized_pair
 
 
