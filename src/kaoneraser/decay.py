@@ -48,6 +48,14 @@ def channel_code(channel: DecayChannel) -> int:
     return code
 
 
+def outcome_channel(outcome: Outcome) -> DecayChannel:
+    """The decay channel that identifies a measurement outcome; ValueError
+    for anything that is not an Outcome."""
+    if (channel := OUTCOME_CHANNEL.get(outcome)) is None:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    return channel
+
+
 @dataclass(frozen=True)
 class AmplitudeModel:
     """Effective transition amplitudes a(channel, eigenstate).
@@ -162,8 +170,8 @@ def passive_joint_prob(out_l: Outcome, tau_l: float, out_r: Outcome,
                        tau_r: float, k: PhysicalConstants,
                        model: AmplitudeModel) -> float:
     """Joint detection probability reconstructed from passive decay rates."""
-    f_l = OUTCOME_CHANNEL[out_l]
-    f_r = OUTCOME_CHANNEL[out_r]
+    f_l = outcome_channel(out_l)
+    f_r = outcome_channel(out_r)
     rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model)
     denom = (decay_width(f_l, k, model) * decay_width(f_r, k, model)
              * pair_beam_norm(tau_l, tau_r, k))
@@ -184,7 +192,7 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
     if tau_l < 0 or tau_r < 0:
         raise ValueError("times must be nonnegative")
     sign = +1.0 if active_out_l is Outcome.K0 else -1.0
-    f_r = OUTCOME_CHANNEL[out_r]
+    f_r = outcome_channel(out_r)
     j = CHANNEL_CODES[f_r]
     direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
                                     tau_l, tau_r, k)

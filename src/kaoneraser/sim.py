@@ -11,15 +11,20 @@ Experiments
     D   fully passive on both sides
 
 Event generation is partitioned; partition p uses the generator seeded by
-numpy's SeedSequence(entropy=master_seed, spawn_key=(p,)) and fills its
-slice of one column set, in index order, so a run is reproducible given
-(seed, partitions).  The left-kaon kernel of A2, B and C runs on cache-sized
-blocks and skips its cosine where that cannot change the result.
+numpy's SeedSequence(entropy=master_seed, spawn_key=(p,)) and fills its own
+slice of one column set, so a run is reproducible given (seed, partitions).
+The partitions run concurrently on up to min(partitions, CPUs) threads
+(numpy's draws and ufuncs release the GIL).  No partition reads another's
+stream or slice, so the bytes depend only on (seed, partitions); the thread
+count is recorded nowhere.  The left-kaon kernel of A2, B and C runs on
+cache-sized blocks and skips its cosine where that cannot change the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,16 +252,20 @@ def left_after_right_decay(chan, t_r, grid, ig, k: PhysicalConstants,
 def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
     """Bernoulli-sample the left kaon's survival and its strangeness outcome.
     The kernel runs on blocks of _BLOCK pairs so that its temporaries stay in
-    cache.  Returns (alive, out_code)."""
+    cache, and each block is reduced to its outcomes at once.  The kernel
+    draws nothing, so drawing the survival uniforms and then the K0 uniforms
+    before it leaves the stream as if they were drawn after it.  Returns
+    (alive, out_code)."""
     n = len(ig)
-    p_survive, p_k0 = np.empty(n), np.empty(n)
+    u_survive, u_k0 = rng.random(n), rng.random(n)
+    alive, out = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
     for s in range(0, n, _BLOCK):
         b = slice(s, s + _BLOCK)
-        p_survive[b], p_k0[b] = left_after_right_decay(chan[b], t_r[b], grid,
-                                                       ig[b], k, model)
-    alive = rng.random(n) < p_survive
-    out = np.where(rng.random(n) < p_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
-                   np.int8(OUTCOME_CODES[Outcome.K0BAR]))
+        p_survive, p_k0 = left_after_right_decay(chan[b], t_r[b], grid, ig[b],
+                                                 k, model)
+        alive[b] = u_survive[b] < p_survive
+        out[b] = np.where(u_k0[b] < p_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
+                          np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     return alive, out
 
 
@@ -367,15 +376,14 @@ def _gen_b(n, rng, cfg, k, model, cols):
     chan, t_r = _draw_passive_side(n, rng, k, model)
     pre = t_r < cfg.tau_r0
     # uniforms drawn unconditionally so the stream is data-independent
-    u_rout = rng.random(n)
+    r_post = np.where(rng.random(n) < 0.5, np.int8(OUTCOME_CODES[Outcome.K0]),
+                      np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     alive_pre, lout_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
                                                          k, model, rng)
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
     alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
     unlike = rng.random(n) < p_unlike[ig]
     # right: active lifetime if it decayed before tau_r0, else strangeness
-    r_post = np.where(u_rout < 0.5, np.int8(OUTCOME_CODES[Outcome.K0]),
-                      np.int8(OUTCOME_CODES[Outcome.K0BAR]))
     cols["r_obs"][:] = pre
     cols["r_out"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
                                 r_post)
@@ -403,22 +411,58 @@ def _gen_d(n, rng, cfg, k, model, cols):
 _GENERATORS = {"A1": _gen_a1, "A2": _gen_a2, "B": _gen_b, "C": _gen_c, "D": _gen_d}
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
                    model: AmplitudeModel) -> EventSet:
-    """Generate a deterministic event set for one of the eraser experiments."""
+    """Generate a deterministic event set for one of the eraser experiments.
+
+    w = min(partitions, CPUs) workers fill the partitions: worker i fills
+    partitions i, i + w, ..., the calling thread is worker 0 and the other
+    w - 1 are threads that end before this returns.  Each partition writes
+    only its own slice, so the result does not depend on w.  An exception
+    from any partition is raised here."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     cfg.validate()
     gen = _GENERATORS[kind]
     cols = _empty_columns(cfg.n_pairs)
-    start = 0
-    for p in range(cfg.partitions):
-        size = cfg.n_pairs // cfg.partitions + (p < cfg.n_pairs % cfg.partitions)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                           spawn_key=(p,)))
-        gen(size, rng, cfg, k, model,
-            {col: v[start:start + size] for col, v in cols.items()})
-        start += size
+    n, parts = cfg.n_pairs, cfg.partitions
+    workers = min(parts, _cpu_count())
+
+    def fill(worker):
+        for p in range(worker, parts, workers):
+            start = p * (n // parts) + min(p, n % parts)
+            size = n // parts + (p < n % parts)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                               spawn_key=(p,)))
+            gen(size, rng, cfg, k, model,
+                {col: v[start:start + size] for col, v in cols.items()})
+
+    errors = []
+
+    def helper(worker):
+        try:
+            fill(worker)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        fill(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return EventSet(kind=kind, config=cfg, **cols)
 
 

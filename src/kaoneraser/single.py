@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 from .core import Outcome, PhysicalConstants, beam_norm, finite_number
-from .decay import (OUTCOME_CHANNEL, AmplitudeModel, DecayChannel,
-                    channel_code, decay_width, pair_rate_terms)
+from .decay import (AmplitudeModel, DecayChannel, channel_code, decay_width,
+                    outcome_channel, pair_rate_terms)
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,6 @@ def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
     Coincides with the active closed forms from strangeness_probs and
     lifetime_probs.
     """
-    channel = OUTCOME_CHANNEL[outcome]
+    channel = outcome_channel(outcome)
     rate = single_decay_rate(channel, tau, k, model)
     return rate / (decay_width(channel, k, model) * beam_norm(tau, k))

@@ -9,7 +9,7 @@ from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
                         build_amplitude_model, closed_form_joint, decay_width,
                         joint_decay_rate, mixed_active_passive_prob,
                         mixed_decay_rate, pair_beam_norm, passive_joint_prob,
-                        single_decay_rate)
+                        passive_single_prob, single_decay_rate)
 from kaoneraser.decay import CHANNEL_BY_CODE, CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
@@ -115,6 +115,25 @@ def test_unknown_channel_is_a_value_error(k, model, call, bad):
     """A channel value, int or None is refused by name, with no KeyError,
     TypeError or DeprecationWarning on the way."""
     with pytest.raises(ValueError, match=f"^unknown channel {bad!r}$"):
+        call(bad, k, model)
+
+
+# each passive or mixed probability with a bad outcome in its passive slot
+OUTCOME_TAKERS = {
+    "passive_joint_prob": lambda out, k, m: passive_joint_prob(
+        out, 1.0, Outcome.K0, 2.0, k, m),
+    "mixed_active_passive_prob": lambda out, k, m: mixed_active_passive_prob(
+        Outcome.K0, 1.0, out, 2.0, k, m),
+    "passive_single_prob": lambda out, k, m: passive_single_prob(out, 1.0, k, m),
+}
+
+
+@pytest.mark.parametrize("call", OUTCOME_TAKERS.values(), ids=OUTCOME_TAKERS)
+@pytest.mark.parametrize("bad", ["K0", None, 5])
+def test_unknown_outcome_is_a_value_error(k, model, call, bad):
+    """An outcome value, None or int is refused by name, as make_state does,
+    with no KeyError on the way."""
+    with pytest.raises(ValueError, match=f"^unknown outcome {bad!r}$"):
         call(bad, k, model)
 
 

@@ -6,6 +6,8 @@ seeds, so they are deterministic in practice.
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         mixed_active_passive_prob, normalize_pair,
                         pair_visibility, project_side, read_events,
                         run_experiment, write_events)
+from kaoneraser import sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
 from kaoneraser.sim import (OUTCOME_BY_CODE, _channel_tables, _count_below,
                             _sample_left_after_right_decay, classify_lifetime,
@@ -163,6 +166,87 @@ def test_pinned_multiblock_estimate_digest(k, model, kind):
     for e in estimate_probs(ev):
         h.update(repr((e.bin, e.pair, e.count, e.n, e.p_hat, e.stderr)).encode())
     assert h.hexdigest() == _PINNED_ESTIMATE_DIGESTS[kind]
+
+
+class TestConcurrentPartitions:
+    """run_experiment fills partitions on min(partitions, CPUs) workers; the
+    CPU count is patched so that the helper threads run on any host."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_pinned_digests_at_any_cpu_count(self, k, model, monkeypatch,
+                                             kind, cpus):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        ev = run_experiment(kind, SimConfig(n_pairs=50000, seed=20040212,
+                                            partitions=4), k, model)
+        assert _digest(ev) == _PINNED_DIGESTS[kind]
+        ev = run_experiment(kind, SimConfig(n_pairs=100003, seed=20040212,
+                                            partitions=3), k, model)
+        assert _digest(ev) == _PINNED_MULTIBLOCK_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_bytes_independent_of_cpu_count(self, k, model, monkeypatch, kind):
+        """Seven partitions on one to three workers, switching threads every
+        microsecond: a partition writing outside its slice would show."""
+        digests = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+                digests.add(_digest(run_experiment(
+                    kind, _cfg(n_pairs=70001, partitions=7), k, model)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(digests) == 1
+
+    @staticmethod
+    def _count_thread_starts(monkeypatch):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        return started
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("bad", [1, 0], ids=["helper", "caller"])
+    def test_partition_error_is_raised_and_no_thread_outlives(
+            self, k, model, monkeypatch, cpus, bad):
+        """Partition 0 is the calling thread's, partition 1 a helper's."""
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        a1 = sim._GENERATORS["A1"]
+
+        def failing(n, rng, *args):
+            if rng.bit_generator.seed_seq.spawn_key == (bad,):
+                raise ArithmeticError(f"partition {bad}")
+            a1(n, rng, *args)
+
+        monkeypatch.setitem(sim._GENERATORS, "A1", failing)
+        started = self._count_thread_starts(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^partition {bad}$"):
+            run_experiment("A1", _cfg(n_pairs=4000, partitions=4), k, model)
+        assert threading.active_count() == before
+        assert len(started) == cpus - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_one_partition_starts_no_thread(self, k, model, monkeypatch):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+        started = self._count_thread_starts(monkeypatch)
+        run_experiment("B", _cfg(n_pairs=4000, partitions=1), k, model)
+        assert started == []
+
+    def test_helpers_bounded_by_cpu_count(self, k, model, monkeypatch):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+        started = self._count_thread_starts(monkeypatch)
+        before = threading.active_count()
+        run_experiment("C", _cfg(n_pairs=6400, partitions=64), k, model)
+        assert len(started) == 2
+        assert threading.active_count() == before
 
 
 class TestExperimentInvariants:
