@@ -121,11 +121,20 @@ def _sim_config(cfg: dict) -> SimConfig:
     return sim
 
 
-def _config_comment(cfg: dict) -> str:
+def _recorded(cfg: dict) -> dict:
     # the output location is plumbing, not configuration: identical runs into
     # different directories must produce byte-identical files
-    doc = {key: val for key, val in cfg.items() if key != "out"}
-    return "# config: " + json.dumps(doc, sort_keys=True)
+    return {key: val for key, val in cfg.items() if key != "out"}
+
+
+def _config_comment(cfg: dict) -> str:
+    return "# config: " + json.dumps(_recorded(cfg), sort_keys=True)
+
+
+def _at_entry(exc: ArithmeticError, cfg: dict, key: str, value: float):
+    """``exc`` restated with the grid entry it was raised at."""
+    where = f"config key {key!r}" if key in cfg else f"default {key!r}"
+    return type(exc)(f"{exc} at {where} entry {value!r}")
 
 
 def _write_csv(path: Path, comment: str, header: str, rows) -> None:
@@ -142,29 +151,37 @@ def cmd_analytic(args) -> int:
     k = _constants(cfg)
     tau_grid = _numbers(cfg, "tau_grid") or np.arange(0, 121) * 0.1
     dt_grid = _numbers(cfg, "delta_tau_grid") or np.arange(-100, 101) * 0.1
+
+    single = []
+    try:
+        for tau in tau_grid:
+            tau = float(tau)
+            p0, p0b = strangeness_probs(tau, k)
+            ps, pl = lifetime_probs(tau, k)
+            single.append((tau, p0, p0b, ps, pl, visibility_single(tau, k)))
+    except ArithmeticError as exc:
+        raise _at_entry(exc, cfg, "tau_grid", tau) from exc
+
+    joint = []
+    try:
+        for dt in dt_grid:
+            dt = float(dt)
+            joint.append((dt,
+                          closed_form_joint("ss_like", dt, k),
+                          closed_form_joint("ss_unlike", dt, k),
+                          closed_form_joint("s_ks", dt, k),
+                          closed_form_joint("s_kl", dt, k),
+                          pair_visibility(dt, k)))
+    except ArithmeticError as exc:
+        raise _at_entry(exc, cfg, "delta_tau_grid", dt) from exc
+
+    # nothing is written unless every row evaluated
     out = _out_dir(cfg)
     comment = _config_comment(cfg)
-
-    rows = []
-    for tau in tau_grid:
-        tau = float(tau)
-        p0, p0b = strangeness_probs(tau, k)
-        ps, pl = lifetime_probs(tau, k)
-        rows.append((tau, p0, p0b, ps, pl, visibility_single(tau, k)))
     _write_csv(out / "single_kaon.csv", comment,
-               "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", rows)
-
-    rows = []
-    for dt in dt_grid:
-        dt = float(dt)
-        rows.append((dt,
-                     closed_form_joint("ss_like", dt, k),
-                     closed_form_joint("ss_unlike", dt, k),
-                     closed_form_joint("s_ks", dt, k),
-                     closed_form_joint("s_kl", dt, k),
-                     pair_visibility(dt, k)))
+               "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", single)
     _write_csv(out / "joint.csv", comment,
-               "delta_tau,p_like,p_unlike,p_s_ks,p_s_kl,visibility", rows)
+               "delta_tau,p_like,p_unlike,p_s_ks,p_s_kl,visibility", joint)
     print(f"wrote {out / 'single_kaon.csv'} and {out / 'joint.csv'}")
     return 0
 
@@ -190,7 +207,7 @@ def cmd_simulate(args) -> int:
         "seed": sim.seed,
         "partitions": sim.partitions,
         "rng_scheme": RNG_SCHEME,
-        "config": cfg,
+        "config": _recorded(cfg),
         "counts": {
             "records": len(events),
             "classified": len(events) - events.n_discarded,

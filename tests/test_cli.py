@@ -1,5 +1,6 @@
 """Command line surface: outputs, reproducibility and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -163,20 +164,22 @@ class TestSimulate:
             "error: rejection envelope violated; amplitude math bug\n")
 
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
-    def test_regeneration_is_byte_identical(self, tmp_path, monkeypatch, kind):
-        # the summary records the --out value, so both runs use the same
-        # relative one from two different working directories
+    def test_regeneration_is_byte_identical(self, tmp_path, kind):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"partitions": 3}))
-        runs = [tmp_path / "a", tmp_path / "b"]
-        for cwd in runs:
-            cwd.mkdir()
-            monkeypatch.chdir(cwd)
+        runs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
+        for out in runs:
             assert run("simulate", "--kind", kind, "--pairs", "3000", "--seed",
-                       "11", "--config", str(cfg), "--out", "run") == 0
+                       "11", "--config", str(cfg), "--out", str(out)) == 0
         for name in (f"events_{kind}.csv", f"summary_{kind}.json"):
-            a, b = (cwd / "run" / name for cwd in runs)
+            a, b = (out / name for out in runs)
             assert a.read_bytes() == b.read_bytes(), name
+
+
+# sha256 of `kaoneraser verify` stdout with the default constants.  Worst
+# deviations print to 3 digits, so a change in any check's result shows; taken
+# with CPython 3.11 on x86-64 Linux (another libm may round differently).
+VERIFY_REPORT_SHA256 = "c65b3ac90a4ce6f5cd1964d307f985171cda71565449c8e0757256038cdc932a"
 
 
 class TestVerify:
@@ -185,6 +188,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+    def test_report_is_pinned(self, capsys):
+        assert run("verify") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256, out
 
     def test_inconsistent_branching_warns_but_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -274,3 +282,18 @@ class TestOutOfRange:
                               "the closed forms can evaluate")
         assert "'constants'" in err and "'tau_l_grid'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"tau_grid": [0.5, 1e5]}, "config key 'tau_grid' entry 100000.0"),
+        ({"delta_tau_grid": [-1, 2000]}, "config key 'delta_tau_grid' entry 2000.0"),
+        ({"constants": {"gamma_S": 1e5}}, "default 'tau_grid' entry 0.1")])
+    def test_grid_overflow_names_key_and_entry(self, tmp_path, capsys, doc, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("analytic", "--config", str(cfg), "--out",
+                   str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a configured value is outside the range "
+                              "the closed forms can evaluate")
+        assert f" at {where})" in err
+        assert not (tmp_path / "out").exists()

@@ -1,15 +1,18 @@
 """Entangled pair states: joint probabilities, EPR anticorrelation and the
 ordering-independence of delayed-choice measurements."""
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kaoneraser import (JointProjector, Outcome, SingularStateError,
-                        closed_form_joint, delayed_choice_norms, evolve_pair,
-                        initial_pair, joint_projective_prob, normalize_pair,
+                        beam_norm, closed_form_joint, delayed_choice_norms,
+                        evolution_factors, evolve_pair, initial_pair,
+                        joint_projective_prob, make_state, normalize_pair,
                         normalized_pair, pair_visibility, project_side,
                         survivor_unitary_side)
 
@@ -188,3 +191,153 @@ class TestDelayedChoice:
     def test_negative_times_rejected(self, k):
         with pytest.raises(ValueError):
             delayed_choice_norms(-1.0, 2.0, JointProjector(Outcome.K0, Outcome.K0), k)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time is rejected, never turned into NaN norms or a
+    bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_evolve_pair(self, k, bad, which):
+        times = [1.0, 1.0]
+        times[which] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evolve_pair(initial_pair(), *times, k)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_delayed_choice_norms(self, k, bad, which):
+        times = [1.0, 1.0]
+        times[which] = bad
+        p = JointProjector(Outcome.K0, Outcome.K0BAR)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            delayed_choice_norms(*times, p, k)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_survivor_unitary_side(self, k, bad):
+        state = project_side(normalized_pair(0.0, k), "right", Outcome.K0)
+        with pytest.raises(ValueError, match="must be finite"):
+            survivor_unitary_side(state, "left", bad, k)
+
+
+# Bit-level reference for the pair-state algebra: the same arithmetic step for
+# step, written with one NamedTuple per step, the side chosen by string and
+# each propagator evaluated where it is used (input checks left out).  The
+# package's tuple-level operations must agree with it to the last bit.
+
+class RefState(NamedTuple):
+    c_LS: complex
+    c_SL: complex
+    c_SS: complex = 0.0
+    c_LL: complex = 0.0
+    normalized: bool = False
+
+    def norm_sq(self) -> float:
+        return (abs(self.c_LS) ** 2 + abs(self.c_SL) ** 2
+                + abs(self.c_SS) ** 2 + abs(self.c_LL) ** 2)
+
+
+def ref_initial_pair():
+    return RefState(c_LS=1.0 / math.sqrt(2.0), c_SL=-1.0 / math.sqrt(2.0),
+                    normalized=True)
+
+
+def ref_evolve_pair(state, tau_l, tau_r, k):
+    s_l, l_l = evolution_factors(tau_l, k)
+    s_r, l_r = evolution_factors(tau_r, k)
+    c_LS, c_SL, c_SS, c_LL, _ = state
+    return RefState(l_l * s_r * c_LS, s_l * l_r * c_SL, s_l * s_r * c_SS,
+                    l_l * l_r * c_LL, False)
+
+
+def ref_normalize_pair(state):
+    n = math.sqrt(state.norm_sq())
+    return RefState(state.c_LS / n, state.c_SL / n, state.c_SS / n,
+                    state.c_LL / n, normalized=True)
+
+
+def ref_project_side(state, side, outcome):
+    b = make_state(outcome)
+    b_S, b_L = b.c_S, b.c_L
+    bra_S, bra_L = b_S.conjugate(), b_L.conjugate()
+    c_LS, c_SL, c_SS, c_LL, _ = state
+    if side == "left":
+        in_S = bra_S * c_SS + bra_L * c_LS
+        in_L = bra_S * c_SL + bra_L * c_LL
+        return RefState(b_L * in_S, b_S * in_L, b_S * in_S, b_L * in_L, False)
+    in_S = bra_S * c_SS + bra_L * c_SL
+    in_L = bra_S * c_LS + bra_L * c_LL
+    return RefState(b_S * in_L, b_L * in_S, b_S * in_S, b_L * in_L, False)
+
+
+def ref_survivor_unitary_side(state, side, dt, k):
+    f_S, f_L = evolution_factors(dt, k)
+    scale = 1.0 / math.sqrt(beam_norm(dt, k))
+    f_S, f_L = f_S * scale, f_L * scale
+    c_LS, c_SL, c_SS, c_LL, normalized = state
+    if side == "left":
+        return RefState(f_L * c_LS, f_S * c_SL, f_S * c_SS, f_L * c_LL,
+                        normalized)
+    return RefState(f_S * c_LS, f_L * c_SL, f_S * c_SS, f_L * c_LL,
+                    normalized)
+
+
+def ref_delayed_choice_norms(tau_l, tau_r0, p, k):
+    phi = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_l, tau_r0, k))
+    direct = ref_project_side(ref_project_side(phi, "right", p.right),
+                              "left", p.left).norm_sq()
+    phi0 = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_r0, tau_r0, k))
+    s = ref_project_side(phi0, "right", p.right)
+    s = ref_survivor_unitary_side(s, "left", tau_l - tau_r0, k)
+    normal = ref_project_side(s, "left", p.left).norm_sq()
+    phi0 = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_l, tau_l, k))
+    s = ref_project_side(phi0, "left", p.left)
+    s = ref_survivor_unitary_side(s, "right", tau_r0 - tau_l, k)
+    delayed = ref_project_side(s, "right", p.right).norm_sq()
+    return direct, normal, delayed
+
+
+PROJECTORS = [JointProjector(l, r) for l, r in itertools.product(Outcome, repeat=2)]
+
+
+def _bits(values):
+    """repr keeps every bit of a float or complex, the sign of zero included."""
+    return repr(tuple(values))
+
+
+class TestBitIdentityWithReference:
+    def test_delayed_choice_norms_on_random_triples(self, k):
+        rng = np.random.default_rng(1729)
+        n = 20_000
+        taus = rng.uniform(0.0, 30.0, size=(n, 2)).tolist()
+        for i, (tau_l, tau_r0) in enumerate(taus):
+            p = PROJECTORS[i % 16]
+            assert _bits(delayed_choice_norms(tau_l, tau_r0, p, k)) == _bits(
+                ref_delayed_choice_norms(tau_l, tau_r0, p, k)), (tau_l, tau_r0, p)
+
+    @pytest.mark.parametrize("p", PROJECTORS)
+    def test_delayed_choice_norms_at_zero_and_equal_times(self, k, p):
+        for tau_l, tau_r0 in [(0.0, 0.0), (0.0, 3.7), (5.2, 0.0), (2.5, 2.5),
+                              (17.0, 17.0), (30.0, 30.0)]:
+            assert _bits(delayed_choice_norms(tau_l, tau_r0, p, k)) == _bits(
+                ref_delayed_choice_norms(tau_l, tau_r0, p, k)), (tau_l, tau_r0)
+
+    def test_public_operations(self, k):
+        rng = np.random.default_rng(31)
+        for tau_l, tau_r, dt in rng.uniform(0.0, 12.0, size=(300, 3)).tolist():
+            dt -= 6.0
+            got = normalize_pair(evolve_pair(initial_pair(), tau_l, tau_r, k))
+            want = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(),
+                                                      tau_l, tau_r, k))
+            assert _bits(got) == _bits(want)
+            assert got.norm_sq() == want.norm_sq()
+            for side, outcome in itertools.product(("left", "right"), Outcome):
+                got_p = project_side(got, side, outcome)
+                want_p = ref_project_side(want, side, outcome)
+                assert _bits(got_p) == _bits(want_p)
+                assert _bits(survivor_unitary_side(got_p, side, dt, k)) == _bits(
+                    ref_survivor_unitary_side(want_p, side, dt, k))

@@ -7,13 +7,14 @@ that compares an oracle with itself) does not pass silently.  That the checks
 pass with the default constants is acceptance criteria 2, 4 and 7
 (tests/test_acceptance.py)."""
 
-import math
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
-from kaoneraser import (PhysicalConstants, TwoKaonState, beam_norm,
-                        joint_decay_rate, pairs)
+from kaoneraser import (PhysicalConstants, evolution_factors, joint_decay_rate,
+                        pairs)
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
 from kaoneraser.verify import (check_delayed_choice, check_normalizations,
                                check_oracle_grid, run_all)
@@ -22,16 +23,29 @@ RATE_CHECKS = ("single-rate-normalization", "joint-rate-normalization",
                "passive-pair-weights", "mixed-rate-normalization")
 
 
+def _mutated(func, old, new):
+    """``func`` recompiled from its source with the one occurrence of ``old``
+    replaced by ``new``, resolving names in its own module."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} not found once in {func.__name__}"
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[func.__name__]
+
+
 def test_delayed_choice_catches_missing_survivor_rescaling(k, monkeypatch):
-    rescaled = pairs.survivor_unitary_side
+    # both reorderings take their one-sided propagator from _survivor_factors
+    monkeypatch.setattr(pairs, "_survivor_factors", evolution_factors)
+    result = check_delayed_choice(k, n_triples=50)
+    assert not result.passed
+    assert result.worst > 1e-3
 
-    def unscaled(state, side, dt, k):
-        s = rescaled(state, side, dt, k)
-        r = math.sqrt(beam_norm(dt, k))
-        return TwoKaonState(s.c_LS * r, s.c_SL * r, s.c_SS * r, s.c_LL * r,
-                            s.normalized)
 
-    monkeypatch.setattr(pairs, "survivor_unitary_side", unscaled)
+def test_delayed_choice_catches_a_wrong_side_in_the_delayed_ordering(k, monkeypatch):
+    wrong_side = _mutated(pairs.delayed_choice_norms,
+                          "delayed = _norm_sq(_project_right(s, b_r))",
+                          "delayed = _norm_sq(_project_left(s, b_r))")
+    monkeypatch.setattr("kaoneraser.verify.delayed_choice_norms", wrong_side)
     result = check_delayed_choice(k, n_triples=50)
     assert not result.passed
     assert result.worst > 1e-3
