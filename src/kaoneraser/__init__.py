@@ -11,9 +11,8 @@ from .decay import (CHANNEL_OUTCOME, OUTCOME_CHANNEL, AmplitudeModel,
                     mixed_decay_rate, pair_beam_norm, passive_joint_prob)
 from .eventfile import read_events, write_events
 from .pairs import (JointProjector, TwoKaonState, closed_form_joint,
-                    delayed_choice_norms, evolve_pair, initial_pair,
-                    joint_projective_prob, normalize_pair, normalized_pair,
-                    pair_visibility, project_side, survivor_unitary_side)
+                    delayed_choice_norms, joint_projective_prob,
+                    normalized_pair, pair_visibility)
 from .sim import (RNG_SCHEME, Binning, Estimate, EventSet, ExperimentKind,
                   FitRow, SimConfig, estimate_probs, fit_visibility,
                   run_experiment)

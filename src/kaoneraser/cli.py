@@ -97,12 +97,11 @@ def _numbers(cfg: dict, key: str) -> list[float]:
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The output directory, made only once there is a file to write."""
     out = cfg.get("out", ".")
     if not isinstance(out, str):
         raise ValueError(f"config key 'out' must be a path string, got {out!r}")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _sim_config(cfg: dict) -> SimConfig:
@@ -138,6 +137,7 @@ def _at_entry(exc: ArithmeticError, cfg: dict, key: str, value: float):
 
 
 def _write_csv(path: Path, comment: str, header: str, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(comment + "\n")
         fh.write(header + "\n")
@@ -197,6 +197,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(cfg)
 
     events = run_experiment(kind, sim, k, model)
+    out.mkdir(parents=True, exist_ok=True)
     events_path = out / f"events_{kind}.csv"
     write_events(events, events_path)
 
@@ -298,6 +299,10 @@ def main(argv=None) -> int:
               f"forms can evaluate ({exc}); check 'constants' and the grid "
               "keys 'tau_grid', 'delta_tau_grid', 'tau_l_grid' and 'tau_r0'",
               file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory for this run ({exc}); lower 'n_pairs' "
+              "(--pairs)", file=sys.stderr)
         return 1
 
 

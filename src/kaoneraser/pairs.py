@@ -1,18 +1,14 @@
-"""Entangled two-kaon states: construction, evolution, joint probabilities and
-the ordering-independence of delayed-choice measurements.
+"""Entangled two-kaon states: joint probabilities and the ordering-independence
+of delayed-choice measurements.
 
-Amplitudes live on the product lifetime basis |K_i>_l |K_j>_r.  The physical
-pair created in a phi decay or p-pbar annihilation is antisymmetric, so under
-free evolution only the LS and SL components are ever populated; the SS and LL
-slots exist so that one-sided collapsed states fit in the same type.
-
-A state is an immutable ``NamedTuple``.  Each operation is one private
-function of the amplitudes (a plain 4-tuple, or a state: both index alike) and
-of propagators and eigenstates evaluated once by the caller; the public
-operations wrap these, and ``delayed_choice_norms`` calls them directly.  Sums
-keep the term order of a loop over the labels (S before L; LS, SL, SS, LL for
-a full contraction), so every probability and norm is the same to the last
-bit; ``tests/test_oracle_digest.py`` pins them.
+Amplitudes live on the product lifetime basis |K_i>_l |K_j>_r.  The pair
+created in a phi decay or p-pbar annihilation is antisymmetric, so free
+evolution populates only LS and SL, the two amplitudes of ``TwoKaonState``.
+A one-sided projection populates all four labels, so ``delayed_choice_norms``
+runs its orderings on private functions of plain (LS, SL, SS, LL) tuples and
+of propagators and eigenstates evaluated once per call.  Sums keep the term
+order of a loop over the labels (S before L), so every probability and norm
+is the same to the last bit; ``tests/test_oracle_digest.py`` pins them.
 """
 
 from __future__ import annotations
@@ -31,12 +27,7 @@ _SQRT2 = math.sqrt(2.0)
 class TwoKaonState(NamedTuple):
     c_LS: complex
     c_SL: complex
-    c_SS: complex = 0.0
-    c_LL: complex = 0.0
     normalized: bool = False
-
-    def norm_sq(self) -> float:
-        return _norm_sq(self)
 
 
 @dataclass(frozen=True)
@@ -58,11 +49,6 @@ def _check_times(tau_l: float, tau_r: float) -> None:
                          f"got {tau_l!r} and {tau_r!r}")
 
 
-def initial_pair() -> TwoKaonState:
-    """The antisymmetric maximally entangled pair at production time."""
-    return TwoKaonState(*_INITIAL, True)
-
-
 def _evolve(c, f_l, f_r) -> tuple:
     """Both sides propagated by their ``evolution_factors`` (f_S, f_L)."""
     s_l, l_l = f_l
@@ -71,24 +57,12 @@ def _evolve(c, f_l, f_r) -> tuple:
             l_l * l_r * c[3])
 
 
-def evolve_pair(state: TwoKaonState, tau_l: float, tau_r: float,
-                k: PhysicalConstants) -> TwoKaonState:
-    """Two-time non-unitary evolution; output is not survivor-normalized."""
-    _check_times(tau_l, tau_r)
-    return TwoKaonState(*_evolve(state, evolution_factors(tau_l, k),
-                                 evolution_factors(tau_r, k)), False)
-
-
 def _normalize(c) -> tuple:
     n2 = _norm_sq(c)
     if n2 <= 0.0:
         raise SingularStateError("cannot normalize a zero-norm pair state")
     n = math.sqrt(n2)
     return c[0] / n, c[1] / n, c[2] / n, c[3] / n
-
-
-def normalize_pair(state: TwoKaonState) -> TwoKaonState:
-    return TwoKaonState(*_normalize(state), True)
 
 
 def normalized_pair(delta_tau: float, k: PhysicalConstants) -> TwoKaonState:
@@ -122,8 +96,8 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
         raise ValueError("joint_projective_prob needs a normalized state")
     _, _, ls, ll = _ket(p.left)
     _, _, rs, rl = _ket(p.right)
-    c_LS, c_SL, c_SS, c_LL, _ = state
-    amp = ll * rs * c_LS + ls * rl * c_SL + ls * rs * c_SS + ll * rl * c_LL
+    c_LS, c_SL, _ = state
+    amp = ll * rs * c_LS + ls * rl * c_SL
     return abs(amp) ** 2
 
 
@@ -183,35 +157,6 @@ def _propagate_left(c, f) -> tuple:
 def _propagate_right(c, f) -> tuple:
     f_S, f_L = f
     return f_S * c[0], f_L * c[1], f_S * c[2], f_L * c[3]
-
-
-def _sided(side: str, left, right):
-    if side == "left":
-        return left
-    if side == "right":
-        return right
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def project_side(state: TwoKaonState, side: str, outcome: Outcome) -> TwoKaonState:
-    """Apply the one-sided projector |outcome><outcome| without renormalizing."""
-    project = _sided(side, _project_left, _project_right)
-    return TwoKaonState(*project(state, _ket(outcome)), False)
-
-
-def survivor_unitary_side(state: TwoKaonState, side: str, dt: float,
-                          k: PhysicalConstants) -> TwoKaonState:
-    """One-sided evolution renormalized to single-beam survivors.
-
-    dt may be negative (backward reordering) but must be finite.  On states
-    whose affected side carries even K_S/K_L weight -- such as the partner
-    left over after projecting one side of an equal-time pair -- this
-    preserves the norm, which is what makes measurement reordering possible."""
-    propagate = _sided(side, _propagate_left, _propagate_right)
-    if not math.isfinite(dt):
-        raise ValueError(f"evolution time difference must be finite, got {dt!r}")
-    return TwoKaonState(*propagate(state, _survivor_factors(dt, k)),
-                        state.normalized)
 
 
 def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .core import Outcome, PhysicalConstants, beam_norm, finite_number
 from .decay import (AmplitudeModel, DecayChannel, channel_code, decay_width,
                     outcome_channel, pair_rate_terms)
+from .pairs import pair_visibility
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,14 @@ def visibility_single(tau: float, k: PhysicalConstants) -> float:
     """Visibility of the strangeness oscillations, 1/cosh(DeltaGamma tau / 2)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return 1.0 / math.cosh(0.5 * k.delta_gamma * tau)
+    return pair_visibility(tau, k)
 
 
 def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
     """(P[K0], P[K0bar]) at proper time tau for an initial K0, survivors only."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    osc = visibility_single(tau, k) * math.cos(k.delta_m * tau)
+    osc = pair_visibility(tau, k) * math.cos(k.delta_m * tau)
     p_k0 = 0.5 * (1.0 + osc)
     return p_k0, 1.0 - p_k0
 

@@ -163,6 +163,20 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: rejection envelope violated; amplitude math bug\n")
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                              "shape (1000000000000,) and data type float64")
+        monkeypatch.setattr("kaoneraser.cli.run_experiment", too_big)
+        out = tmp_path / "out"
+        assert run("simulate", "--kind", "A1", "--pairs", "1000000000000",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory for this run (Unable "
+                              "to allocate 7.28 TiB")
+        assert "'n_pairs'" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
     def test_regeneration_is_byte_identical(self, tmp_path, kind):
         cfg = tmp_path / "cfg.json"
@@ -262,7 +276,7 @@ class TestFit:
 
 class TestOutOfRange:
     """Finite inputs that overflow a closed form end in an error line, not a
-    traceback."""
+    traceback, and leave no output directory behind."""
 
     @pytest.mark.parametrize("doc,argv", [
         ({"constants": {"gamma_S": 1e5}}, ("simulate", "--kind", "A1")),
@@ -282,6 +296,7 @@ class TestOutOfRange:
                               "the closed forms can evaluate")
         assert "'constants'" in err and "'tau_l_grid'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc,where", [
         ({"tau_grid": [0.5, 1e5]}, "config key 'tau_grid' entry 100000.0"),

@@ -5,13 +5,15 @@ import shows up here as a failed assertion naming it.  A module may not import
 a ``_private`` name from another package module, nor reach one as an attribute
 of a package name (``sim._CHAN_OUT``).  Every name a module imports from
 another package module must be defined there, which covers what ``__init__``
-re-exports.
+re-exports.  And every function, class and method must have a caller in the
+package or the benchmark, so API that only tests use does not grow back.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kaoneraser"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _trees():
@@ -95,3 +97,47 @@ def test_imported_names_exist():
                if (name not in defined.get(source, ()) if source
                    else name and not (PACKAGE / f"{name}.py").is_file())]
     assert not missing, f"modules import names the package lacks: {missing}"
+
+
+def _referenced(tree):
+    """Names a module uses: every ``Name``, ``Attribute`` and import alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(qualified name, name) of each module-level function and class and of
+    each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not _dunder(m.name))
+
+
+def test_every_definition_has_a_caller():
+    """Code no program calls is deleted, not kept for the tests: each function,
+    class and method is used by a package module other than ``__init__`` (its
+    own included) or by the benchmark in perfbench/."""
+    trees = _trees()
+    used = set()
+    for mod, tree in trees.items():
+        if mod != "__init__":
+            used |= _referenced(tree)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _referenced(ast.parse(path.read_text(), filename=str(path)))
+    unused = [f"{mod}.{qualname}" for mod, tree in trees.items()
+              for qualname, name in _definitions(tree) if name not in used]
+    assert not unused, f"definitions nothing calls: {unused}"

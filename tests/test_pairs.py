@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaoneraser import (JointProjector, Outcome, SingularStateError,
-                        beam_norm, closed_form_joint, delayed_choice_norms,
-                        evolution_factors, evolve_pair, initial_pair,
-                        joint_projective_prob, make_state, normalize_pair,
-                        normalized_pair, pair_visibility, project_side,
-                        survivor_unitary_side)
+from kaoneraser import (JointProjector, Observable, Outcome, SingularStateError,
+                        TwoKaonState, beam_norm, closed_form_joint,
+                        delayed_choice_norms, evolution_factors,
+                        joint_projective_prob, make_state, normalized_pair,
+                        pair_visibility, pairs)
 
 dts = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+PROJECTORS = [JointProjector(l, r) for l, r in itertools.product(Outcome, repeat=2)]
+BASES = {obs: [o for o in Outcome if o.observable is obs] for obs in Observable}
+# (tau_l, tau_r0): equal times, the meter first, and the meter long after
+ORDERING_TIMES = [(0.0, 0.0), (2.0, 0.0), (6.0, 3.0), (0.5, 7.5)]
 
 # frozen joint probabilities at 30-digit precision: dt -> (like, unlike, s_ks)
 JOINT_ORACLE = {
@@ -30,6 +34,12 @@ JOINT_ORACLE = {
 
 def _prob(state, out_l, out_r):
     return joint_projective_prob(state, JointProjector(out_l, out_r))
+
+
+def _amplitudes(state):
+    """A ``TwoKaonState`` as the (LS, SL, SS, LL) tuple the private
+    operations of ``pairs`` take."""
+    return state.c_LS, state.c_SL, 0.0, 0.0
 
 
 class TestClosedForms:
@@ -66,10 +76,11 @@ class TestEPRAnticorrelation:
             assert _prob(state, out, out) <= 1e-12
         assert _prob(state, Outcome.K0, Outcome.K0BAR) == pytest.approx(0.5, abs=1e-12)
 
-    def test_initial_pair_is_antisymmetric(self):
-        phi = initial_pair()
+    def test_initial_pair_is_antisymmetric(self, k):
+        """At equal times the normalized pair is the production state."""
+        phi = normalized_pair(0.0, k)
         assert phi.c_LS == pytest.approx(-phi.c_SL)
-        assert phi.norm_sq() == pytest.approx(1.0)
+        assert abs(phi.c_LS) ** 2 + abs(phi.c_SL) ** 2 == pytest.approx(1.0)
 
 
 class TestOracleEquivalence:
@@ -92,16 +103,17 @@ class TestOracleEquivalence:
             assert _prob(state, out_l, out_r) == pytest.approx(
                 want, rel=1e-10, abs=1e-12)
 
-    @given(tl=times, tr=times)
-    def test_evolved_pair_matches_normalized_form(self, k, tl, tr):
-        """Evolving and survivor-normalizing the production state reproduces
-        the single-parameter normalized state in all observables."""
-        evolved = normalize_pair(evolve_pair(initial_pair(), tl, tr, k))
-        direct = normalized_pair(tl - tr, k)
-        for out_l in (Outcome.K0, Outcome.KS):
-            for out_r in (Outcome.K0BAR, Outcome.KL):
-                assert _prob(evolved, out_l, out_r) == pytest.approx(
-                    _prob(direct, out_l, out_r), rel=1e-9, abs=1e-12)
+    @given(tl=times, tr0=times)
+    @settings(max_examples=60)
+    def test_evolved_pair_matches_normalized_form(self, k, tl, tr0):
+        """Evolving the production state to (tau_l, tau_r0) and projecting
+        both sides, in each of the three orderings, reproduces the
+        single-parameter normalized pair in all 16 observables."""
+        state = normalized_pair(tl - tr0, k)
+        for p in PROJECTORS:
+            want = joint_projective_prob(state, p)
+            for got in delayed_choice_norms(tl, tr0, p, k):
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
     @given(dt=dts)
     def test_visibility_bounds(self, k, dt):
@@ -113,27 +125,10 @@ class TestOracleEquivalence:
 
 
 class TestStateOperations:
-    def test_evolve_rejects_negative_times(self, k):
-        with pytest.raises(ValueError):
-            evolve_pair(initial_pair(), -1.0, 0.0, k)
-
-    def test_normalize_zero_state(self):
-        from kaoneraser import TwoKaonState
-        with pytest.raises(SingularStateError):
-            normalize_pair(TwoKaonState(0.0, 0.0))
-
-    def test_projection_needs_normalized_state(self, k):
-        raw = evolve_pair(initial_pair(), 1.0, 1.0, k)
-        with pytest.raises(ValueError):
+    def test_projection_needs_normalized_state(self):
+        raw = TwoKaonState(0.5, -0.5)
+        with pytest.raises(ValueError, match="needs a normalized state"):
             joint_projective_prob(raw, JointProjector(Outcome.K0, Outcome.K0))
-
-    def test_project_side_idempotent(self, k):
-        state = normalized_pair(1.3, k)
-        once = project_side(state, "left", Outcome.K0)
-        twice = project_side(once, "left", Outcome.K0)
-        for name in ("c_LS", "c_SL", "c_SS", "c_LL"):
-            a, b = getattr(once, name), getattr(twice, name)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 
     def test_states_are_immutable(self, k):
         state = normalized_pair(0.7, k)
@@ -142,23 +137,27 @@ class TestStateOperations:
         with pytest.raises(AttributeError):
             state.normalized = False
 
-    def test_project_side_bad_side(self, k):
-        with pytest.raises(ValueError):
-            project_side(normalized_pair(0.0, k), "middle", Outcome.K0)
+    # the private amplitude-tuple operations ``delayed_choice_norms`` runs on
 
-    @pytest.mark.parametrize("side", ["Left", "RIGHT", "middle", "", None])
-    def test_survivor_unitary_bad_side(self, k, side):
-        """A misspelt side raises instead of evolving the right-hand kaon."""
-        state = project_side(normalized_pair(0.0, k), "right", Outcome.K0)
-        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            survivor_unitary_side(state, side, 1.0, k)
+    def test_normalize_zero_state(self):
+        with pytest.raises(SingularStateError):
+            pairs._normalize((0.0, 0.0, 0.0, 0.0))
+
+    def test_project_side_idempotent(self, k):
+        c = _amplitudes(normalized_pair(1.3, k))
+        b = pairs._ket(Outcome.K0)
+        for project in (pairs._project_left, pairs._project_right):
+            once = project(c, b)
+            twice = project(once, b)
+            for a, t in zip(once, twice):
+                assert t == pytest.approx(a, rel=1e-12, abs=1e-15)
 
     def test_one_sided_projections_sum_to_one(self, k):
-        state = normalized_pair(2.0, k)
-        for side in ("left", "right"):
+        c = _amplitudes(normalized_pair(2.0, k))
+        for project in (pairs._project_left, pairs._project_right):
             for a, b in ((Outcome.K0, Outcome.K0BAR), (Outcome.KS, Outcome.KL)):
-                total = (project_side(state, side, a).norm_sq()
-                         + project_side(state, side, b).norm_sq())
+                total = (pairs._norm_sq(project(c, pairs._ket(a)))
+                         + pairs._norm_sq(project(c, pairs._ket(b))))
                 assert total == pytest.approx(1.0, rel=1e-12)
 
     @given(dt=st.floats(min_value=-6.0, max_value=6.0))
@@ -166,9 +165,15 @@ class TestStateOperations:
         """Norm preservation holds on states whose affected side carries even
         K_S/K_L weight, e.g. after projecting the partner of an equal-time
         pair -- the situation where the reordering trick is used."""
-        state = project_side(normalized_pair(0.0, k), "right", Outcome.K0)
-        moved = survivor_unitary_side(state, "left", dt, k)
-        assert moved.norm_sq() == pytest.approx(state.norm_sq(), rel=1e-9)
+        f = pairs._survivor_factors(dt, k)
+        c = _amplitudes(normalized_pair(0.0, k))
+        b = pairs._ket(Outcome.K0)
+        for project, propagate in ((pairs._project_right, pairs._propagate_left),
+                                   (pairs._project_left, pairs._propagate_right)):
+            state = project(c, b)
+            moved = propagate(state, f)
+            assert pairs._norm_sq(moved) == pytest.approx(
+                pairs._norm_sq(state), rel=1e-9)
 
 
 class TestDelayedChoice:
@@ -192,6 +197,29 @@ class TestDelayedChoice:
         with pytest.raises(ValueError):
             delayed_choice_norms(-1.0, 2.0, JointProjector(Outcome.K0, Outcome.K0), k)
 
+    def test_basis_products_sum_to_one(self, k):
+        """For each ordering, the four outcome pairs of a product of bases
+        exhaust the survivors: the one-sided projections and the survivor
+        rescaling between them preserve the norm."""
+        for (tl, tr0), (basis_l, basis_r) in itertools.product(
+                ORDERING_TIMES, itertools.product(BASES.values(), repeat=2)):
+            norms = [delayed_choice_norms(tl, tr0, JointProjector(l, r), k)
+                     for l, r in itertools.product(basis_l, basis_r)]
+            for total in map(sum, zip(*norms)):
+                assert total == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    def test_strangeness_marginals_are_half(self, k):
+        """Whatever basis the partner is measured in, and in whichever order,
+        each side alone finds K0 and K0bar equally often."""
+        for (tl, tr0), s_out, basis in itertools.product(
+                ORDERING_TIMES, BASES[Observable.STRANGENESS], BASES.values()):
+            left = [delayed_choice_norms(tl, tr0, JointProjector(s_out, o), k)
+                    for o in basis]
+            right = [delayed_choice_norms(tl, tr0, JointProjector(o, s_out), k)
+                     for o in basis]
+            for marginal in (*map(sum, zip(*left)), *map(sum, zip(*right))):
+                assert marginal == pytest.approx(0.5, rel=0.0, abs=1e-12)
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -202,14 +230,6 @@ class TestNonFiniteTimes:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("which", [0, 1])
-    def test_evolve_pair(self, k, bad, which):
-        times = [1.0, 1.0]
-        times[which] = bad
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            evolve_pair(initial_pair(), *times, k)
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("which", [0, 1])
     def test_delayed_choice_norms(self, k, bad, which):
         times = [1.0, 1.0]
         times[which] = bad
@@ -217,17 +237,11 @@ class TestNonFiniteTimes:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             delayed_choice_norms(*times, p, k)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_survivor_unitary_side(self, k, bad):
-        state = project_side(normalized_pair(0.0, k), "right", Outcome.K0)
-        with pytest.raises(ValueError, match="must be finite"):
-            survivor_unitary_side(state, "left", bad, k)
-
 
 # Bit-level reference for the pair-state algebra: the same arithmetic step for
 # step, written with one NamedTuple per step, the side chosen by string and
-# each propagator evaluated where it is used (input checks left out).  The
-# package's tuple-level operations must agree with it to the last bit.
+# each propagator evaluated where it is used (input checks left out).
+# ``delayed_choice_norms`` must agree with it to the last bit.
 
 class RefState(NamedTuple):
     c_LS: complex
@@ -301,9 +315,6 @@ def ref_delayed_choice_norms(tau_l, tau_r0, p, k):
     return direct, normal, delayed
 
 
-PROJECTORS = [JointProjector(l, r) for l, r in itertools.product(Outcome, repeat=2)]
-
-
 def _bits(values):
     """repr keeps every bit of a float or complex, the sign of zero included."""
     return repr(tuple(values))
@@ -326,18 +337,3 @@ class TestBitIdentityWithReference:
             assert _bits(delayed_choice_norms(tau_l, tau_r0, p, k)) == _bits(
                 ref_delayed_choice_norms(tau_l, tau_r0, p, k)), (tau_l, tau_r0)
 
-    def test_public_operations(self, k):
-        rng = np.random.default_rng(31)
-        for tau_l, tau_r, dt in rng.uniform(0.0, 12.0, size=(300, 3)).tolist():
-            dt -= 6.0
-            got = normalize_pair(evolve_pair(initial_pair(), tau_l, tau_r, k))
-            want = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(),
-                                                      tau_l, tau_r, k))
-            assert _bits(got) == _bits(want)
-            assert got.norm_sq() == want.norm_sq()
-            for side, outcome in itertools.product(("left", "right"), Outcome):
-                got_p = project_side(got, side, outcome)
-                want_p = ref_project_side(want, side, outcome)
-                assert _bits(got_p) == _bits(want_p)
-                assert _bits(survivor_unitary_side(got_p, side, dt, k)) == _bits(
-                    ref_survivor_unitary_side(want_p, side, dt, k))

@@ -16,15 +16,14 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         EventSet, ExperimentKind, MisidWindow, Observable,
                         Outcome, SimConfig, closed_form_joint, estimate_probs,
                         evolution_factors, fit_visibility,
-                        mixed_active_passive_prob, normalize_pair,
-                        pair_visibility, project_side, read_events,
-                        run_experiment, write_events)
-from kaoneraser import sim
+                        mixed_active_passive_prob, normalized_pair,
+                        pair_visibility, read_events, run_experiment,
+                        write_events)
+from kaoneraser import pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
 from kaoneraser.sim import (OUTCOME_BY_CODE, _channel_tables, _count_below,
                             _sample_left_after_right_decay, classify_lifetime,
                             left_after_right_decay)
-from kaoneraser.pairs import normalized_pair
 
 
 def _cfg(**kw):
@@ -327,23 +326,61 @@ class TestAgainstClosedForms:
         assert abs(ev.r_time[sel].mean() - 1.0 / k.gamma_L) < 4.0 * 579 / math.sqrt(n)
 
 
-def active_measure_and_collapse(state, side, observable, tau, k, rng):
-    """Sample one side's marginal outcome and collapse the pair state.
+def active_measure_and_collapse(c, side, observable, rng):
+    """Sample one side's marginal outcome and collapse the pair amplitudes.
 
-    The state must already be survivor-normalized at the measurement times;
-    the returned state is normalized and ready for the partner's measurement.
+    ``c`` is a normalized (LS, SL, SS, LL) tuple at the measurement times;
+    the returned tuple is normalized and ready for the partner's measurement.
     """
-    if not state.normalized:
-        raise ValueError("state must be normalized at the measurement time")
+    project = pairs._project_left if side == "left" else pairs._project_right
     if observable is Observable.STRANGENESS:
         outcomes = (Outcome.K0, Outcome.K0BAR)
     else:
         outcomes = (Outcome.KS, Outcome.KL)
-    projected = [project_side(state, side, o) for o in outcomes]
-    probs = [s.norm_sq() for s in projected]
-    total = probs[0] + probs[1]
-    pick = 0 if rng.random() * total < probs[0] else 1
-    return outcomes[pick], normalize_pair(projected[pick])
+    projected = [project(c, pairs._ket(o)) for o in outcomes]
+    probs = [pairs._norm_sq(s) for s in projected]
+    pick = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
+    return outcomes[pick], pairs._normalize(projected[pick])
+
+
+def _amplitudes(dt, k):
+    state = normalized_pair(dt, k)
+    return state.c_LS, state.c_SL, 0.0, 0.0
+
+
+class TestActiveCollapse:
+    def test_marginals_match_closed_forms(self, k):
+        rng = np.random.default_rng(7)
+        c = _amplitudes(1.5, k)
+        n = 20000
+        hits = 0
+        for _ in range(n):
+            out, post = active_measure_and_collapse(
+                c, "left", Observable.STRANGENESS, rng)
+            hits += out is Outcome.K0
+            assert pairs._norm_sq(post) == pytest.approx(1.0, rel=1e-12)
+        # P(K0 left) = ss_like + ss_unlike = 1/2
+        want = closed_form_joint("ss_like", 1.5, k) + closed_form_joint(
+            "ss_unlike", 1.5, k)
+        assert want == pytest.approx(0.5, rel=1e-12)
+        assert abs(hits / n - want) < _binomial_band(want, n)
+
+    def test_sequential_collapse_reproduces_joint(self, k):
+        """Measure left then right on the collapsed state; the joint frequency
+        matches the two-sided closed form."""
+        rng = np.random.default_rng(11)
+        dt = 1.0
+        c = _amplitudes(dt, k)
+        n = 20000
+        joint = 0
+        for _ in range(n):
+            out_l, post = active_measure_and_collapse(
+                c, "left", Observable.STRANGENESS, rng)
+            out_r, _ = active_measure_and_collapse(
+                post, "right", Observable.STRANGENESS, rng)
+            joint += (out_l is Outcome.K0) and (out_r is Outcome.K0BAR)
+        want = closed_form_joint("ss_unlike", dt, k)
+        assert abs(joint / n - want) < _binomial_band(want, n)
 
 
 class TestLeftAfterRightDecay:
@@ -467,39 +504,6 @@ class TestCountBelow:
             got = _count_below(cdf, u)
             assert got.dtype == np.int8
             np.testing.assert_array_equal(got, np.searchsorted(cdf, u))
-
-
-class TestActiveCollapse:
-    def test_marginals_match_closed_forms(self, k):
-        rng = np.random.default_rng(7)
-        state = normalized_pair(1.5, k)
-        n = 20000
-        hits = 0
-        for _ in range(n):
-            out, post = active_measure_and_collapse(
-                state, "left", Outcome.K0.observable, 1.5, k, rng)
-            hits += out is Outcome.K0
-            assert post.normalized
-        want = 2.0 * (closed_form_joint("ss_like", 1.5, k)
-                      + 0.0) + 0.0  # P(K0 left) = 1/2 by symmetry
-        assert abs(hits / n - 0.5) < _binomial_band(0.5, n)
-
-    def test_sequential_collapse_reproduces_joint(self, k):
-        """Measure left then right on the collapsed state; the joint frequency
-        matches the two-sided closed form."""
-        rng = np.random.default_rng(11)
-        dt = 1.0
-        state = normalized_pair(dt, k)
-        n = 20000
-        joint = 0
-        for _ in range(n):
-            out_l, post = active_measure_and_collapse(
-                state, "left", Outcome.K0.observable, 0.0, k, rng)
-            out_r, _ = active_measure_and_collapse(
-                post, "right", Outcome.K0.observable, 0.0, k, rng)
-            joint += (out_l is Outcome.K0) and (out_r is Outcome.K0BAR)
-        want = closed_form_joint("ss_unlike", dt, k)
-        assert abs(joint / n - want) < _binomial_band(want, n)
 
 
 def _naive_estimates(events, binning=Binning()):
