@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalConstants, finite_number
+from .core import Observable, PhysicalConstants, Procedure, finite_number
 from .decay import build_amplitude_model
 from .eventfile import write_events, read_events
 from .pairs import closed_form_joint, pair_visibility
-from .sim import (RNG_SCHEME, Binning, ExperimentKind, SimConfig,
+from .sim import (RECORDS, RNG_SCHEME, Binning, ExperimentKind, SimConfig,
                   estimate_probs, fit_visibility, run_experiment)
 from .single import (MisidWindow, lifetime_probs, strangeness_probs,
                      visibility_single)
@@ -221,8 +221,10 @@ def cmd_simulate(args) -> int:
         ],
     }
     if kind == "B":
-        # pre-detector decays are the ones recorded as lifetime measurements
-        summary["pre_detector_fraction"] = float(np.mean(events.r_obs == 1))
+        # pre-detector decays are recorded as active lifetime measurements
+        pre = [rec for rec, (proc, out, _) in enumerate(RECORDS) if proc is
+               Procedure.ACTIVE and out.observable is Observable.LIFETIME]
+        summary["pre_detector_fraction"] = float(np.mean(np.isin(events.r_rec, pre)))
     summary_path = out / f"summary_{kind}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {events_path} and {summary_path}")

@@ -6,22 +6,23 @@ empty fields.  Times use Python's shortest round-trip float representation, so
 a file parses back to exactly the values that were written.
 
 Both directions work on whole columns, one block of rows at a time, so the
-memory they need beyond the event columns is one block.  The writer encodes
-each side's (procedure, observable, outcome, channel) codes as one integer,
-looks up the text before and after the time in a precomputed table, formats
-only the live times and writes each block with a single join.  The reader
-streams the file in blocks of about a megabyte of text, splits each block
-once, maps each side's four labels through one dict to one of the nine
-record kinds below and parses only the live times.
+memory they need beyond the event columns is one block.  A side holds one of
+the nine records of ``sim.RECORDS``, and its record code is the column both
+directions use.  The writer indexes a table of the text before and after the
+time with each side's record code, formats only the live times and writes
+each block with a single join; a record code outside 0..8 raises a
+ValueError naming the side and the row before the file is opened.  The
+reader streams the file in blocks of about a megabyte of text, splits each
+block once, maps each side's four labels through one dict to its record
+code, which is the column, and parses only the live times.
 
-The writer formats any combination of in-range codes the columns hold;
-``read_events`` is the gate.  It accepts exactly what the generators write, and rejects with a
-ValueError naming the file and the line:
+``read_events`` is the gate.  It accepts exactly what the writer writes, and
+rejects with a ValueError naming the file and the line:
 
 - a line without exactly 11 fields;
 - a pair_id that is not the row index, which catches duplicated and dropped
   rows;
-- a side whose labels are not one of the nine record kinds:
+- a side whose labels are not one of the nine records:
   ``discarded``; active strangeness with outcome K0 or K0bar and no channel;
   active lifetime with outcome KS or KL and no channel; passive with a
   channel, the outcome that channel identifies (``decay.CHANNEL_OUTCOME``)
@@ -38,10 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Procedure
-from .decay import CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME
-from .sim import (OBSERVABLE_BY_CODE, OUTCOME_BY_CODE, OUTCOME_CODES,
-                  PROCEDURE_BY_CODE, EventSet, SimConfig)
+from .sim import RECORDS, EventSet, SimConfig
 
 HEADER = ("pair_id,left_procedure,left_observable,left_outcome,left_time,"
           "left_channel,right_procedure,right_observable,right_outcome,"
@@ -52,30 +50,24 @@ _WRITE_ROWS = 8192       # rows formatted and written at a time
 _READ_CHARS = 1 << 20    # text read at a time (readlines size hint)
 
 
-def _labels(proc, obs, out, chan) -> tuple:
-    """Procedure, observable, outcome and channel fields of a side's codes."""
-    if out < 0:
+def _labels(procedure, outcome, channel) -> tuple:
+    """Procedure, observable, outcome and channel fields of a record."""
+    if procedure is None:
         return ("discarded", "", "", "")
-    return (PROCEDURE_BY_CODE[proc].value, OBSERVABLE_BY_CODE[obs].value,
-            OUTCOME_BY_CODE[out].value,
-            "" if chan < 0 else CHANNEL_BY_CODE[chan].value)
+    return (procedure.value, outcome.observable.value, outcome.value,
+            "" if channel is None else channel.value)
 
 
-# writer: a side's (proc, obs, out + 1, chan + 1) codes index this shape
-_CODE_SHAPE = (len(PROCEDURE_BY_CODE), len(OBSERVABLE_BY_CODE),
-               len(OUTCOME_BY_CODE) + 1, len(CHANNEL_BY_CODE) + 1)
+# the fields of each record, by record code
+_LABELS = [_labels(*record) for record in RECORDS]
 
 
 def _side_texts(start: str, end: str):
-    """Text before and after the time of a side, by writer code, with the
+    """Text before and after the time of a side, by record code, with the
     separators `start` and `end` around the side; a discarded side reads
     'discarded,,,' + '' + ','."""
-    before, after = [], []
-    for p, o, u, c in np.ndindex(*_CODE_SHAPE):
-        proc, obs, out, chan = _labels(p, o, u - 1, c - 1)
-        before.append(f"{start}{proc},{obs},{out},")
-        after.append(f",{chan}{end}")
-    return np.array(before, dtype=object), np.array(after, dtype=object)
+    return (np.array([f"{start}{p},{o},{u}," for p, o, u, _ in _LABELS], dtype=object),
+            np.array([f",{c}{end}" for *_, c in _LABELS], dtype=object))
 
 
 _LEFT_TEXT = _side_texts(",", ",")
@@ -84,11 +76,10 @@ _RIGHT_TEXT = _side_texts("", "\n")
 
 def _side_pieces(events: EventSet, prefix: str, lo: int, hi: int, tables):
     """Per-row text before the time, the time and the text after it, for one
-    side of rows lo..hi; `tables` holds the (before, after) texts by code."""
-    proc, obs, out, chan = (getattr(events, prefix + c)[lo:hi]
-                            for c in ("proc", "obs", "out", "chan"))
-    code = np.ravel_multi_index((proc, obs, out + 1, chan + 1), _CODE_SHAPE)
-    live = out >= 0
+    side of rows lo..hi; `tables` holds the (before, after) texts by record
+    code."""
+    rec = getattr(events, prefix + "rec")[lo:hi]
+    live = rec > 0
     times = getattr(events, prefix + "time")[lo:hi]
     if live.all():
         timetext = list(map(repr, times.tolist()))
@@ -97,11 +88,18 @@ def _side_pieces(events: EventSet, prefix: str, lo: int, hi: int, tables):
         timetext[live] = list(map(repr, times[live].tolist()))
         timetext = timetext.tolist()
     before, after = tables
-    return before[code].tolist(), timetext, after[code].tolist()
+    return before[rec].tolist(), timetext, after[rec].tolist()
 
 
 def write_events(events: EventSet, path: str | Path) -> None:
-    """Write the event set as CSV, one block of rows at a time."""
+    """Write the event set as CSV, one block of rows at a time.  A record
+    code outside the table raises a ValueError before the file is opened."""
+    for side, rec in (("left", events.l_rec), ("right", events.r_rec)):
+        bad = (rec < 0) | (rec >= len(RECORDS))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"{side} record code {rec[row]} at row {row} is "
+                             f"outside 0..{len(RECORDS) - 1}")
     with open(path, "w") as fh:
         fh.write(HEADER + "\n")
         for lo in range(0, len(events), _WRITE_ROWS):
@@ -115,35 +113,22 @@ def write_events(events: EventSet, path: str | Path) -> None:
             fh.write("".join(pieces))
 
 
-def _codes(procedure, outcome, channel=None) -> tuple:
-    return (PROCEDURE_BY_CODE.index(procedure),
-            OBSERVABLE_BY_CODE.index(outcome.observable), OUTCOME_CODES[outcome],
-            -1 if channel is None else CHANNEL_CODES[channel])
-
-
-# reader: (proc, obs, out, chan) codes of the nine record kinds a side may
-# hold; kind 0 is a discarded side, which keeps the columns' fill values
-_KINDS = ([(0, 0, -1, -1)]
-          + [_codes(Procedure.ACTIVE, o) for o in OUTCOME_BY_CODE]
-          + [_codes(Procedure.PASSIVE, CHANNEL_OUTCOME[ch], ch)
-             for ch in CHANNEL_BY_CODE])
-_KIND_OF_LABELS = {_labels(*codes): kind for kind, codes in enumerate(_KINDS)}
-_KIND_COLUMNS = tuple(zip(("proc", "obs", "out", "chan"),
-                          np.array(_KINDS, dtype=np.int8).T))
+# reader: the record code of each side's four labels
+_RECORD_OF_LABELS = {labels: rec for rec, labels in enumerate(_LABELS)}
 
 
 def _parse_side(fields, at, side, fail):
-    """Record kinds and times of one side of the rows whose split fields are
+    """Record codes and times of one side of the rows whose split fields are
     `fields`; the side's five fields start at offset `at` of each row."""
     proc, obs, out, time, chan = (fields[at + j::_FIELDS] for j in range(5))
-    kinds = np.fromiter(map(_KIND_OF_LABELS.get, zip(proc, obs, out, chan),
-                            repeat(-1)), np.int8, len(proc))
-    if (kinds < 0).any():
-        row = int(np.argmax(kinds < 0))
+    recs = np.fromiter(map(_RECORD_OF_LABELS.get, zip(proc, obs, out, chan),
+                           repeat(-1)), np.int8, len(proc))
+    if (recs < 0).any():
+        row = int(np.argmax(recs < 0))
         raise fail(row, f"{side} side labels "
                         f"{(proc[row], obs[row], out[row], chan[row])} "
                         "are not a valid record")
-    live = kinds > 0
+    live = recs > 0
     if "".join(compress(time, (~live).tolist())):
         row = next(i for i in np.flatnonzero(~live) if time[i])
         raise fail(row, f"discarded {side} side has time {time[row]!r}")
@@ -159,9 +144,9 @@ def _parse_side(fields, at, side, fail):
         row = rows[np.argmin(ok)]
         raise fail(row, f"{side} time {time[row]!r} is not a finite, "
                         "non-negative number")
-    times = np.full(len(kinds), np.nan)
+    times = np.full(len(recs), np.nan)
     times[rows] = t
-    return kinds, times
+    return recs, times
 
 
 def _is_float(text: str) -> bool:
@@ -222,11 +207,10 @@ def _parse_block(lines: list[str], first: int, path) -> dict:
     fields = _split_rows(lines, text, ids, fail)
     cols = {}
     for side, prefix, at in (("left", "l_", 1), ("right", "r_", 6)):
-        kinds = np.zeros(n, dtype=np.int8)
+        recs = np.zeros(n, dtype=np.int8)
         times = np.full(n, np.nan)
-        kinds[rows], times[rows] = _parse_side(fields, at, side, fail)
-        cols.update({prefix + c: table[kinds] for c, table in _KIND_COLUMNS})
-        cols[prefix + "time"] = times
+        recs[rows], times[rows] = _parse_side(fields, at, side, fail)
+        cols[prefix + "rec"], cols[prefix + "time"] = recs, times
     return cols
 
 

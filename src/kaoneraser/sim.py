@@ -18,6 +18,8 @@ The partitions run concurrently on up to min(partitions, CPUs) threads
 stream or slice, so the bytes depend only on (seed, partitions); the thread
 count is recorded nowhere.  The left-kaon kernel of A2, B and C runs on
 cache-sized blocks and skips its cosine where that cannot change the result.
+Each side of a pair is stored as its time and its record code, an index into
+RECORDS, which the generators write directly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Observable, Outcome, PhysicalConstants, Procedure, beam_norm,
+from .core import (Outcome, PhysicalConstants, Procedure, beam_norm,
                    finite_number)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
                     pair_beam_norm, pair_rate_terms, passive_pair_weights)
@@ -38,17 +40,23 @@ from .single import MisidWindow
 
 RNG_SCHEME = "np-seedseq-spawnkey-pcg64-v1"
 
-# Integer codes of the columnar event store.  Each *_BY_CODE tuple lists the
-# values in code order (code = index), OUTCOME_CODES inverts the outcome
-# tuple; the channel codes are decay.CHANNEL_BY_CODE and decay.CHANNEL_CODES.
-PROCEDURE_BY_CODE = (Procedure.ACTIVE, Procedure.PASSIVE)
-OBSERVABLE_BY_CODE = (Observable.STRANGENESS, Observable.LIFETIME)
+# The outcomes in outcome code order (code = index).
 OUTCOME_BY_CODE = (Outcome.K0, Outcome.K0BAR, Outcome.KS, Outcome.KL)
-OUTCOME_CODES = {o: c for c, o in enumerate(OUTCOME_BY_CODE)}
-# outcome and observable codes identified by each channel code
-_CHAN_OUT = np.array([OUTCOME_CODES[CHANNEL_OUTCOME[ch]] for ch in CHANNEL_BY_CODE],
-                     dtype=np.int8)
-_CHAN_OBS = (_CHAN_OUT >= OUTCOME_CODES[Outcome.KS]).astype(np.int8)
+# The nine records a side of a pair may hold, as (procedure, outcome,
+# channel); the event store keeps a side's index into this table, its record
+# code.  Code 0 is a discarded side, 1 + outcome code an active measurement
+# and 5 + channel code (decay.CHANNEL_CODES) a passive decay, whose channel
+# identifies its outcome.
+RECORDS = ((None, None, None),
+           *((Procedure.ACTIVE, o, None) for o in OUTCOME_BY_CODE),
+           *((Procedure.PASSIVE, CHANNEL_OUTCOME[ch], ch) for ch in CHANNEL_BY_CODE))
+# record codes of the active measurements, in outcome code order, and the
+# first passive one
+_K0, _K0BAR, _KS, _KL = np.arange(1, 5, dtype=np.int8)
+_PASSIVE = 5
+# outcome code of each record code; a discarded side never reaches a cell
+_RECORD_OUT = np.array([0] + [OUTCOME_BY_CODE.index(out) for _, out, _ in RECORDS[1:]],
+                       dtype=np.int8)
 # pairs per call of the left-kaon kernel: keeps its temporaries in L2
 _BLOCK = 16384
 
@@ -101,32 +109,26 @@ class FitRow:
 
 @dataclass
 class EventSet:
-    """Columnar store of simulated pairs.  Outcome code -1 marks a discarded
-    side; channel code -1 marks 'no channel' (active measurements)."""
+    """Columnar store of simulated pairs: per side an int8 record code (an
+    index into RECORDS, 0 for a discarded side) and a time (NaN for a
+    discarded side)."""
 
     kind: str
     config: SimConfig
-    l_proc: np.ndarray = field(repr=False, default=None)
-    l_obs: np.ndarray = field(repr=False, default=None)
-    l_out: np.ndarray = field(repr=False, default=None)
+    l_rec: np.ndarray = field(repr=False, default=None)
     l_time: np.ndarray = field(repr=False, default=None)
-    l_chan: np.ndarray = field(repr=False, default=None)
-    r_proc: np.ndarray = field(repr=False, default=None)
-    r_obs: np.ndarray = field(repr=False, default=None)
-    r_out: np.ndarray = field(repr=False, default=None)
+    r_rec: np.ndarray = field(repr=False, default=None)
     r_time: np.ndarray = field(repr=False, default=None)
-    r_chan: np.ndarray = field(repr=False, default=None)
 
-    _COLS = ("l_proc", "l_obs", "l_out", "l_time", "l_chan",
-             "r_proc", "r_obs", "r_out", "r_time", "r_chan")
+    _COLS = ("l_rec", "l_time", "r_rec", "r_time")
 
     def __len__(self):
-        return len(self.l_out)
+        return len(self.l_rec)
 
     @property
     def classified(self) -> np.ndarray:
         """Mask of pairs with outcomes recorded on both sides."""
-        return (self.l_out >= 0) & (self.r_out >= 0)
+        return (self.l_rec > 0) & (self.r_rec > 0)
 
     @property
     def n_discarded(self) -> int:
@@ -136,11 +138,8 @@ class EventSet:
 def _empty_columns(n):
     cols = {}
     for prefix in ("l_", "r_"):
-        cols[prefix + "proc"] = np.zeros(n, dtype=np.int8)
-        cols[prefix + "obs"] = np.zeros(n, dtype=np.int8)
-        cols[prefix + "out"] = np.full(n, -1, dtype=np.int8)
+        cols[prefix + "rec"] = np.zeros(n, dtype=np.int8)
         cols[prefix + "time"] = np.full(n, np.nan)
-        cols[prefix + "chan"] = np.full(n, -1, dtype=np.int8)
     return cols
 
 
@@ -149,11 +148,9 @@ def _empty_columns(n):
 # ---------------------------------------------------------------------------
 
 def classify_lifetime(decay_time, measure_time, window: MisidWindow) -> np.ndarray:
-    """Window rule, as outcome codes: a decay within [measure_time,
+    """Window rule, as active record codes: a decay within [measure_time,
     measure_time + window] is read as K_S, any later decay as K_L."""
-    return np.where(decay_time <= measure_time + window.delta_tau_w,
-                    np.int8(OUTCOME_CODES[Outcome.KS]),
-                    np.int8(OUTCOME_CODES[Outcome.KL]))
+    return np.where(decay_time <= measure_time + window.delta_tau_w, _KS, _KL)
 
 
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):
@@ -255,18 +252,17 @@ def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
     cache, and each block is reduced to its outcomes at once.  The kernel
     draws nothing, so drawing the survival uniforms and then the K0 uniforms
     before it leaves the stream as if they were drawn after it.  Returns
-    (alive, out_code)."""
+    (alive, record code)."""
     n = len(ig)
     u_survive, u_k0 = rng.random(n), rng.random(n)
-    alive, out = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
+    alive, rec = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
     for s in range(0, n, _BLOCK):
         b = slice(s, s + _BLOCK)
         p_survive, p_k0 = left_after_right_decay(chan[b], t_r[b], grid, ig[b],
                                                  k, model)
         alive[b] = u_survive[b] < p_survive
-        out[b] = np.where(u_k0[b] < p_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
-                          np.int8(OUTCOME_CODES[Outcome.K0BAR]))
-    return alive, out
+        rec[b] = np.where(u_k0[b] < p_k0, _K0, _K0BAR)
+    return alive, rec
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +328,13 @@ def _sample_passive_pairs(n, k, model, rng):
 
 def _write_passive_side(cols, prefix, chan, t):
     """Record a free kaon's decay as a passive measurement."""
-    cols[prefix + "proc"].fill(1)
-    cols[prefix + "obs"][:] = _CHAN_OBS[chan]
-    cols[prefix + "out"][:] = _CHAN_OUT[chan]
+    np.add(chan, _PASSIVE, out=cols[prefix + "rec"])
     cols[prefix + "time"][:] = t
-    cols[prefix + "chan"][:] = chan
 
 
-def _write_left_active(cols, alive, l_out, grid, ig):
+def _write_left_active(cols, alive, l_rec, grid, ig):
     """Record the left kaon's active measurement at tau_l where it survived."""
-    np.copyto(cols["l_out"], l_out, where=alive)
+    np.copyto(cols["l_rec"], l_rec, where=alive)
     np.copyto(cols["l_time"], grid[ig], where=alive)
 
 
@@ -351,22 +344,22 @@ def _gen_a1(n, rng, cfg, k, model, cols):
     survive = rng.random(n) < norm[ig]
     left_k0 = rng.random(n) < 0.5
     unlike = rng.random(n) < p_unlike[ig]
-    l_out = np.where(left_k0, np.int8(OUTCOME_CODES[Outcome.K0]),
-                     np.int8(OUTCOME_CODES[Outcome.K0BAR]))
-    _write_left_active(cols, survive, l_out, grid, ig)
-    np.copyto(cols["r_out"], np.where(unlike, 1 - l_out, l_out), where=survive)
+    l_rec = np.where(left_k0, _K0, _K0BAR)
+    _write_left_active(cols, survive, l_rec, grid, ig)
+    # _K0 + _K0BAR - rec swaps K0 and K0bar
+    np.copyto(cols["r_rec"], np.where(unlike, _K0 + _K0BAR - l_rec, l_rec),
+              where=survive)
     np.copyto(cols["r_time"], cfg.tau_r0, where=survive)
 
 
 def _gen_a2(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
-    alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
+    alive, l_rec = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
                                                   model, rng)
-    _write_left_active(cols, alive, l_out, grid, ig)
+    _write_left_active(cols, alive, l_rec, grid, ig)
     right_ok = t_r >= cfg.tau_r0
-    cols["r_obs"][:] = right_ok
-    np.copyto(cols["r_out"], classify_lifetime(t_r, cfg.tau_r0, cfg.window),
+    np.copyto(cols["r_rec"], classify_lifetime(t_r, cfg.tau_r0, cfg.window),
               where=right_ok)
     np.copyto(cols["r_time"], cfg.tau_r0, where=right_ok)
 
@@ -376,29 +369,27 @@ def _gen_b(n, rng, cfg, k, model, cols):
     chan, t_r = _draw_passive_side(n, rng, k, model)
     pre = t_r < cfg.tau_r0
     # uniforms drawn unconditionally so the stream is data-independent
-    r_post = np.where(rng.random(n) < 0.5, np.int8(OUTCOME_CODES[Outcome.K0]),
-                      np.int8(OUTCOME_CODES[Outcome.K0BAR]))
-    alive_pre, lout_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
+    r_post = np.where(rng.random(n) < 0.5, _K0, _K0BAR)
+    alive_pre, lrec_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
                                                          k, model, rng)
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
     alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
     unlike = rng.random(n) < p_unlike[ig]
     # right: active lifetime if it decayed before tau_r0, else strangeness
-    cols["r_obs"][:] = pre
-    cols["r_out"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
+    cols["r_rec"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
                                 r_post)
     cols["r_time"][:] = np.where(pre, t_r, cfg.tau_r0)
     alive = np.where(pre, alive_pre, alive_post)
-    l_out = np.where(pre, lout_pre, np.where(unlike, 1 - r_post, r_post))
-    _write_left_active(cols, alive, l_out, grid, ig)
+    l_rec = np.where(pre, lrec_pre, np.where(unlike, _K0 + _K0BAR - r_post, r_post))
+    _write_left_active(cols, alive, l_rec, grid, ig)
 
 
 def _gen_c(n, rng, cfg, k, model, cols):
     grid, ig = _draw_tau_l(n, rng, cfg)
     chan, t_r = _draw_passive_side(n, rng, k, model)
-    alive, l_out = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
+    alive, l_rec = _sample_left_after_right_decay(chan, t_r, grid, ig, k,
                                                   model, rng)
-    _write_left_active(cols, alive, l_out, grid, ig)
+    _write_left_active(cols, alive, l_rec, grid, ig)
     _write_passive_side(cols, "r_", chan, t_r)
 
 
@@ -487,6 +478,7 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
     Discarded pairs never enter denominators (survivor normalization); empty
     bins are omitted rather than zero-filled.  Columns are gathered by index:
     over B's and C's half-dense masks that costs a fraction of a mask compress.
+    Record codes map to outcome codes through a 9-entry table.
     """
     if len(events) == 0:
         raise ValueError("empty event set")
@@ -496,8 +488,9 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
                   / binning.width)
     sel = np.flatnonzero((ib >= 0) & (ib < nbins))
     j = idx[sel]
-    # one pass: cell = bin * 16 + left code * 4 + right code
-    cell = ib[sel].astype(np.intp) * 16 + events.l_out[j] * 4 + events.r_out[j]
+    # one pass: cell = bin * 16 + left outcome code * 4 + right outcome code
+    cell = (ib[sel].astype(np.intp) * 16 + _RECORD_OUT[events.l_rec[j]] * 4
+            + _RECORD_OUT[events.r_rec[j]])
     counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 16)
     totals = counts.sum(axis=1)
     centers = binning.centers()

@@ -37,7 +37,10 @@ def test_criterion_1_epr_anticorrelation(k, model):
     ev = run_experiment("A1", cfg, k, model)
     keep = ev.classified
     n = int(keep.sum())
-    n_like = int(np.sum(ev.l_out[keep] == ev.r_out[keep]))
+    # record codes 1 and 2 are active K0 and K0bar, the only records A1 keeps
+    assert np.isin(ev.l_rec[keep], (1, 2)).all()
+    assert np.isin(ev.r_rec[keep], (1, 2)).all()
+    n_like = int(np.sum(ev.l_rec[keep] == ev.r_rec[keep]))
     freq = n_like / n
     # 4-sigma upper bound on the like-pair frequency must be consistent with 0:
     # with zero expected signal the bound is 4*sqrt(freq(1-freq)/n) around freq
@@ -98,7 +101,8 @@ def test_criterion_5_misid_window(k):
 def test_criterion_6_experiment_b_half_split(k, model):
     cfg = SimConfig(n_pairs=N_MC, seed=606)
     ev = run_experiment("B", cfg, k, model)
-    frac = float(np.mean(ev.r_obs == 1))
+    # record codes 3 and 4 are active KS and KL: lifetime measurements
+    frac = float(np.mean(np.isin(ev.r_rec, (3, 4))))
     band = 4.0 * math.sqrt(0.25 / N_MC)
     ok = abs(frac - 0.5) < band
     _report("criterion 6: pre-detector decay fraction", ok,

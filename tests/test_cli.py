@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from kaoneraser import ExperimentKind, read_events
@@ -143,8 +144,9 @@ class TestSimulate:
         assert run("simulate", "--kind", "B", "--pairs", "200", "--config",
                    str(cfg), "--out", str(tmp_path)) == 0
         ev = read_events(tmp_path / "events_B.csv")
-        assert set(ev.l_time[ev.l_out >= 0]) == {3.0, 5.5}
-        assert set(ev.r_time[ev.r_obs == 0]) == {3.0}
+        # record code 0 is a discarded side, 1 and 2 active K0 and K0bar
+        assert set(ev.l_time[ev.l_rec > 0]) == {3.0, 5.5}
+        assert set(ev.r_time[np.isin(ev.r_rec, (1, 2))]) == {3.0}
 
     def test_integral_float_setting_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -190,6 +192,48 @@ class TestSimulate:
             assert a.read_bytes() == b.read_bytes(), name
 
 
+# sha256 of the files `simulate` then `fit` write for 20 000 pairs, seed 5,
+# config {"partitions": 3}; None where `fit` exits 1 (no strangeness-
+# strangeness pairs: A2 by design, D at this size).  Taken with CPython 3.11
+# and numpy 2.4 on x86-64 Linux.
+PINNED_CLI_SHA256 = {
+    "A1": ("16283211f6fe6cb846a3f5e33bb2d772fd1fb2bb6af77d342f3e4150230e7417",
+           "7247b02147922a328a87c1aab6cd80ece490ee860655c9fd989c9819767f74a0",
+           "f3f3701c034581352152cf32b0ed8ba99efc896cccb12a65b62370f951bbc8c7"),
+    "A2": ("1d3a4f5b5c28819bdcbf26d2d24826baea761b339077d1e208fbf33aef77f43c",
+           "e1a63eba7f12871855c4c36c24ccd210f4c84c0b7795c191fffd5d3abfe2f509",
+           None),
+    "B": ("822e729fa7eb90af2f5704dffe3c7c8d785841356c9f73a61fa385fe94e13325",
+          "e6a43f46953898e59f6a310c5212f3e8929a4f728b515e0553b7b8ecfb6d81db",
+          "84b7e4a21311b43d5085b478e0de3f790221cd52adcb50e287eb5a5c4626e301"),
+    "C": ("376f57862dc8fb768c3085cbe22e5e315397822f0ee5df584ae2aa6d8c7db6d1",
+          "7513074339d75d66deb4c30da8ef66b8aba6b874b84d795d6dc7849f0702322a",
+          "3176ed7b5497ed76cc525514bffef817f356b4b51ebd9c68bfd0cb83edc7e604"),
+    "D": ("5d019cfde007ca0690e99c36f1fc86b86a6fd001f1a059e1442414d6321a5148",
+          "718481fa987b7d2bbf6e8ca575d71610e47c68011ad8487a3c1151a4fb4f13cf",
+          None),
+}
+
+
+@pytest.mark.parametrize("kind", ExperimentKind.ALL)
+def test_pinned_cli_outputs(tmp_path, capsys, kind):
+    """Event file, summary and visibility table byte for byte."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"partitions": 3}))
+    out = tmp_path / "out"
+    assert run("simulate", "--kind", kind, "--pairs", "20000", "--seed", "5",
+               "--config", str(cfg), "--out", str(out)) == 0
+    events, summary, visibility = PINNED_CLI_SHA256[kind]
+    assert run("fit", str(out / f"events_{kind}.csv"),
+               "--out", str(out)) == (0 if visibility else 1)
+    capsys.readouterr()
+    got = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists()
+           else None
+           for path in (out / f"events_{kind}.csv", out / f"summary_{kind}.json",
+                        out / "visibility.csv")]
+    assert got == [events, summary, visibility]
+
+
 # sha256 of `kaoneraser verify` stdout with the default constants.  Worst
 # deviations print to 3 digits, so a change in any check's result shows; taken
 # with CPython 3.11 on x86-64 Linux (another libm may round differently).
@@ -231,8 +275,9 @@ class TestZeroSemileptonicWidths:
                    str(cfg), "--out", str(tmp_path)) == 0
         assert capsys.readouterr().err == ""
         ev = read_events(tmp_path / f"events_{kind}.csv")
-        # channel codes 2 and 3 are sl+ and sl-
-        assert not (ev.l_chan >= 2).any() and not (ev.r_chan >= 2).any()
+        # record codes 7 and 8 are passive sl+ and sl- decays
+        assert not np.isin(ev.l_rec, (7, 8)).any()
+        assert not np.isin(ev.r_rec, (7, 8)).any()
 
     def test_verify(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -15,19 +15,24 @@ from hypothesis import strategies as st
 
 from kaoneraser import (EventSet, ExperimentKind, SimConfig, eventfile,
                         read_events, run_experiment, write_events)
-from kaoneraser.sim import (CHANNEL_BY_CODE, OBSERVABLE_BY_CODE,
-                            OUTCOME_BY_CODE, PROCEDURE_BY_CODE)
+from kaoneraser.sim import RECORDS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CFG = SimConfig(n_pairs=400, seed=20040212, partitions=2)
 
-# (procedure, observable, outcome, channel) codes of the nine side records
-# the format admits: discarded; active K0, K0bar (strangeness) and KS, KL
-# (lifetime); passive 2pi->KS, 3pi->KL (lifetime) and sl+->K0, sl-->K0bar
-# (strangeness)
-NINE = [(0, 0, -1, -1),
-        (0, 0, 0, -1), (0, 0, 1, -1), (0, 1, 2, -1), (0, 1, 3, -1),
-        (1, 1, 2, 0), (1, 1, 3, 1), (1, 0, 0, 2), (1, 0, 1, 3)]
+# (procedure, observable, outcome, channel) labels of the nine side records
+# the format admits, in record-code order: discarded; active K0, K0bar
+# (strangeness) and KS, KL (lifetime); passive 2pi->KS, 3pi->KL (lifetime)
+# and sl+->K0, sl-->K0bar (strangeness)
+NINE = [("discarded", "", "", ""),
+        ("active", "strangeness", "K0", ""),
+        ("active", "strangeness", "K0bar", ""),
+        ("active", "lifetime", "KS", ""),
+        ("active", "lifetime", "KL", ""),
+        ("passive", "lifetime", "KS", "2pi"),
+        ("passive", "lifetime", "KL", "3pi"),
+        ("passive", "strangeness", "K0", "sl+"),
+        ("passive", "strangeness", "K0bar", "sl-")]
 EDGE_TIMES = [0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
 
 
@@ -46,16 +51,18 @@ def reference_line(ev, i):
     """One row formatted field by field: the writer's specification."""
     fields = [str(i)]
     for p in ("l_", "r_"):
-        out, chan = getattr(ev, p + "out")[i], getattr(ev, p + "chan")[i]
-        if out < 0:
-            fields += ["discarded", "", "", "", ""]
-            continue
-        fields += [PROCEDURE_BY_CODE[getattr(ev, p + "proc")[i]].value,
-                   OBSERVABLE_BY_CODE[getattr(ev, p + "obs")[i]].value,
-                   OUTCOME_BY_CODE[out].value,
-                   repr(float(getattr(ev, p + "time")[i])),
-                   "" if chan < 0 else CHANNEL_BY_CODE[chan].value]
+        rec = getattr(ev, p + "rec")[i]
+        proc, obs, out, chan = NINE[rec]
+        time = "" if rec == 0 else repr(float(getattr(ev, p + "time")[i]))
+        fields += [proc, obs, out, time, chan]
     return ",".join(fields)
+
+
+def test_records_match_nine():
+    assert [("discarded", "", "", "") if proc is None else
+            (proc.value, out.observable.value, out.value,
+             "" if chan is None else chan.value)
+            for proc, out, chan in RECORDS] == NINE
 
 
 class TestGolden:
@@ -84,7 +91,7 @@ class TestGolden:
             assert_same_columns(read_events(path), ev)
 
 
-sides = st.tuples(st.sampled_from(NINE),
+sides = st.tuples(st.integers(0, len(NINE) - 1),
                   st.one_of(st.sampled_from(EDGE_TIMES),
                             st.floats(min_value=0.0, allow_nan=False,
                                       allow_infinity=False)))
@@ -95,11 +102,9 @@ def event_sets(draw):
     rows = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=40))
     cols = {}
     for at, p in ((0, "l_"), (1, "r_")):
-        codes = np.array([row[at][0] for row in rows], dtype=np.int8)
-        for j, c in enumerate(("proc", "obs", "out", "chan")):
-            cols[p + c] = codes[:, j].copy()
-        cols[p + "time"] = np.array([t if code[2] >= 0 else np.nan
-                                     for code, t in (row[at] for row in rows)])
+        cols[p + "rec"] = np.array([row[at][0] for row in rows], dtype=np.int8)
+        cols[p + "time"] = np.array([t if rec > 0 else np.nan
+                                     for rec, t in (row[at] for row in rows)])
     return EventSet(kind="unknown", config=SimConfig(n_pairs=len(rows)), **cols)
 
 
@@ -113,6 +118,26 @@ class TestRoundTripProperty:
         assert lines[0] == eventfile.HEADER and lines[-1] == ""
         assert lines[1:-1] == [reference_line(ev, i) for i in range(len(ev))]
         assert_same_columns(read_events(path), ev)
+
+
+class TestWriterBoundary:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("code", [-1, 9])
+    def test_record_code_out_of_range(self, tmp_path, side, code):
+        """Rejected naming the side and the first bad row, and no file is
+        left; unchecked, -1 would index the last record, a passive sl-
+        decay."""
+        recs = {"left": np.array([1, 5, 8, 5], dtype=np.int8),
+                "right": np.array([2, 6, 7, 6], dtype=np.int8)}
+        recs[side][2:] = code
+        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=4),
+                      l_rec=recs["left"], l_time=np.full(4, 1.5),
+                      r_rec=recs["right"], r_time=np.full(4, 2.5))
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{side} record code {code} at row 2 is outside 0..8")):
+            write_events(ev, path)
+        assert not path.exists()
 
 
 def corrupted(tmp_path, kind, edit):

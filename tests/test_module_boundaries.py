@@ -3,7 +3,7 @@
 Modules under src/kaoneraser are read with ast, never imported, so a broken
 import shows up here as a failed assertion naming it.  A module may not import
 a ``_private`` name from another package module, nor reach one as an attribute
-of a package name (``sim._CHAN_OUT``).  Every name a module imports from
+of a package name (``sim._RECORD_OUT``).  Every name a module imports from
 another package module must be defined there, which covers what ``__init__``
 re-exports.  And every function, class and method must have a caller in the
 package or the benchmark, so API that only tests use does not grow back.
@@ -90,7 +90,7 @@ def test_imported_names_exist():
     imported = {mod: list(_package_imports(tree)) for mod, tree in trees.items()}
     # the scan sees the package's re-exports
     assert ("sim", "run_experiment", "run_experiment") in imported["__init__"]
-    assert ("decay", "CHANNEL_BY_CODE", "CHANNEL_BY_CODE") in imported["eventfile"]
+    assert ("sim", "RECORDS", "RECORDS") in imported["eventfile"]
     missing = [f"{mod}: {source or 'kaoneraser'}.{name}"
                for mod, names in imported.items()
                for source, name, _ in names

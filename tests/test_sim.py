@@ -14,16 +14,31 @@ import pytest
 
 from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         EventSet, ExperimentKind, MisidWindow, Observable,
-                        Outcome, SimConfig, closed_form_joint, estimate_probs,
-                        evolution_factors, fit_visibility,
+                        Outcome, Procedure, SimConfig, closed_form_joint,
+                        estimate_probs, evolution_factors, fit_visibility,
                         mixed_active_passive_prob, normalized_pair,
                         pair_visibility, read_events, run_experiment,
                         write_events)
 from kaoneraser import pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
-from kaoneraser.sim import (OUTCOME_BY_CODE, _channel_tables, _count_below,
-                            _sample_left_after_right_decay, classify_lifetime,
-                            left_after_right_decay)
+from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, _channel_tables,
+                            _count_below, _sample_left_after_right_decay,
+                            classify_lifetime, left_after_right_decay)
+
+# (procedure, observable, outcome, channel) codes of each record code, as the
+# event store held them before record codes (procedure 0 active, 1 passive;
+# observable 0 strangeness, 1 lifetime; outcome and channel codes as
+# OUTCOME_BY_CODE and CHANNEL_BY_CODE, -1 for none).  Written out, not taken
+# from sim.RECORDS, so that the tests below check the records' meaning.
+_FIELD_CODES = np.array([(0, 0, -1, -1),
+                         (0, 0, 0, -1), (0, 0, 1, -1), (0, 1, 2, -1), (0, 1, 3, -1),
+                         (1, 1, 2, 0), (1, 1, 3, 1), (1, 0, 0, 2), (1, 0, 1, 3)],
+                        dtype=np.int8)
+
+
+def _fields(ev, side):
+    """(procedure, observable, outcome, channel) code columns of one side."""
+    return tuple(_FIELD_CODES[getattr(ev, side + "rec")].T)
 
 
 def _cfg(**kw):
@@ -59,18 +74,22 @@ class TestConfig:
         assert 4.8 in grid
 
 
+_ACTIVE_KS = (Procedure.ACTIVE, Outcome.KS, None)
+_ACTIVE_KL = (Procedure.ACTIVE, Outcome.KL, None)
+
+
 class TestClassifyLifetime:
     def test_window_rule(self):
         w = MisidWindow(4.8)
-        assert OUTCOME_BY_CODE[classify_lifetime(5.0, 1.0, w)] is Outcome.KS
-        assert OUTCOME_BY_CODE[classify_lifetime(5.81, 1.0, w)] is Outcome.KL
-        assert OUTCOME_BY_CODE[classify_lifetime(1.0 + 4.8, 1.0, w)] is Outcome.KS
+        assert RECORDS[classify_lifetime(5.0, 1.0, w)] == _ACTIVE_KS
+        assert RECORDS[classify_lifetime(5.81, 1.0, w)] == _ACTIVE_KL
+        assert RECORDS[classify_lifetime(1.0 + 4.8, 1.0, w)] == _ACTIVE_KS
 
     def test_arrays_give_outcome_codes(self):
+        """Each outcome as the record code of its active measurement."""
         codes = classify_lifetime(np.array([0.0, 4.8, 4.81]), 0.0, MisidWindow(4.8))
         assert codes.dtype == np.int8
-        assert [OUTCOME_BY_CODE[c] for c in codes] == [Outcome.KS, Outcome.KS,
-                                                       Outcome.KL]
+        assert [RECORDS[c] for c in codes] == [_ACTIVE_KS, _ACTIVE_KS, _ACTIVE_KL]
 
 
 class TestDeterminism:
@@ -99,8 +118,9 @@ class TestDeterminism:
             run_experiment("X", _cfg(), k, model)
 
 
-# sha256 over the concatenated run_experiment columns (EventSet._COLS order)
-# at 50 000 pairs, partitions=4, seed 20040212; recorded before the
+# sha256 over the concatenated run_experiment columns, in the order
+# (l_proc, l_obs, l_out, l_time, l_chan, r_proc, r_obs, r_out, r_time, r_chan)
+# of the ten-column store the record codes replaced (see _digest), at 50 000 pairs, partitions=4, seed 20040212; recorded before the
 # generators moved to real arithmetic and grid tables.  The 400-pair golden
 # event files are too small to catch a rare flipped outcome.
 _PINNED_DIGESTS = {
@@ -137,9 +157,12 @@ _PINNED_ESTIMATE_DIGESTS = {
 
 
 def _digest(ev):
+    """The digest of the ten columns each record code expands to."""
     h = hashlib.sha256()
-    for col in EventSet._COLS:
-        h.update(np.ascontiguousarray(getattr(ev, col)).tobytes())
+    for side in ("l_", "r_"):
+        proc, obs, out, chan = _fields(ev, side)
+        for col in (proc, obs, out, getattr(ev, side + "time"), chan):
+            h.update(np.ascontiguousarray(col).tobytes())
     return h.hexdigest()
 
 
@@ -253,25 +276,29 @@ class TestExperimentInvariants:
         ev = run_experiment("D", _cfg(n_pairs=1000), k, model)
         assert len(ev) == 1000
         assert ev.n_discarded == 0
-        assert np.all(ev.l_chan >= 0) and np.all(ev.r_chan >= 0)
+        l_chan, r_chan = _fields(ev, "l_")[3], _fields(ev, "r_")[3]
+        assert np.all(l_chan >= 0) and np.all(r_chan >= 0)
 
     def test_a1_all_active_strangeness(self, k, model):
         ev = run_experiment("A1", _cfg(), k, model)
         keep = ev.classified
-        assert np.all(ev.l_proc[keep] == 0) and np.all(ev.r_proc[keep] == 0)
-        assert np.all(ev.l_obs[keep] == 0) and np.all(ev.r_obs[keep] == 0)
-        assert np.all(ev.l_out[keep] <= 1) and np.all(ev.r_out[keep] <= 1)
+        l_proc, l_obs, l_out, _ = _fields(ev, "l_")
+        r_proc, r_obs, r_out, _ = _fields(ev, "r_")
+        assert np.all(l_proc[keep] == 0) and np.all(r_proc[keep] == 0)
+        assert np.all(l_obs[keep] == 0) and np.all(r_obs[keep] == 0)
+        assert np.all(l_out[keep] <= 1) and np.all(r_out[keep] <= 1)
         assert np.all(ev.r_time[keep] == 4.8)
 
     def test_c_right_side_passive(self, k, model):
         ev = run_experiment("C", _cfg(), k, model)
-        assert np.all(ev.r_proc == 1)
-        assert np.all(ev.r_out >= 0)
-        assert np.all(ev.r_chan >= 0)
+        r_proc, _, r_out, r_chan = _fields(ev, "r_")
+        assert np.all(r_proc == 1)
+        assert np.all(r_out >= 0)
+        assert np.all(r_chan >= 0)
 
     def test_b_half_split(self, k, model):
         ev = run_experiment("B", _cfg(n_pairs=50000), k, model)
-        pre = np.mean(ev.r_obs == 1)
+        pre = np.mean(_fields(ev, "r_")[1] == 1)
         assert abs(pre - 0.5) < _binomial_band(0.5, 50000)
 
 
@@ -280,10 +307,11 @@ class TestAgainstClosedForms:
         cfg = _cfg(n_pairs=400000, tau_l_grid=(4.8, 6.8), seed=99)
         ev = run_experiment("A1", cfg, k, model)
         keep = ev.classified
+        l_out, r_out = _fields(ev, "l_")[2], _fields(ev, "r_")[2]
         for tau_l in cfg.tau_l_grid:
             sel = keep & (ev.l_time == tau_l)
             n = int(sel.sum())
-            unlike = np.mean(ev.l_out[sel] != ev.r_out[sel])
+            unlike = np.mean(l_out[sel] != r_out[sel])
             dt = tau_l - cfg.tau_r0
             want = 2.0 * closed_form_joint("ss_unlike", dt, k)
             assert abs(unlike - want) <= _binomial_band(want, n) + 1e-12
@@ -293,14 +321,14 @@ class TestAgainstClosedForms:
         ev = run_experiment("A1", cfg, k, model)
         keep = ev.classified
         assert keep.sum() > 0
-        assert np.all(ev.l_out[keep] != ev.r_out[keep])
+        assert np.all(_fields(ev, "l_")[2][keep] != _fields(ev, "r_")[2][keep])
 
     def test_c_left_marginal_is_even(self, k, model):
         """Ignoring the right decay mode, the left strangeness is 50/50."""
         ev = run_experiment("C", _cfg(n_pairs=200000), k, model)
         sel = ev.classified
         n = int(sel.sum())
-        frac = np.mean(ev.l_out[sel] == 0)
+        frac = np.mean(_fields(ev, "l_")[2][sel] == 0)
         assert abs(frac - 0.5) < _binomial_band(0.5, n)
 
     def test_d_joint_channel_weights(self, k, model):
@@ -308,7 +336,8 @@ class TestAgainstClosedForms:
         ev = run_experiment("D", _cfg(n_pairs=200000), k, model)
         w = passive_pair_weights(k, model)
         assert w.sum() == pytest.approx(1.0, rel=1e-10)
-        code = ev.l_chan.astype(int) * 4 + ev.r_chan.astype(int)
+        l_chan, r_chan = _fields(ev, "l_")[3], _fields(ev, "r_")[3]
+        code = l_chan.astype(int) * 4 + r_chan.astype(int)
         counts = np.bincount(code, minlength=16)
         for c in range(16):
             p = w.reshape(-1)[c]
@@ -319,7 +348,8 @@ class TestAgainstClosedForms:
         """Empirical mean decay times per channel pair agree with the density;
         checked for the dominant (2pi, 3pi) component."""
         ev = run_experiment("D", _cfg(n_pairs=200000), k, model)
-        sel = (ev.l_chan == 0) & (ev.r_chan == 1)  # left 2pi, right 3pi
+        l_chan, r_chan = _fields(ev, "l_")[3], _fields(ev, "r_")[3]
+        sel = (l_chan == 0) & (r_chan == 1)  # left 2pi, right 3pi
         # left decays as K_S, right as K_L
         n = int(sel.sum())
         assert abs(ev.l_time[sel].mean() - 1.0 / k.gamma_S) < 4.0 / math.sqrt(n)
@@ -510,7 +540,7 @@ def _naive_estimates(events, binning=Binning()):
     """Reference estimator: one boolean mask per occupied bin."""
     mask = events.classified
     dt = events.l_time[mask] - events.r_time[mask]
-    lo_, ro_ = events.l_out[mask], events.r_out[mask]
+    lo_, ro_ = _fields(events, "l_")[2][mask], _fields(events, "r_")[2][mask]
     nbins = int(round((binning.hi - binning.lo) / binning.width))
     ib = np.floor((dt - binning.lo) / binning.width).astype(int)
     ok = (ib >= 0) & (ib < nbins)
@@ -532,19 +562,16 @@ def _naive_estimates(events, binning=Binning()):
     return out
 
 
-def _random_events(rng, n, low=-1, high=4, t_max=24):
-    """Random pairs with outcome codes in [low, high), -1 marking a discarded
+def _random_events(rng, n, low=0, high=9, t_max=24):
+    """Random pairs with record codes in [low, high), 0 marking a discarded
     side; times on a quarter grid in [0, t_max] so that time differences hit
     bin edges, fall outside [lo, hi) and leave most bins empty."""
     cols = {}
     for side in ("l_", "r_"):
-        out = rng.integers(low, high, n).astype(np.int8)
-        cols[side + "out"] = out
+        rec = rng.integers(low, high, n).astype(np.int8)
+        cols[side + "rec"] = rec
         cols[side + "time"] = np.where(
-            out >= 0, 0.25 * rng.integers(0, 4 * t_max + 1, n), np.nan)
-        cols[side + "proc"] = np.zeros(n, dtype=np.int8)
-        cols[side + "obs"] = np.zeros(n, dtype=np.int8)
-        cols[side + "chan"] = np.full(n, -1, dtype=np.int8)
+            rec > 0, 0.25 * rng.integers(0, 4 * t_max + 1, n), np.nan)
     return EventSet(kind="D", config=SimConfig(n_pairs=n), **cols)
 
 
@@ -597,12 +624,12 @@ class TestEstimators:
         # every pair classified (the shape of D), and time differences up to
         # 10^4, both inside and far outside the binning
         wide = Binning(lo=-1e4, hi=1e4, width=0.5)
-        for ev in (_random_events(rng, 300, low=0),
+        for ev in (_random_events(rng, 300, low=1),
                    _random_events(rng, 300, t_max=10**4)):
             for binning in (Binning(), narrow, wide):
                 assert estimate_probs(ev, binning) == _naive_estimates(ev, binning)
             assert estimate_probs(ev, wide)
-        assert estimate_probs(_random_events(rng, 300, high=0)) == []
+        assert estimate_probs(_random_events(rng, 300, high=1)) == []
 
     def test_fit_uses_counts_not_rounded_frequencies(self, k):
         # p_hat carried to six digits, as a table read back from text would be
