@@ -13,11 +13,20 @@ import cmath
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class SingularStateError(ValueError):

@@ -5,16 +5,26 @@ left and the right side.  A discarded side is written as 'discarded' with
 empty fields.  Times use Python's shortest round-trip float representation, so
 a file parses back to exactly the values that were written.
 
-Both directions work on whole columns, one block of rows at a time, so the
-memory they need beyond the event columns is one block.  A side holds one of
-the nine records of ``sim.RECORDS``, and its record code is the column both
-directions use.  The writer indexes a table of the text before and after the
-time with each side's record code, formats only the live times and writes
-each block with a single join; a record code outside 0..8 raises a
-ValueError naming the side and the row before the file is opened.  The
-reader streams the file in blocks of about a megabyte of text, splits each
-block once, maps each side's four labels through one dict to its record
-code, which is the column, and parses only the live times.
+Both directions work on whole columns, one block of rows at a time.  A side
+holds one of the nine records of ``sim.RECORDS``, and its record code is the
+column both directions use.  The writer indexes a table of the text before
+and after the time with each side's record code and formats only the live
+times; a record code outside 0..8 raises a ValueError naming the side and
+the row before the file is opened.  The reader splits each block of about a
+megabyte once, maps each side's four labels through one dict to its record
+code, which is the column, and parses only the live times.  A file is UTF-8
+text whose lines end at LF, CR LF or CR, as in a text-mode file.
+
+Both directions cut the rows into w contiguous ranges: the first runs here,
+each other one in a forked child process, as formatting and parsing hold the
+GIL.  w is the number of usable CPUs, lowered so that each worker gets a
+minimum of live times to write or of body bytes to read, and 1 while another
+thread is alive (the CLI writes after ``run_experiment`` has joined its
+threads).  A writer child formats its range in its own memory, then streams
+it for the parent to copy into the file; a reader worker counts the line
+ends before its byte range to learn its first row.  Every w runs the same
+range code, so bytes, columns and messages never depend on it, and every
+child is reaped before the call returns or raises.
 
 ``read_events`` is the gate.  It accepts exactly what the writer writes, and
 rejects with a ValueError naming the file and the line:
@@ -28,26 +38,84 @@ rejects with a ValueError naming the file and the line:
   channel, the outcome that channel identifies (``decay.CHANNEL_OUTCOME``)
   and that outcome's observable;
 - a discarded side with any non-empty field;
-- a time of a recorded side that is not a finite, non-negative number.
+- a time of a recorded side that is not a finite, non-negative number;
+- bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import pickle
+import shutil
+import threading
+from functools import partial
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .core import usable_cpus
 from .sim import RECORDS, EventSet, SimConfig
 
 HEADER = ("pair_id,left_procedure,left_observable,left_outcome,left_time,"
           "left_channel,right_procedure,right_observable,right_outcome,"
           "right_time,right_channel")
 
+_HEAD = HEADER.encode()
 _FIELDS = 11
 _WRITE_ROWS = 8192       # rows formatted and written at a time
-_READ_CHARS = 1 << 20    # text read at a time (readlines size hint)
+_READ_CHARS = 1 << 20    # bytes read, or copied from a child, at a time
+_WRITE_MIN_TIMES = 50_000  # live times each write worker gets at least
+_READ_MIN_BYTES = 2 << 20  # body bytes each read worker gets at least
+
+
+def _workers(work: int, minimum: int) -> int:
+    """The number of workers that share `work`, each getting at least
+    `minimum` of it; 1 where forking is unavailable or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(usable_cpus(), work // minimum))
+
+
+def _fan_out(own, tasks, receive) -> list:
+    """[own(), receive(pipe_1), ...]: while own() runs here, task i runs in a
+    forked child, which writes the bytes chunks it returns to pipe_i once it
+    has them all.  A child whose task raised is a RuntimeError; every child
+    is reaped before this returns or raises."""
+    children, failed = [], True
+    try:
+        for task in tasks:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: no cleanup, no flush
+                status = 1
+                try:
+                    chunks = list(task())
+                    with open(w, "wb") as out:
+                        out.writelines(chunks)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [own()] + [receive(pipe) for _, pipe in children]
+        failed = False
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if failed:  # kill those an error left running
+                os.kill(pid, 9)  # SIGKILL; the signal module costs an import
+            failed |= os.waitpid(pid, 0)[1] != 0
+    if failed:
+        raise RuntimeError("an event file worker process failed")
+    return results
 
 
 def _labels(procedure, outcome, channel) -> tuple:
@@ -91,26 +159,38 @@ def _side_pieces(events: EventSet, prefix: str, lo: int, hi: int, tables):
     return before[rec].tolist(), timetext, after[rec].tolist()
 
 
+def _row_blocks(events: EventSet, lo: int, hi: int):
+    """The encoded text of rows lo..hi, _WRITE_ROWS rows at a time."""
+    for a in range(lo, hi, _WRITE_ROWS):
+        b = min(a + _WRITE_ROWS, hi)
+        pieces = [""] * (7 * (b - a))
+        pieces[0::7] = map(str, range(a, b))
+        pieces[1::7], pieces[2::7], pieces[3::7] = _side_pieces(
+            events, "l_", a, b, _LEFT_TEXT)
+        pieces[4::7], pieces[5::7], pieces[6::7] = _side_pieces(
+            events, "r_", a, b, _RIGHT_TEXT)
+        yield "".join(pieces).encode()
+
+
 def write_events(events: EventSet, path: str | Path) -> None:
-    """Write the event set as CSV, one block of rows at a time.  A record
-    code outside the table raises a ValueError before the file is opened."""
+    """Write the event set as CSV, in row ranges that forked workers format
+    (see the module docstring).  A record code outside the table raises a
+    ValueError before the file is opened."""
     for side, rec in (("left", events.l_rec), ("right", events.r_rec)):
         bad = (rec < 0) | (rec >= len(RECORDS))
         if bad.any():
             row = int(np.argmax(bad))
             raise ValueError(f"{side} record code {rec[row]} at row {row} is "
                              f"outside 0..{len(RECORDS) - 1}")
-    with open(path, "w") as fh:
-        fh.write(HEADER + "\n")
-        for lo in range(0, len(events), _WRITE_ROWS):
-            hi = min(lo + _WRITE_ROWS, len(events))
-            pieces = [""] * (7 * (hi - lo))
-            pieces[0::7] = map(str, range(lo, hi))
-            pieces[1::7], pieces[2::7], pieces[3::7] = _side_pieces(
-                events, "l_", lo, hi, _LEFT_TEXT)
-            pieces[4::7], pieces[5::7], pieces[6::7] = _side_pieces(
-                events, "r_", lo, hi, _RIGHT_TEXT)
-            fh.write("".join(pieces))
+    live = np.count_nonzero(events.l_rec) + np.count_nonzero(events.r_rec)
+    w = _workers(int(live), _WRITE_MIN_TIMES)
+    bounds = [len(events) * j // w for j in range(w + 1)]
+    with open(path, "wb") as fh:
+        fh.write(_HEAD + b"\n")
+        _fan_out(lambda: fh.writelines(_row_blocks(events, 0, bounds[1])),
+                 [partial(_row_blocks, events, lo, hi)
+                  for lo, hi in zip(bounds[1:], bounds[2:])],
+                 lambda pipe: shutil.copyfileobj(pipe, fh, _READ_CHARS))
 
 
 # reader: the record code of each side's four labels
@@ -214,22 +294,84 @@ def _parse_block(lines: list[str], first: int, path) -> dict:
     return cols
 
 
+def _line_ends(block: bytes) -> int:
+    """The number of line ends (LF, CR LF or CR) in `block`."""
+    n = block.count(b"\n")
+    if b"\r" in block:
+        n += block.count(b"\r") - block.count(b"\r\n")
+    return n
+
+
+def _blocks(fh, lo: int, hi: int):
+    """Bytes lo..hi of the binary file `fh` in blocks of about _READ_CHARS,
+    each ending after a newline or at hi."""
+    fh.seek(lo)
+    while lo < hi and (block := fh.read(min(_READ_CHARS, hi - lo))):
+        if not block.endswith(b"\n"):
+            block += fh.readline(hi - lo - len(block))
+        lo += len(block)
+        yield block
+
+
+def _read_range(path, start: int, lo: int, hi: int) -> list[dict]:
+    """The event columns of bytes lo..hi of the file, block by block, with
+    lines split as a text-mode file splits them; its body starts at byte
+    `start`."""
+    blocks = []
+    with open(path, "rb") as fh:
+        first = sum(map(_line_ends, _blocks(fh, start, lo)))
+        for block in _blocks(fh, lo, hi):
+            try:
+                block.decode()  # to name the line of a byte that is not UTF-8
+            except UnicodeDecodeError as exc:
+                line = first + 2 + _line_ends(block[:exc.start])
+                raise ValueError(f"{path}: line {line}: {block[exc.start:exc.end]!r}"
+                                 f" is not UTF-8 ({exc.reason})") from None
+            lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8").readlines()
+            blocks.append(_parse_block(lines, first, path))
+            first += len(lines)
+    return blocks
+
+
+def _pickled_range(path, start: int, lo: int, hi: int) -> list[bytes]:
+    try:
+        result = _read_range(path, start, lo, hi)
+    except Exception as exc:  # raised again by the parent
+        result = exc
+    return [pickle.dumps(result, pickle.HIGHEST_PROTOCOL)]
+
+
 def read_events(path: str | Path, kind: str = "unknown",
                 config: SimConfig | None = None) -> EventSet:
-    """Parse an event file back into an EventSet; a malformed row raises a
+    """Parse an event file back into an EventSet, in byte ranges that forked
+    workers parse (see the module docstring); a malformed row raises a
     ValueError naming the line number."""
-    blocks = []
-    n = 0
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != HEADER:
+    with open(path, "rb") as fh:
+        head = fh.read(len(_HEAD) + 2)
+        end = head[len(_HEAD):]
+        if not head.startswith(_HEAD) or end[:1] not in (b"", b"\n", b"\r"):
             raise ValueError(f"{path}: line 1: missing or wrong header")
-        while lines := fh.readlines(_READ_CHARS):
-            blocks.append(_parse_block(lines, n, path))
-            n += len(lines)
-    if n == 0:
+        start = len(_HEAD) + len(end[:1]) + (end == b"\r\n")
+        size = os.fstat(fh.fileno()).st_size
+        w = _workers(size - start, _READ_MIN_BYTES)
+        bounds = [start]
+        for j in range(1, w):  # cut after the newline at or past each offset
+            fh.seek(max(start + (size - start) * j // w - 1, bounds[-1]))
+            fh.readline()
+            bounds.append(fh.tell())
+    ranges = list(zip(bounds, bounds[1:] + [size]))
+    results = _fan_out(partial(_read_range, path, start, *ranges[0]),
+                       [partial(_pickled_range, path, start, *r) for r in ranges[1:]],
+                       lambda pipe: pipe.read())
+    blocks = results[0]
+    for result in map(pickle.loads, results[1:]):
+        if isinstance(result, Exception):
+            raise result
+        blocks += result
+    if not blocks:
         raise ValueError(f"{path}: no event records")
     cols = {c: np.concatenate([block[c] for block in blocks])
             for c in blocks[0]}
     if config is None:
-        config = SimConfig(n_pairs=n)
+        config = SimConfig(n_pairs=len(cols["l_rec"]))
     return EventSet(kind=kind, config=config, **cols)

@@ -25,14 +25,13 @@ RECORDS, which the generators write directly.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (Outcome, PhysicalConstants, Procedure, beam_norm,
-                   finite_number)
+                   finite_number, usable_cpus)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
                     pair_beam_norm, pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
@@ -402,14 +401,6 @@ def _gen_d(n, rng, cfg, k, model, cols):
 _GENERATORS = {"A1": _gen_a1, "A2": _gen_a2, "B": _gen_b, "C": _gen_c, "D": _gen_d}
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
                    model: AmplitudeModel) -> EventSet:
     """Generate a deterministic event set for one of the eraser experiments.
@@ -425,7 +416,7 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
     gen = _GENERATORS[kind]
     cols = _empty_columns(cfg.n_pairs)
     n, parts = cfg.n_pairs, cfg.partitions
-    workers = min(parts, _cpu_count())
+    workers = min(parts, usable_cpus())
 
     def fill(worker):
         for p in range(worker, parts, workers):

@@ -318,6 +318,18 @@ class TestFit:
     def test_missing_file(self, tmp_path):
         assert run("fit", str(tmp_path / "nope.csv")) == 1
 
+    def test_undecodable_byte_names_line(self, tmp_path, capsys):
+        assert run("simulate", "--kind", "A1", "--pairs", "50", "--seed", "1",
+                   "--out", str(tmp_path)) == 0
+        path = tmp_path / "events_A1.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[25] = lines[25].replace(b"discarded", b"disc\xffrded", 1)
+        path.write_bytes(b"\n".join(lines))
+        assert run("fit", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: line 26: b'\\xff' is not UTF-8 "
+                       "(invalid start byte)\n")
+
 
 class TestOutOfRange:
     """Finite inputs that overflow a closed form end in an error line, not a

@@ -3,18 +3,31 @@
 The golden files were written by the original field-by-field writer, before
 the block-wise one replaced it, from ``run_experiment`` with GOLDEN_CFG and
 default constants.  A writer change that moves a single byte fails here.
+
+Both directions run in row ranges, one per worker process; ``forced_workers``
+makes them use w workers however small the file, so the tests below check
+that bytes, columns and error messages are the same for every w and that no
+worker process outlives a call.
 """
 
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kaoneraser
 from kaoneraser import (EventSet, ExperimentKind, SimConfig, eventfile,
                         read_events, run_experiment, write_events)
+from kaoneraser.cli import main
 from kaoneraser.sim import RECORDS
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +47,19 @@ NINE = [("discarded", "", "", ""),
         ("passive", "strangeness", "K0", "sl+"),
         ("passive", "strangeness", "K0bar", "sl-")]
 EDGE_TIMES = [0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+WORKER_COUNTS = (1, 2, 3)
+
+
+def forced_workers(w):
+    """Event IO runs with w workers, whatever the CPUs and the work."""
+    return mock.patch.multiple(eventfile, usable_cpus=lambda: w,
+                               _WRITE_MIN_TIMES=1, _READ_MIN_BYTES=1)
+
+
+def assert_no_children():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def golden(kind):
@@ -108,16 +134,27 @@ def event_sets(draw):
     return EventSet(kind="unknown", config=SimConfig(n_pairs=len(rows)), **cols)
 
 
+def check_round_trip(ev, path):
+    write_events(ev, path)
+    lines = path.read_text().split("\n")
+    assert lines[0] == eventfile.HEADER and lines[-1] == ""
+    assert lines[1:-1] == [reference_line(ev, i) for i in range(len(ev))]
+    assert_same_columns(read_events(path), ev)
+
+
 class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(ev=event_sets())
     def test_lines_match_reference_and_read_back(self, ev, tmp_path_factory):
-        path = tmp_path_factory.mktemp("prop") / "events.csv"
-        write_events(ev, path)
-        lines = path.read_text().split("\n")
-        assert lines[0] == eventfile.HEADER and lines[-1] == ""
-        assert lines[1:-1] == [reference_line(ev, i) for i in range(len(ev))]
-        assert_same_columns(read_events(path), ev)
+        check_round_trip(ev, tmp_path_factory.mktemp("prop") / "events.csv")
+
+    @settings(max_examples=100, deadline=None)
+    @given(ev=event_sets())
+    def test_three_workers(self, ev, tmp_path_factory):
+        """Sets of one or two rows leave some ranges empty."""
+        with forced_workers(3):
+            check_round_trip(ev, tmp_path_factory.mktemp("prop") / "events.csv")
+        assert_no_children()
 
 
 class TestWriterBoundary:
@@ -161,8 +198,17 @@ def set_side(row, side, text):
 
 
 def assert_rejected(path, line):
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
-        read_events(path)
+    """Rejected naming `line`, with the same message for every worker count;
+    returns the message."""
+    messages = set()
+    for w in WORKER_COUNTS:
+        with forced_workers(w), pytest.raises(
+                ValueError, match=re.escape(f"{path}: line {line}: ")) as info:
+            read_events(path)
+        messages.add(str(info.value))
+        assert_no_children()
+    assert len(messages) == 1, messages
+    return messages.pop()
 
 
 class TestStrictReader:
@@ -211,3 +257,209 @@ class TestStrictReader:
         path = tmp_path / "events.csv"
         path.write_text(golden("B").read_text().rstrip("\n"))
         assert_same_columns(read_events(path), read_events(golden("B")))
+
+    @pytest.mark.parametrize("row", [3, 380])
+    def test_undecodable_byte(self, tmp_path, row):
+        lines = golden("D").read_bytes().split(b"\n")
+        lines[row + 1] = lines[row + 1][:9] + b"\xff" + lines[row + 1][10:]
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\n".join(lines))
+        assert assert_rejected(path, row + 2).endswith(
+            "b'\\xff' is not UTF-8 (invalid start byte)")
+
+    def test_undecodable_header(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\xff" + golden("D").read_bytes())
+        assert_rejected(path, 1)
+
+
+class TestLineEnds:
+    """Lines end where a text-mode file ends them: LF, CR LF or CR."""
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_copies_read_the_same(self, tmp_path, end):
+        path = tmp_path / "events.csv"
+        path.write_bytes(golden("D").read_bytes().replace(b"\n", end))
+        for w in WORKER_COUNTS:
+            with forced_workers(w):
+                assert_same_columns(read_events(path), read_events(golden("D")))
+
+    def test_cr_line_end_counts_before_a_cut(self, tmp_path):
+        """A later range's first row counts the lone CR ending line 6 too."""
+        path = corrupted(tmp_path, "A2", set_side(
+            380, "right", "active,lifetime,K0,4.8,"))
+        path.write_bytes(path.read_bytes().replace(b"\n5,", b"\r5,", 1))
+        assert_rejected(path, 382)
+
+    @pytest.mark.parametrize("char", ["\x85", "\x0b", "\x0c", "\x1c", "\u2028"])
+    def test_other_line_breaks_stay_in_their_line(self, tmp_path, char):
+        """str.splitlines would end line 13 after the channel, which would
+        make it valid and the rest of it an empty line 14."""
+        path = corrupted(tmp_path, "D", set_side(
+            11, "right", f"passive,lifetime,KS,1.5,2pi{char}"))
+        assert "line 13: right side labels" in assert_rejected(path, 13)
+
+
+def cuts(path, w):
+    """Where the reader cuts `path` for w workers: the start of the first
+    line at or after each of w - 1 equally spaced offsets into the body."""
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    starts = [i + 1 for i in range(start - 1, len(data)) if data[i] == 10]
+    return [next(s for s in starts if s >= start + (len(data) - start) * j // w)
+            for j in range(1, w)]
+
+
+def row_start(path, row):
+    """Byte offset of data row `row` of `path`."""
+    return sum(map(len, path.read_bytes().split(b"\n")[:row + 1])) + row + 1
+
+
+class TestWorkerCounts:
+    """Bytes, columns, line numbers and messages do not depend on the number
+    of workers."""
+
+    @pytest.mark.parametrize("w", WORKER_COUNTS)
+    def test_golden_bytes_and_columns(self, k, model, tmp_path, w):
+        for kind in ExperimentKind.ALL:
+            ev = run_experiment(kind, GOLDEN_CFG, k, model)
+            path = tmp_path / f"events_{kind}.csv"
+            with forced_workers(w):
+                write_events(ev, path)
+                back = read_events(golden(kind))
+            assert path.read_bytes() == golden(kind).read_bytes()
+            assert_same_columns(back, ev)
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_small_blocks_across_cuts(self, k, model, tmp_path, monkeypatch, w):
+        """A1's rows discarded on both sides take the reader's cheap path,
+        which must also hold at the cuts and block ends."""
+        monkeypatch.setattr(eventfile, "_WRITE_ROWS", 7)
+        monkeypatch.setattr(eventfile, "_READ_CHARS", 300)
+        for kind in ("A1", "B"):
+            ev = run_experiment(kind, GOLDEN_CFG, k, model)
+            path = tmp_path / f"events_{kind}.csv"
+            with forced_workers(w):
+                write_events(ev, path)
+                assert_same_columns(read_events(path), ev)
+            assert path.read_bytes() == golden(kind).read_bytes()
+
+    def test_error_in_the_last_range(self, tmp_path):
+        path = corrupted(tmp_path, "A2", set_side(
+            380, "right", "active,lifetime,K0,4.8,"))
+        assert cuts(path, 3)[-1] < row_start(path, 380)
+        assert_rejected(path, 382)
+
+    def test_first_failing_line_in_file_order(self, tmp_path):
+        def edit(lines):
+            set_side(150, "left", "active,lifetime,K0,4.8,")(lines)
+            set_side(380, "right", "active,lifetime,K0,4.8,")(lines)
+        path = corrupted(tmp_path, "A2", edit)
+        assert cuts(path, 3)[0] < row_start(path, 150) < cuts(path, 3)[1]
+        assert_rejected(path, 152)
+
+    @pytest.mark.parametrize("kind", ["D", "A1"])
+    @pytest.mark.parametrize("edit", ["drop", "duplicate"])
+    def test_row_dropped_or_duplicated_at_a_cut(self, tmp_path, kind, edit):
+        """Every row but the first and last of a 20-row file in turn, so that
+        each cut of 2 and 3 workers falls exactly on the dropped or
+        duplicated row once; A1's are mostly rows discarded on both sides."""
+        lines = golden(kind).read_text().splitlines(keepends=True)[:21]
+        path = tmp_path / "events.csv"
+        at_cut = set()
+        for row in range(1, 19):
+            body = lines[1:]
+            if edit == "drop":
+                del body[row]
+            else:
+                body.insert(row, body[row - 1])
+            path.write_text(lines[0] + "".join(body))
+            at_cut |= {w for w in (2, 3) if row_start(path, row) in cuts(path, w)}
+            assert_rejected(path, row + 2)
+        assert at_cut == {2, 3}
+
+    @pytest.mark.parametrize("w", WORKER_COUNTS)
+    def test_file_without_final_newline(self, tmp_path, w):
+        path = tmp_path / "events.csv"
+        path.write_text(golden("B").read_text().rstrip("\n"))
+        with forced_workers(w):
+            assert_same_columns(read_events(path), read_events(golden("B")))
+
+    def test_fit_reports_a_later_range_error(self, tmp_path, capsys):
+        path = corrupted(tmp_path, "A2", set_side(
+            380, "right", "active,lifetime,K0,4.8,"))
+        with forced_workers(3):
+            assert main(["fit", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 382: right side labels")
+        assert "Traceback" not in err
+        assert_no_children()
+
+
+class TestProcesses:
+    """No worker process outlives a call, whatever ends it."""
+
+    def test_no_child_left(self, k, model, tmp_path):
+        path = tmp_path / "written.csv"
+        bad = corrupted(tmp_path, "C", set_side(
+            390, "right", "active,lifetime,K0,4.8,"))
+        with forced_workers(3):
+            write_events(run_experiment("D", GOLDEN_CFG, k, model), path)
+            assert_no_children()
+            read_events(path)
+            assert_no_children()
+            with pytest.raises(ValueError, match="line 392: "):
+                read_events(bad)
+            assert_no_children()
+
+    def test_failed_worker_raises(self, k, model, tmp_path, monkeypatch):
+        parent, row_blocks = os.getpid(), eventfile._row_blocks
+
+        def fail_in_a_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return row_blocks(*args)
+        monkeypatch.setattr(eventfile, "_row_blocks", fail_in_a_child)
+        with forced_workers(3), pytest.raises(
+                RuntimeError, match="event file worker process failed"):
+            write_events(run_experiment("D", GOLDEN_CFG, k, model),
+                         tmp_path / "events.csv")
+        assert_no_children()
+
+    def test_interrupt_kills_running_workers(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(eventfile, "_pickled_range", lambda *args: time.sleep(60))
+        monkeypatch.setattr(eventfile, "_read_range", interrupted)
+        started = time.monotonic()
+        with forced_workers(3), pytest.raises(KeyboardInterrupt):
+            read_events(golden("D"))
+        assert_no_children()
+        assert time.monotonic() - started < 30
+
+    def test_no_fork_while_another_thread_runs(self, k, model, tmp_path,
+                                               monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with another thread alive")
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        path = tmp_path / "events.csv"
+        try:
+            with forced_workers(3):
+                write_events(run_experiment("D", GOLDEN_CFG, k, model), path)
+                back = read_events(path)
+        finally:
+            stop.set()
+            thread.join()
+        assert path.read_bytes() == golden("D").read_bytes()
+        assert_same_columns(back, read_events(golden("D")))
+
+    def test_import_leaves_multiprocessing_out(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import kaoneraser; "
+                "print('multiprocessing' in sys.modules)")
+        src = Path(kaoneraser.__file__).parents[1]
+        out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"

@@ -198,7 +198,7 @@ class TestConcurrentPartitions:
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
     def test_pinned_digests_at_any_cpu_count(self, k, model, monkeypatch,
                                              kind, cpus):
-        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(sim, "usable_cpus", lambda: cpus)
         ev = run_experiment(kind, SimConfig(n_pairs=50000, seed=20040212,
                                             partitions=4), k, model)
         assert _digest(ev) == _PINNED_DIGESTS[kind]
@@ -215,7 +215,7 @@ class TestConcurrentPartitions:
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (1, 2, 3):
-                monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(sim, "usable_cpus", lambda: cpus)
                 digests.add(_digest(run_experiment(
                     kind, _cfg(n_pairs=70001, partitions=7), k, model)))
         finally:
@@ -239,7 +239,7 @@ class TestConcurrentPartitions:
     def test_partition_error_is_raised_and_no_thread_outlives(
             self, k, model, monkeypatch, cpus, bad):
         """Partition 0 is the calling thread's, partition 1 a helper's."""
-        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(sim, "usable_cpus", lambda: cpus)
         a1 = sim._GENERATORS["A1"]
 
         def failing(n, rng, *args):
@@ -257,13 +257,13 @@ class TestConcurrentPartitions:
         assert not any(t.is_alive() for t in started)
 
     def test_one_partition_starts_no_thread(self, k, model, monkeypatch):
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
         started = self._count_thread_starts(monkeypatch)
         run_experiment("B", _cfg(n_pairs=4000, partitions=1), k, model)
         assert started == []
 
     def test_helpers_bounded_by_cpu_count(self, k, model, monkeypatch):
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
         started = self._count_thread_starts(monkeypatch)
         before = threading.active_count()
         run_experiment("C", _cfg(n_pairs=6400, partitions=64), k, model)
