@@ -23,7 +23,7 @@ from .core import Observable, PhysicalConstants, Procedure, finite_number
 from .decay import build_amplitude_model
 from .eventfile import write_events, read_events
 from .pairs import closed_form_joint, pair_visibility
-from .sim import (RECORDS, RNG_SCHEME, Binning, ExperimentKind, SimConfig,
+from .sim import (RECORDS, RNG_SCHEME, ExperimentKind, SimConfig,
                   estimate_probs, fit_visibility, run_experiment)
 from .single import (MisidWindow, lifetime_probs, strangeness_probs,
                      visibility_single)
@@ -201,7 +201,6 @@ def cmd_simulate(args) -> int:
     events_path = out / f"events_{kind}.csv"
     write_events(events, events_path)
 
-    estimates = estimate_probs(events)
     summary = {
         "kind": kind,
         "n_pairs": sim.n_pairs,
@@ -217,7 +216,7 @@ def cmd_simulate(args) -> int:
         "estimates": [
             {"bin": e.bin, "pair": list(e.pair), "p_hat": e.p_hat,
              "stderr": e.stderr, "n": e.n}
-            for e in estimates
+            for e in estimate_probs(events)
         ],
     }
     if kind == "B":
@@ -251,8 +250,7 @@ def cmd_fit(args) -> int:
     cfg = _effective(args)
     k = _constants(cfg)
     events = read_events(args.events)
-    estimates = estimate_probs(events, Binning())
-    rows = fit_visibility(estimates, k)
+    rows = fit_visibility(estimate_probs(events), k)
     if not rows:
         raise ValueError("no strangeness-strangeness events to fit")
     path = _out_dir(cfg) / "visibility.csv"

@@ -26,8 +26,9 @@ ends before its byte range to learn its first row.  Every w runs the same
 range code, so bytes, columns and messages never depend on it, and every
 child is reaped before the call returns or raises.
 
-``read_events`` is the gate.  It accepts exactly what the writer writes, and
-rejects with a ValueError naming the file and the line:
+``read_events`` is the gate.  It accepts what the writer writes, and other
+time spellings only as the time rule below allows; it rejects with a
+ValueError naming the file and the line:
 
 - a line without exactly 11 fields;
 - a pair_id that is not the row index, which catches duplicated and dropped
@@ -38,7 +39,10 @@ rejects with a ValueError naming the file and the line:
   channel, the outcome that channel identifies (``decay.CHANNEL_OUTCOME``)
   and that outcome's observable;
 - a discarded side with any non-empty field;
-- a time of a recorded side that is not a finite, non-negative number;
+- a time of a recorded side that is not a finite, non-negative number, or
+  whose text holds a non-ASCII character, ASCII whitespace or '_': float()
+  reads those and the writer never writes them (other spellings float()
+  reads, such as '1.5E3' or '+1.5', still read as their number);
 - bytes that are not UTF-8.
 """
 
@@ -197,9 +201,11 @@ def write_events(events: EventSet, path: str | Path) -> None:
 _RECORD_OF_LABELS = {labels: rec for rec, labels in enumerate(_LABELS)}
 
 
-def _parse_side(fields, at, side, fail):
+def _parse_side(fields, at, side, fail, plain):
     """Record codes and times of one side of the rows whose split fields are
-    `fields`; the side's five fields start at offset `at` of each row."""
+    `fields`; the side's five fields start at offset `at` of each row.  Where
+    their text is `plain` (ASCII without _UNWRITTEN characters), float()
+    reads each time as _written_float does."""
     proc, obs, out, time, chan = (fields[at + j::_FIELDS] for j in range(5))
     recs = np.fromiter(map(_RECORD_OF_LABELS.get, zip(proc, obs, out, chan),
                            repeat(-1)), np.int8, len(proc))
@@ -214,8 +220,8 @@ def _parse_side(fields, at, side, fail):
         raise fail(row, f"discarded {side} side has time {time[row]!r}")
     rows = np.flatnonzero(live)
     try:
-        t = np.fromiter(map(float, compress(time, live.tolist())), float,
-                        len(rows))
+        t = np.fromiter(map(float if plain else _written_float,
+                            compress(time, live.tolist())), float, len(rows))
     except ValueError:
         row = next(i for i in rows if not _is_float(time[i]))
         raise fail(row, f"{side} time {time[row]!r} is not a number") from None
@@ -229,9 +235,21 @@ def _parse_side(fields, at, side, fail):
     return recs, times
 
 
+# characters float() accepts in a number but the writer never writes, besides
+# every non-ASCII one: ASCII whitespace around it and '_' between its digits
+_UNWRITTEN = " \t\x0b\x0c_"
+
+
+def _written_float(text: str) -> float:
+    """float(text), rejecting the _UNWRITTEN and non-ASCII characters."""
+    if not text.isascii() or any(map(text.__contains__, _UNWRITTEN)):
+        raise ValueError(f"{text!r} is not a time the writer writes")
+    return float(text)
+
+
 def _is_float(text: str) -> bool:
     try:
-        float(text)
+        _written_float(text)
     except ValueError:
         return False
     return True
@@ -268,6 +286,7 @@ def _parse_block(lines: list[str], first: int, path) -> dict:
     ids = list(map(str, range(first, first + n)))
     rows = np.arange(n)  # the rows split into fields
     text = "".join(lines)
+    plain = text.isascii() and not any(map(text.__contains__, _UNWRITTEN))
     if _DEAD_ROW in text:
         # cheap path for rows discarded on both sides: compare a row's end
         # with _DEAD_ROW, then the text before it with the row's pair_id
@@ -289,7 +308,7 @@ def _parse_block(lines: list[str], first: int, path) -> dict:
     for side, prefix, at in (("left", "l_", 1), ("right", "r_", 6)):
         recs = np.zeros(n, dtype=np.int8)
         times = np.full(n, np.nan)
-        recs[rows], times[rows] = _parse_side(fields, at, side, fail)
+        recs[rows], times[rows] = _parse_side(fields, at, side, fail, plain)
         cols[prefix + "rec"], cols[prefix + "time"] = recs, times
     return cols
 

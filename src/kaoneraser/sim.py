@@ -463,18 +463,43 @@ class Binning:
         return self.lo + self.width * (np.arange(n) + 0.5)
 
 
-def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estimate]:
-    """Per-bin frequencies of ordered outcome pairs among classified pairs.
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Classified pairs per (time-difference bin, left outcome code, right
+    outcome code): ``counts`` has shape (bins, 4, 4), outcome codes as
+    OUTCOME_BY_CODE.  Iterating it yields its nonzero cells, bin by bin, as
+    Estimate rows."""
 
-    Discarded pairs never enter denominators (survivor normalization); empty
-    bins are omitted rather than zero-filled.  Columns are gathered by index:
-    over B's and C's half-dense masks that costs a fraction of a mask compress.
-    Record codes map to outcome codes through a 9-entry table.
+    binning: Binning
+    counts: np.ndarray = field(repr=False)
+
+    def __iter__(self):
+        centers = self.binning.centers()
+        totals = self.counts.sum(axis=(1, 2))
+        for b in np.flatnonzero(totals):
+            n = int(totals[b])
+            cells = self.counts[b].reshape(16)
+            for code in np.flatnonzero(cells):
+                p = cells[code] / n
+                yield Estimate(p_hat=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n,
+                               bin=float(centers[b]),
+                               pair=(OUTCOME_BY_CODE[code // 4].value,
+                                     OUTCOME_BY_CODE[code % 4].value),
+                               count=int(cells[code]))
+
+
+def estimate_probs(events: EventSet, binning: Binning = Binning()) -> CountTable:
+    """Per-bin counts of ordered outcome pairs among classified pairs.
+
+    Discarded pairs never enter a cell (survivor normalization).  Columns are
+    gathered by index: over B's and C's half-dense masks that costs a fraction
+    of a mask compress.  Record codes map to outcome codes through a 9-entry
+    table.
     """
     if len(events) == 0:
         raise ValueError("empty event set")
     idx = np.flatnonzero(events.classified)
-    nbins = int(round((binning.hi - binning.lo) / binning.width))
+    nbins = len(binning.centers())
     ib = np.floor((events.l_time[idx] - events.r_time[idx] - binning.lo)
                   / binning.width)
     sel = np.flatnonzero((ib >= 0) & (ib < nbins))
@@ -482,57 +507,32 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> list[Estim
     # one pass: cell = bin * 16 + left outcome code * 4 + right outcome code
     cell = (ib[sel].astype(np.intp) * 16 + _RECORD_OUT[events.l_rec[j]] * 4
             + _RECORD_OUT[events.r_rec[j]])
-    counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 16)
-    totals = counts.sum(axis=1)
-    centers = binning.centers()
-    out = []
-    for b in np.nonzero(totals)[0]:
-        n = int(totals[b])
-        for code in np.nonzero(counts[b])[0]:
-            p = counts[b, code] / n
-            out.append(Estimate(
-                p_hat=p,
-                stderr=math.sqrt(p * (1.0 - p) / n),
-                n=n,
-                bin=float(centers[b]),
-                pair=(OUTCOME_BY_CODE[code // 4].value,
-                      OUTCOME_BY_CODE[code % 4].value),
-                count=int(counts[b, code]),
-            ))
-    return out
+    counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 4, 4)
+    return CountTable(binning, counts)
 
 
-def _ss_counts(estimates: list[Estimate]):
-    """Per-bin like/unlike strangeness-strangeness counts from an estimate table."""
-    bins = {}
-    for e in estimates:
-        l, r = e.pair
-        if l in ("K0", "K0bar") and r in ("K0", "K0bar"):
-            bins.setdefault(e.bin, [0, 0])[l != r] += e.count
-    return bins
-
-
-def fit_visibility(estimates: list[Estimate], k: PhysicalConstants,
+def fit_visibility(table: CountTable, k: PhysicalConstants,
                    min_cos: float = 0.1) -> list[FitRow]:
     """Reconstruct the oscillation visibility per time-difference bin from the
     strangeness-strangeness asymmetry A = (unlike - like)/(unlike + like) =
-    V cos(delta_m * delta_tau).  Bins where the cosine is nearly zero are
-    flagged as excluded, not dropped."""
-    counts = _ss_counts(estimates)
+    V cos(delta_m * delta_tau), over the bins with such pairs.  Bins where the
+    cosine is nearly zero are flagged as excluded, not dropped."""
+    ss = table.counts[:, :2, :2]  # outcome codes 0 and 1: K0 and K0bar
+    like_all, unlike_all = ss[:, 0, 0] + ss[:, 1, 1], ss[:, 0, 1] + ss[:, 1, 0]
+    centers = table.binning.centers()
     rows = []
-    for center in sorted(counts):
-        like, unlike = counts[center]
+    for b in np.flatnonzero(like_all + unlike_all):
+        like, unlike = int(like_all[b]), int(unlike_all[b])
         n_ss = like + unlike
-        if n_ss == 0:
-            continue
         a = (unlike - like) / n_ss
         # add-half smoothing keeps the error finite at 0 or n_ss counts
         p_smooth = (unlike + 0.5) / (n_ss + 1.0)
         sig_a = 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / n_ss)
+        center = float(centers[b])
         c = math.cos(k.delta_m * center)
         excluded = abs(c) < min_cos
         v = a / c if c != 0.0 else float("nan")
         sig_v = sig_a / abs(c) if c != 0.0 else float("nan")
-        rows.append(FitRow(delta_tau=float(center), v_hat=v, stderr=sig_v,
+        rows.append(FitRow(delta_tau=center, v_hat=v, stderr=sig_v,
                            n_ss=n_ss, excluded=excluded))
     return rows

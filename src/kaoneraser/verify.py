@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Outcome, PhysicalConstants, beam_norm
 from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
@@ -162,8 +161,18 @@ def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     out.append(CheckResult("misid-window-4.8", abs(p_ks - p_kl) < 1e-4,
                            abs(p_ks - p_kl), 1e-4,
                            detail=f"wrong_KS={p_ks:.6f} wrong_KL={p_kl:.6f}"))
-    x_eq = brentq(lambda x: math.exp(-k.gamma_S * x)
-                  - (1.0 - math.exp(-k.gamma_L * x)), 0.5, 20.0)
+    # f(x) = P(K_S decays after x) - P(K_L decays before x) is 1 at x = 0 and
+    # decreasing: double the upper end until f < 0, then bisect down to
+    # adjacent doubles, keeping f(lo) >= 0
+    def f(x):
+        return math.exp(-k.gamma_S * x) - (1.0 - math.exp(-k.gamma_L * x))
+
+    lo, hi = 0.0, 1.0
+    while f(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) >= 0.0 else (lo, mid)
+    x_eq = lo
     p_ks, p_kl = misid_probs(MisidWindow(x_eq), k)
     out.append(CheckResult("misid-equal-window", abs(p_ks - p_kl) < 1e-10,
                            abs(p_ks - p_kl), 1e-10,

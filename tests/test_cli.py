@@ -252,6 +252,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256, out
 
+    @pytest.mark.parametrize("gamma_s, window", [(30, 0.2573), (0.05, 49.8865)])
+    def test_equal_misid_window_for_far_widths(self, tmp_path, capsys, gamma_s,
+                                               window):
+        """The window is found from the widths, here outside [0.5, 20]
+        tau_S, and the suite runs to its end; misid-window-4.8 is tuned to
+        the measured widths and fails here, so the status is 2."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"gamma_S": gamma_s}}))
+        assert run("verify", "--config", str(cfg)) == 2
+        out = capsys.readouterr().out
+        assert "PASS misid-equal-window: " in out
+        assert f"-- equal-misid window at {window:.4f} tau_S\n" in out
+        assert "FAIL misid-window-4.8: " in out
+
     def test_inconsistent_branching_warns_but_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"br_sl_L": 0.9}}))

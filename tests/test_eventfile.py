@@ -225,7 +225,10 @@ class TestStrictReader:
         assert_rejected(corrupted(tmp_path, "C", set_side(7, "right", side)), 9)
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "1e400", "-1.0",
-                                      "-5e-324", "abc", ""])
+                                      "-5e-324", "abc", "",
+                                      # float() reads these, the writer never
+                                      # writes them
+                                      " 1.5", "1.5\x0b", "1_0", "\u0661.5"])
     def test_bad_time(self, tmp_path, time):
         path = corrupted(tmp_path, "D", set_side(11, "left",
                                                  f"passive,lifetime,KS,{time},2pi"))

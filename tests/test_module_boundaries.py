@@ -5,11 +5,14 @@ import shows up here as a failed assertion naming it.  A module may not import
 a ``_private`` name from another package module, nor reach one as an attribute
 of a package name (``sim._RECORD_OUT``).  Every name a module imports from
 another package module must be defined there, which covers what ``__init__``
-re-exports.  And every function, class and method must have a caller in the
-package or the benchmark, so API that only tests use does not grow back.
+re-exports.  Every function, class and method must have a caller in the
+package or the benchmark, so API that only tests use does not grow back.  And
+the package needs nothing outside the standard library but numpy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kaoneraser"
@@ -141,3 +144,26 @@ def test_every_definition_has_a_caller():
     unused = [f"{mod}.{qualname}" for mod, tree in trees.items()
               for qualname, name in _definitions(tree) if name not in used]
     assert not unused, f"definitions nothing calls: {unused}"
+
+
+def test_only_numpy_outside_the_standard_library():
+    """scipy and pytest stay the benchmark's and the tests' own: no module
+    imports another top-level distribution, and the CLI loads no scipy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kaoneraser"}
+    bad = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [f"{mod}:{node.lineno}: {name}" for name in names
+                    if name.split(".")[0] not in allowed]
+    assert not bad, f"modules import outside the standard library and numpy: {bad}"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kaoneraser.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert not loaded, f"importing kaoneraser.cli loads {loaded}"

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
-                        EventSet, ExperimentKind, MisidWindow, Observable,
-                        Outcome, Procedure, SimConfig, closed_form_joint,
-                        estimate_probs, evolution_factors, fit_visibility,
-                        mixed_active_passive_prob, normalized_pair,
-                        pair_visibility, read_events, run_experiment,
-                        write_events)
+                        EventSet, ExperimentKind, FitRow, MisidWindow,
+                        Observable, Outcome, Procedure, SimConfig,
+                        closed_form_joint, estimate_probs, evolution_factors,
+                        fit_visibility, mixed_active_passive_prob,
+                        normalized_pair, pair_visibility, read_events,
+                        run_experiment, write_events)
 from kaoneraser import pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
-from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, _channel_tables,
-                            _count_below, _sample_left_after_right_decay,
+from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, CountTable,
+                            _channel_tables, _count_below,
+                            _sample_left_after_right_decay,
                             classify_lifetime, left_after_right_decay)
 
 # (procedure, observable, outcome, channel) codes of each record code, as the
@@ -575,10 +576,45 @@ def _random_events(rng, n, low=0, high=9, t_max=24):
     return EventSet(kind="D", config=SimConfig(n_pairs=n), **cols)
 
 
+def _per_cell_counts(events, binning):
+    """Reference count table: each (bin, left outcome, right outcome) cell
+    counted with its own mask over the classified pairs."""
+    mask = events.classified
+    dt = events.l_time[mask] - events.r_time[mask]
+    lo_, ro_ = _fields(events, "l_")[2][mask], _fields(events, "r_")[2][mask]
+    ib = np.floor((dt - binning.lo) / binning.width)
+    counts = np.zeros((len(binning.centers()), 4, 4), dtype=int)
+    for b, l, r in np.ndindex(counts.shape):
+        counts[b, l, r] = np.count_nonzero((ib == b) & (lo_ == l) & (ro_ == r))
+    return counts
+
+
+def _ss_fit_reference(estimates, k, min_cos=0.1):
+    """The fit as it read Estimate rows: like and unlike counts per bin
+    summed by outcome-string compare, then the same per-bin arithmetic."""
+    bins = {}
+    for e in estimates:
+        l, r = e.pair
+        if l in ("K0", "K0bar") and r in ("K0", "K0bar"):
+            bins.setdefault(e.bin, [0, 0])[l != r] += e.count
+    rows = []
+    for center in sorted(bins):
+        like, unlike = bins[center]
+        n_ss = like + unlike
+        a = (unlike - like) / n_ss
+        p_smooth = (unlike + 0.5) / (n_ss + 1.0)
+        sig_a = 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / n_ss)
+        c = math.cos(k.delta_m * center)
+        rows.append(FitRow(delta_tau=float(center), v_hat=a / c,
+                           stderr=sig_a / abs(c), n_ss=n_ss,
+                           excluded=abs(c) < min_cos))
+    return rows
+
+
 class TestEstimators:
     def test_estimates_are_frequencies(self, k, model):
         ev = run_experiment("B", _cfg(n_pairs=30000), k, model)
-        ests = estimate_probs(ev)
+        ests = list(estimate_probs(ev))
         assert ests
         by_bin = {}
         for e in ests:
@@ -618,28 +654,54 @@ class TestEstimators:
     def test_matches_per_bin_reference(self, seed):
         rng = np.random.default_rng(seed)
         ev = _random_events(rng, int(rng.integers(1, 400)))
-        assert estimate_probs(ev) == _naive_estimates(ev)
+        assert list(estimate_probs(ev)) == _naive_estimates(ev)
         narrow = Binning(lo=-1.0, hi=2.0, width=0.25)
-        assert estimate_probs(ev, narrow) == _naive_estimates(ev, narrow)
+        assert list(estimate_probs(ev, narrow)) == _naive_estimates(ev, narrow)
         # every pair classified (the shape of D), and time differences up to
         # 10^4, both inside and far outside the binning
         wide = Binning(lo=-1e4, hi=1e4, width=0.5)
         for ev in (_random_events(rng, 300, low=1),
                    _random_events(rng, 300, t_max=10**4)):
             for binning in (Binning(), narrow, wide):
-                assert estimate_probs(ev, binning) == _naive_estimates(ev, binning)
-            assert estimate_probs(ev, wide)
-        assert estimate_probs(_random_events(rng, 300, high=1)) == []
+                assert (list(estimate_probs(ev, binning))
+                        == _naive_estimates(ev, binning))
+            assert list(estimate_probs(ev, wide))
+        assert list(estimate_probs(_random_events(rng, 300, high=1))) == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_count_table_matches_per_cell_reference(self, seed):
+        """Every cell, zero cells included; pairs whose time difference
+        falls outside the binning are in none."""
+        rng = np.random.default_rng(seed)
+        narrow = Binning(lo=-1.0, hi=2.0, width=0.25)
+        for ev in (_random_events(rng, int(rng.integers(1, 400))),
+                   _random_events(rng, 300, low=1),
+                   _random_events(rng, 300, high=1)):
+            for binning in (Binning(), narrow):
+                table = estimate_probs(ev, binning)
+                assert table.binning == binning
+                assert table.counts.shape == (len(binning.centers()), 4, 4)
+                np.testing.assert_array_equal(table.counts,
+                                              _per_cell_counts(ev, binning))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_matches_string_compare_reference(self, k, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 50, (40, 4, 4)) * (rng.random((40, 4, 4)) < 0.5)
+        for table in (CountTable(Binning(), counts),
+                      estimate_probs(_random_events(rng, 400, low=1, high=5))):
+            rows = fit_visibility(table, k)
+            assert rows and rows == _ss_fit_reference(table, k)
 
     def test_fit_uses_counts_not_rounded_frequencies(self, k):
-        # p_hat carried to six digits, as a table read back from text would be
         n, like, unlike = 3_000_000, 1_000_001, 1_999_999
-        ests = [Estimate(p_hat=float(f"{c / n:.6g}"), stderr=0.0, n=n,
-                         bin=0.25, pair=pair, count=c)
-                for pair, c in ((("K0", "K0"), like),
-                                (("K0", "K0bar"), unlike))]
-        assert [round(e.p_hat * n) for e in ests] != [like, unlike]
-        (row,) = fit_visibility(ests, k)
+        counts = np.zeros((40, 4, 4), dtype=np.int64)
+        counts[20, 0, 0], counts[20, 0, 1] = like, unlike  # the bin at 0.25
+        table = CountTable(Binning(), counts)
+        # p_hat carried to six digits, as a table read back from text would be
+        assert [e.bin for e in table] == [0.25, 0.25]
+        assert [round(float(f"{e.p_hat:.6g}") * n) for e in table] != [like, unlike]
+        (row,) = fit_visibility(table, k)
         assert row.n_ss == like + unlike
         assert row.v_hat == ((unlike - like) / (unlike + like)
                              / math.cos(k.delta_m * 0.25))
@@ -661,7 +723,7 @@ class TestEventFileRoundTrip:
         ev = run_experiment("D", _cfg(n_pairs=3000), k, model)
         path = tmp_path / "events.csv"
         write_events(ev, path)
-        assert estimate_probs(read_events(path)) == estimate_probs(ev)
+        assert list(estimate_probs(read_events(path))) == list(estimate_probs(ev))
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "x.csv"
