@@ -96,6 +96,15 @@ def _numbers(cfg: dict, key: str) -> list[float]:
     return [finite_number(f"config key {key!r} entry", v) for v in values]
 
 
+def _grid(cfg: dict, key: str, default) -> list[float]:
+    """A nonempty grid of finite numbers; `default` when the key is absent."""
+    if key not in cfg:
+        return default
+    if not (values := _numbers(cfg, key)):
+        raise ValueError(f"config key {key!r} must not be empty")
+    return values
+
+
 def _out_dir(cfg: dict) -> Path:
     """The output directory, made only once there is a file to write."""
     out = cfg.get("out", ".")
@@ -149,8 +158,12 @@ def _write_csv(path: Path, comment: str, header: str, rows) -> None:
 def cmd_analytic(args) -> int:
     cfg = _effective(args)
     k = _constants(cfg)
-    tau_grid = _numbers(cfg, "tau_grid") or np.arange(0, 121) * 0.1
-    dt_grid = _numbers(cfg, "delta_tau_grid") or np.arange(-100, 101) * 0.1
+    tau_grid = _grid(cfg, "tau_grid", np.arange(0, 121) * 0.1)
+    dt_grid = _grid(cfg, "delta_tau_grid", np.arange(-100, 101) * 0.1)
+    for tau in tau_grid:
+        if tau < 0:
+            raise ValueError("config key 'tau_grid' entry must be nonnegative, "
+                             f"got {tau!r}")
 
     single = []
     try:

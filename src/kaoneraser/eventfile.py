@@ -7,13 +7,14 @@ a file parses back to exactly the values that were written.
 
 Both directions work on whole columns, one block of rows at a time.  A side
 holds one of the nine records of ``sim.RECORDS``, and its record code is the
-column both directions use.  The writer indexes a table of the text before
-and after the time with each side's record code and formats only the live
-times; a record code outside 0..8 raises a ValueError naming the side and
-the row before the file is opened.  The reader splits each block of about a
+column both directions use.  A row fills one template: pair_id, the text
+before the left time (by left code), the left time, the text between the
+times (by code pair), the right time, the text after it (by right code).  The
+writer checks the codes and live times, then gathers those texts and formats
+only the live times.  The reader decodes and splits each block of about a
 megabyte once, maps each side's four labels through one dict to its record
-code, which is the column, and parses only the live times.  A file is UTF-8
-text whose lines end at LF, CR LF or CR, as in a text-mode file.
+code and parses only the live times.  A file is UTF-8 text whose lines end
+at LF, CR LF or CR, as in a text-mode file.
 
 Both directions cut the rows into w contiguous ranges: the first runs here,
 each other one in a forked child process, as formatting and parsing hold the
@@ -48,7 +49,6 @@ ValueError naming the file and the line:
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import shutil
@@ -134,58 +134,60 @@ def _labels(procedure, outcome, channel) -> tuple:
 _LABELS = [_labels(*record) for record in RECORDS]
 
 
-def _side_texts(start: str, end: str):
-    """Text before and after the time of a side, by record code, with the
-    separators `start` and `end` around the side; a discarded side reads
-    'discarded,,,' + '' + ','."""
-    return (np.array([f"{start}{p},{o},{u}," for p, o, u, _ in _LABELS], dtype=object),
-            np.array([f",{c}{end}" for *_, c in _LABELS], dtype=object))
+# the row template: a row is its pair_id, _PRE[l], the left time, _MID[l, r],
+# the right time and _POST[r], where l and r are the record codes of its left
+# and right side; a discarded side has no time
+_PRE = np.array([f",{p},{o},{u}," for p, o, u, _ in _LABELS], dtype=object)
+_MID = np.array([[f",{c},{p},{o},{u}," for p, o, u, _ in _LABELS]
+                 for *_, c in _LABELS], dtype=object)
+_POST = np.array([f",{c}\n" for *_, c in _LABELS], dtype=object)
 
 
-_LEFT_TEXT = _side_texts(",", ",")
-_RIGHT_TEXT = _side_texts("", "\n")
+def _good_times(times):
+    """Where `times` are finite and non-negative, as a live side's must be."""
+    return (times >= 0.0) & (times < np.inf)
 
 
-def _side_pieces(events: EventSet, prefix: str, lo: int, hi: int, tables):
-    """Per-row text before the time, the time and the text after it, for one
-    side of rows lo..hi; `tables` holds the (before, after) texts by record
-    code."""
-    rec = getattr(events, prefix + "rec")[lo:hi]
+def _time_texts(rec, times) -> list[str]:
+    """Each time's text: repr on a live side, '' on a discarded one."""
+    text = np.full(len(rec), "", dtype=object)
     live = rec > 0
-    times = getattr(events, prefix + "time")[lo:hi]
-    if live.all():
-        timetext = list(map(repr, times.tolist()))
-    else:
-        timetext = np.full(hi - lo, "", dtype=object)
-        timetext[live] = list(map(repr, times[live].tolist()))
-        timetext = timetext.tolist()
-    before, after = tables
-    return before[rec].tolist(), timetext, after[rec].tolist()
+    text[live] = list(map(repr, times[live].tolist()))
+    return text.tolist()
 
 
 def _row_blocks(events: EventSet, lo: int, hi: int):
     """The encoded text of rows lo..hi, _WRITE_ROWS rows at a time."""
     for a in range(lo, hi, _WRITE_ROWS):
         b = min(a + _WRITE_ROWS, hi)
-        pieces = [""] * (7 * (b - a))
-        pieces[0::7] = map(str, range(a, b))
-        pieces[1::7], pieces[2::7], pieces[3::7] = _side_pieces(
-            events, "l_", a, b, _LEFT_TEXT)
-        pieces[4::7], pieces[5::7], pieces[6::7] = _side_pieces(
-            events, "r_", a, b, _RIGHT_TEXT)
+        l, r = events.l_rec[a:b], events.r_rec[a:b]
+        pieces = [""] * (6 * (b - a))
+        pieces[0::6] = map(str, range(a, b))
+        pieces[1::6] = _PRE[l].tolist()
+        pieces[2::6] = _time_texts(l, events.l_time[a:b])
+        pieces[3::6] = _MID[l, r].tolist()
+        pieces[4::6] = _time_texts(r, events.r_time[a:b])
+        pieces[5::6] = _POST[r].tolist()
         yield "".join(pieces).encode()
 
 
 def write_events(events: EventSet, path: str | Path) -> None:
     """Write the event set as CSV, in row ranges that forked workers format
-    (see the module docstring).  A record code outside the table raises a
-    ValueError before the file is opened."""
-    for side, rec in (("left", events.l_rec), ("right", events.r_rec)):
+    (see the module docstring).  A record code outside the table, or a live
+    side's time that is not finite and non-negative, raises a ValueError
+    before the file is opened."""
+    for side, rec, time in (("left", events.l_rec, events.l_time),
+                            ("right", events.r_rec, events.r_time)):
         bad = (rec < 0) | (rec >= len(RECORDS))
         if bad.any():
             row = int(np.argmax(bad))
             raise ValueError(f"{side} record code {rec[row]} at row {row} is "
                              f"outside 0..{len(RECORDS) - 1}")
+        bad = (rec > 0) & ~_good_times(time)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"{side} time {float(time[row])!r} at row {row} "
+                             "is not a finite, non-negative number")
     live = np.count_nonzero(events.l_rec) + np.count_nonzero(events.r_rec)
     w = _workers(int(live), _WRITE_MIN_TIMES)
     bounds = [len(events) * j // w for j in range(w + 1)]
@@ -225,7 +227,7 @@ def _parse_side(fields, at, side, fail, plain):
     except ValueError:
         row = next(i for i in rows if not _is_float(time[i]))
         raise fail(row, f"{side} time {time[row]!r} is not a number") from None
-    ok = (t >= 0.0) & (t < np.inf)
+    ok = _good_times(t)
     if not ok.all():
         row = rows[np.argmin(ok)]
         raise fail(row, f"{side} time {time[row]!r} is not a finite, "
@@ -255,17 +257,14 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _split_rows(lines, text, ids, fail) -> list[str]:
-    """The fields of `lines`, whose concatenation is `text` and whose
-    pair_ids must be `ids`, as one flat list of _FIELDS per row."""
+def _split_rows(lines, ids, fail) -> list[str]:
+    """The fields of `lines`, whose pair_ids must be `ids`, as one flat list
+    of _FIELDS per row."""
     commas = list(map(str.count, lines, repeat(",")))
     if commas.count(_FIELDS - 1) != len(lines):
         row = next(i for i, c in enumerate(commas) if c != _FIELDS - 1)
         raise fail(row, f"expected {_FIELDS} fields, got {commas[row] + 1}")
-    if text and not text.endswith("\n"):  # a file's last line may lack one
-        text += "\n"
-    fields = text.replace("\n", ",").split(",")
-    fields.pop()  # the empty string after the last row's separator
+    fields = ",".join(lines).split(",") if lines else []
     if fields[0::_FIELDS] != ids:
         row = next(i for i, pid in enumerate(fields[0::_FIELDS])
                    if pid != ids[i])
@@ -275,18 +274,20 @@ def _split_rows(lines, text, ids, fail) -> list[str]:
 
 
 # a row discarded on both sides is its pair_id followed by this text
-_DEAD_ROW = ",discarded,,,,,discarded,,,,\n"
+_DEAD_ROW = (_PRE[0] + _MID[0, 0] + _POST[0]).removesuffix("\n")
 _cut_dead_row = itemgetter(slice(None, -len(_DEAD_ROW)))
 
 
-def _parse_block(lines: list[str], first: int, path) -> dict:
-    """Event columns of the rows in `lines`, the first of which is row
-    `first` of the file."""
+def _parse_block(text: str, first: int, path) -> dict:
+    """Event columns of the rows in `text`, the first of which is row `first`
+    of the file; `text` ends after a line end or at the end of the file."""
+    if "\r" in text:  # as a text-mode file reads CR LF and CR
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    plain = text.isascii() and not any(map(text.__contains__, _UNWRITTEN))
+    lines = text.removesuffix("\n").split("\n")
     n = len(lines)
     ids = list(map(str, range(first, first + n)))
     rows = np.arange(n)  # the rows split into fields
-    text = "".join(lines)
-    plain = text.isascii() and not any(map(text.__contains__, _UNWRITTEN))
     if _DEAD_ROW in text:
         # cheap path for rows discarded on both sides: compare a row's end
         # with _DEAD_ROW, then the text before it with the row's pair_id
@@ -298,12 +299,11 @@ def _parse_block(lines: list[str], first: int, path) -> dict:
         rows = np.flatnonzero(~dead)
         keep = (~dead).tolist()
         lines, ids = list(compress(lines, keep)), list(compress(ids, keep))
-        text = "".join(lines)
 
     def fail(row, msg):
         return ValueError(f"{path}: line {first + rows[row] + 2}: {msg}")
 
-    fields = _split_rows(lines, text, ids, fail)
+    fields = _split_rows(lines, ids, fail)
     cols = {}
     for side, prefix, at in (("left", "l_", 1), ("right", "r_", 6)):
         recs = np.zeros(n, dtype=np.int8)
@@ -341,14 +341,13 @@ def _read_range(path, start: int, lo: int, hi: int) -> list[dict]:
         first = sum(map(_line_ends, _blocks(fh, start, lo)))
         for block in _blocks(fh, lo, hi):
             try:
-                block.decode()  # to name the line of a byte that is not UTF-8
+                text = block.decode()
             except UnicodeDecodeError as exc:
                 line = first + 2 + _line_ends(block[:exc.start])
                 raise ValueError(f"{path}: line {line}: {block[exc.start:exc.end]!r}"
                                  f" is not UTF-8 ({exc.reason})") from None
-            lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8").readlines()
-            blocks.append(_parse_block(lines, first, path))
-            first += len(lines)
+            blocks.append(_parse_block(text, first, path))
+            first += len(blocks[-1]["l_rec"])
     return blocks
 
 

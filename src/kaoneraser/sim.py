@@ -76,6 +76,9 @@ class SimConfig:
     def validate(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
+        if self.n_pairs > np.iinfo(np.intp).max:
+            raise ValueError(f"n_pairs must be at most {np.iinfo(np.intp).max}, "
+                             f"got {self.n_pairs}")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if self.seed < 0:
@@ -405,21 +408,23 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
                    model: AmplitudeModel) -> EventSet:
     """Generate a deterministic event set for one of the eraser experiments.
 
-    w = min(partitions, CPUs) workers fill the partitions: worker i fills
-    partitions i, i + w, ..., the calling thread is worker 0 and the other
-    w - 1 are threads that end before this returns.  Each partition writes
-    only its own slice, so the result does not depend on w.  An exception
-    from any partition is raised here."""
+    Only the first m = min(partitions, n_pairs) partitions hold pairs, and
+    w = min(m, CPUs) workers fill them: worker i fills partitions i, i + w,
+    ..., the calling thread is worker 0 and the other w - 1 are threads that
+    end before this returns.  Each partition writes only its own slice, so
+    the result does not depend on w.  An exception from any partition is
+    raised here."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     cfg.validate()
     gen = _GENERATORS[kind]
     cols = _empty_columns(cfg.n_pairs)
     n, parts = cfg.n_pairs, cfg.partitions
-    workers = min(parts, usable_cpus())
+    filled = min(parts, n)  # partitions past the first n are empty
+    workers = min(filled, usable_cpus())
 
     def fill(worker):
-        for p in range(worker, parts, workers):
+        for p in range(worker, filled, workers):
             start = p * (n // parts) + min(p, n % parts)
             size = n // parts + (p < n % parts)
             rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,

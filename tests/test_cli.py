@@ -38,7 +38,10 @@ class TestAnalytic:
     @pytest.mark.parametrize("doc,message", [
         ({"tau_grid": 3}, "'tau_grid' must be a list of numbers, got 3"),
         ({"delta_tau_grid": [0.5, float("inf")]},
-         "'delta_tau_grid' entry must be a finite number, got inf")])
+         "'delta_tau_grid' entry must be a finite number, got inf"),
+        ({"tau_grid": []}, "'tau_grid' must not be empty"),
+        ({"delta_tau_grid": []}, "'delta_tau_grid' must not be empty"),
+        ({"tau_grid": [0.5, -1]}, "'tau_grid' entry must be nonnegative, got -1.0")])
     def test_bad_grid_rejected_naming_key(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -122,12 +125,15 @@ class TestSimulate:
          "constants field 'delta_m' must be a finite number, got nan"),
         ({"out": 5}, "config key 'out' must be a path string, got 5"),
         ({"constants": {"epsilon_overlap": 3.2e-3}},
-         "unknown constants field(s): ['epsilon_overlap']")])
+         "unknown constants field(s): ['epsilon_overlap']"),
+        ({"n_pairs": 1e19}, f"n_pairs must be at most {np.iinfo(np.intp).max}, "
+                            f"got {10**19}")])
     def test_bad_value_rejected_naming_key(self, tmp_path, monkeypatch, capsys,
                                            doc, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
-        assert run("simulate", "--kind", "A1", "--pairs", "10",
+        pairs = [] if "n_pairs" in doc else ["--pairs", "10"]  # the flag wins
+        assert run("simulate", "--kind", "A1", *pairs,
                    "--config", "cfg.json") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -156,6 +156,22 @@ class TestRoundTripProperty:
             check_round_trip(ev, tmp_path_factory.mktemp("prop") / "events.csv")
         assert_no_children()
 
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_every_record_pair(self, tmp_path, w):
+        """One row per ordered pair of record codes, so that every text the
+        writer puts between the two times is written and read back."""
+        codes = np.array([(left, right) for left in range(len(NINE))
+                          for right in range(len(NINE))], dtype=np.int8)
+        times = np.resize(EDGE_TIMES, len(codes))
+        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=len(codes)),
+                      l_rec=codes[:, 0],
+                      l_time=np.where(codes[:, 0] > 0, times, np.nan),
+                      r_rec=codes[:, 1],
+                      r_time=np.where(codes[:, 1] > 0, times[::-1], np.nan))
+        with forced_workers(w):
+            check_round_trip(ev, tmp_path / "events.csv")
+        assert_no_children()
+
 
 class TestWriterBoundary:
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -173,6 +189,25 @@ class TestWriterBoundary:
         path = tmp_path / "events.csv"
         with pytest.raises(ValueError, match=re.escape(
                 f"{side} record code {code} at row 2 is outside 0..8")):
+            write_events(ev, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -1.0])
+    def test_live_time_not_finite_or_negative(self, tmp_path, side, time):
+        """Rejected naming the side and the first bad row, and no file is
+        left; written, it would be a file the reader rejects."""
+        times = {"left": np.full(4, 1.5), "right": np.full(4, 2.5)}
+        times[side][2:] = time
+        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=4),
+                      l_rec=np.array([1, 5, 8, 5], dtype=np.int8),
+                      l_time=times["left"],
+                      r_rec=np.array([2, 6, 7, 6], dtype=np.int8),
+                      r_time=times["right"])
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{side} time {time!r} at row 2 is not a finite, "
+                "non-negative number")):
             write_events(ev, path)
         assert not path.exists()
 

@@ -68,6 +68,8 @@ class TestConfig:
             SimConfig(n_pairs=10, tau_r0=math.nan).validate()
         with pytest.raises(ValueError, match="tau_l_grid must be a finite number"):
             SimConfig(n_pairs=10, tau_l_grid=(1.0, math.inf)).validate()
+        with pytest.raises(ValueError, match="n_pairs must be at most"):
+            SimConfig(n_pairs=np.iinfo(np.intp).max + 1).validate()
 
     def test_default_grid_brackets_tau_r0(self):
         grid = SimConfig(n_pairs=1).tau_l_grid
@@ -256,6 +258,23 @@ class TestConcurrentPartitions:
         assert threading.active_count() == before
         assert len(started) == cpus - 1
         assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_empty_partitions_are_not_visited(self, k, model, monkeypatch, kind):
+        """Past the first n_pairs partitions every partition is empty: only
+        the filled ones call the generator, and the bytes are those of
+        n_pairs partitions."""
+        gen, sizes = sim._GENERATORS[kind], []
+
+        def counting(n, *args):
+            sizes.append(n)
+            gen(n, *args)
+
+        monkeypatch.setitem(sim._GENERATORS, kind, counting)
+        many = run_experiment(kind, _cfg(n_pairs=7, partitions=1000), k, model)
+        assert sizes == [1] * 7
+        assert _digest(many) == _digest(
+            run_experiment(kind, _cfg(n_pairs=7, partitions=7), k, model))
 
     def test_one_partition_starts_no_thread(self, k, model, monkeypatch):
         monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
