@@ -6,6 +6,12 @@ Subcommands
     verify    -- run the internal verification suite
     fit       -- reconstruct oscillation visibility from an event file
 
+Every command passes the same boundary in `main`: the config file is merged
+with the flags, every key is checked against its rule in `_RULES` (the one
+list of config keys), and the constants and the `SimConfig`, which check
+their own ranges, are built once; only then does a command run.  A config
+that breaks a rule is rejected by whichever command reads it.
+
 Exit status: 0 on success, 1 on configuration/validation errors and sampler
 failures, 2 when the verification suite reports a failure.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +36,6 @@ from .single import (MisidWindow, lifetime_probs, strangeness_probs,
                      visibility_single)
 from .verify import run_all
 
-_CONFIG_KEYS = {"constants", "kind", "n_pairs", "tau_r0", "window", "seed",
-                "partitions", "tau_l_grid", "tau_grid", "delta_tau_grid",
-                "out"}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -45,88 +48,81 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    return doc
-
-
-def _effective(args) -> dict:
-    """Merge the config file with command-line overrides."""
-    cfg = _load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "pairs", None) is not None:
-        cfg["n_pairs"] = args.pairs
-    if getattr(args, "kind", None) is not None:
-        cfg["kind"] = args.kind
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    return cfg
-
-
-def _constants(cfg: dict) -> PhysicalConstants:
-    doc = cfg.get("constants", {})
-    if not isinstance(doc, dict):
-        raise ValueError(f"config key 'constants' must be a JSON object, got {doc!r}")
-    return PhysicalConstants.from_json(doc)
-
-
-def _integer(cfg: dict, key: str, default: int) -> int:
-    """An integer setting; integral JSON numbers such as 1e6 are accepted."""
-    value = cfg.get(key, default)
+def _integer(key: str, value) -> int:
+    """An integer; integral JSON numbers such as 1e6 are accepted."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
     return int(value)
 
 
-def _numbers(cfg: dict, key: str) -> list[float]:
-    """A list of finite numbers; empty when the key is absent."""
-    values = cfg.get(key, [])
-    if not isinstance(values, list):
+def _number(key: str, value) -> float:
+    return finite_number(f"config key {key!r}", value)
+
+
+def _grid(key: str, value) -> tuple[float, ...]:
+    """A nonempty list of finite numbers."""
+    if not isinstance(value, list):
         raise ValueError(f"config key {key!r} must be a list of numbers, "
-                         f"got {values!r}")
-    return [finite_number(f"config key {key!r} entry", v) for v in values]
-
-
-def _grid(cfg: dict, key: str, default) -> list[float]:
-    """A nonempty grid of finite numbers; `default` when the key is absent."""
-    if key not in cfg:
-        return default
-    if not (values := _numbers(cfg, key)):
+                         f"got {value!r}")
+    if not value:
         raise ValueError(f"config key {key!r} must not be empty")
-    return values
+    return tuple(finite_number(f"config key {key!r} entry", v) for v in value)
 
 
-def _out_dir(cfg: dict) -> Path:
-    """The output directory, made only once there is a file to write."""
-    out = cfg.get("out", ".")
-    if not isinstance(out, str):
-        raise ValueError(f"config key 'out' must be a path string, got {out!r}")
-    return Path(out)
+def _times(key: str, value) -> tuple[float, ...]:
+    """A grid of nonnegative times."""
+    grid = _grid(key, value)
+    for t in grid:
+        if t < 0:
+            raise ValueError(f"config key {key!r} entry must be nonnegative, "
+                             f"got {t!r}")
+    return grid
 
 
-def _sim_config(cfg: dict) -> SimConfig:
-    kwargs = {"n_pairs": _integer(cfg, "n_pairs", 10000),
-              "seed": _integer(cfg, "seed", 0),
-              "partitions": _integer(cfg, "partitions", 1)}
-    if "tau_r0" in cfg:
-        kwargs["tau_r0"] = finite_number("config key 'tau_r0'", cfg["tau_r0"])
-    if "window" in cfg:
-        kwargs["window"] = MisidWindow(finite_number("config key 'window'",
-                                                     cfg["window"]))
-    if "tau_l_grid" in cfg:
-        kwargs["tau_l_grid"] = tuple(_numbers(cfg, "tau_l_grid"))
-    sim = SimConfig(**kwargs)
-    sim.validate()
-    return sim
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _path(key: str, value) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"config key {key!r} must be a path string, got {value!r}")
+    return Path(value)
+
+
+def _kind(key: str, value) -> str:
+    if value not in ExperimentKind.ALL:
+        raise ValueError(f"{key} must be one of {ExperimentKind.ALL}, got {value!r}")
+    return value
+
+
+# Each config key and the rule that checks its JSON value and converts it.
+# The keys named like SimConfig fields build it; SimConfig and
+# PhysicalConstants check their own ranges (tau_l_grid's included).
+_RULES = {"constants": _object, "kind": _kind, "n_pairs": _integer,
+          "seed": _integer, "partitions": _integer, "tau_r0": _number,
+          "window": lambda key, value: MisidWindow(_number(key, value)),
+          "tau_l_grid": _grid, "tau_grid": _times, "delta_tau_grid": _grid,
+          "out": _path}
+
+
+def _effective(args) -> dict:
+    """The config file merged with command-line overrides."""
+    cfg = {}
+    if args.config is not None:
+        cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(cfg) - _RULES.keys()
+        if unknown:
+            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+    for key, flag in (("seed", args.seed), ("n_pairs", args.pairs),
+                      ("kind", args.kind), ("out", args.out)):
+        if flag is not None:
+            cfg[key] = flag
+    return cfg
 
 
 def _recorded(cfg: dict) -> dict:
@@ -155,16 +151,9 @@ def _write_csv(path: Path, comment: str, header: str, rows) -> None:
                               for v in row) + "\n")
 
 
-def cmd_analytic(args) -> int:
-    cfg = _effective(args)
-    k = _constants(cfg)
-    tau_grid = _grid(cfg, "tau_grid", np.arange(0, 121) * 0.1)
-    dt_grid = _grid(cfg, "delta_tau_grid", np.arange(-100, 101) * 0.1)
-    for tau in tau_grid:
-        if tau < 0:
-            raise ValueError("config key 'tau_grid' entry must be nonnegative, "
-                             f"got {tau!r}")
-
+def cmd_analytic(args, cfg, values, k, sim) -> int:
+    tau_grid = values.get("tau_grid", np.arange(0, 121) * 0.1)
+    dt_grid = values.get("delta_tau_grid", np.arange(-100, 101) * 0.1)
     single = []
     try:
         for tau in tau_grid:
@@ -189,7 +178,7 @@ def cmd_analytic(args) -> int:
         raise _at_entry(exc, cfg, "delta_tau_grid", dt) from exc
 
     # nothing is written unless every row evaluated
-    out = _out_dir(cfg)
+    out = values.get("out", Path("."))
     comment = _config_comment(cfg)
     _write_csv(out / "single_kaon.csv", comment,
                "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", single)
@@ -199,16 +188,10 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _effective(args)
-    kind = cfg.get("kind")
-    if kind not in ExperimentKind.ALL:
-        raise ValueError(f"kind must be one of {ExperimentKind.ALL}, got {kind!r}")
-    k = _constants(cfg)
-    sim = _sim_config(cfg)
+def cmd_simulate(args, cfg, values, k, sim) -> int:
+    kind = _kind("kind", values.get("kind"))  # the one key a command requires
     model = build_amplitude_model(k)
-    out = _out_dir(cfg)
-
+    out = values.get("out", Path("."))
     events = run_experiment(kind, sim, k, model)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / f"events_{kind}.csv"
@@ -243,9 +226,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _effective(args)
-    k = _constants(cfg)
+def cmd_verify(args, cfg, values, k, sim) -> int:
     results = run_all(k)
     failed = False
     for r in results:
@@ -259,14 +240,12 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def cmd_fit(args) -> int:
-    cfg = _effective(args)
-    k = _constants(cfg)
+def cmd_fit(args, cfg, values, k, sim) -> int:
     events = read_events(args.events)
     rows = fit_visibility(estimate_probs(events), k)
     if not rows:
         raise ValueError("no strangeness-strangeness events to fit")
-    path = _out_dir(cfg) / "visibility.csv"
+    path = values.get("out", Path(".")) / "visibility.csv"
     _write_csv(path, _config_comment(cfg),
                "delta_tau_bin,v_hat,stderr,excluded_flag",
                ((r.delta_tau, r.v_hat, r.stderr, int(r.excluded))
@@ -303,8 +282,13 @@ _COMMANDS = {"analytic": cmd_analytic, "simulate": cmd_simulate,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
+        cfg = _effective(args)
+        values = {key: _RULES[key](key, value) for key, value in cfg.items()}
+        k = PhysicalConstants.from_json(values.get("constants", {}))
+        sim = SimConfig(**{"n_pairs": 10000} | {
+            f.name: values[f.name] for f in fields(SimConfig) if f.name in values})
+        return _COMMANDS[args.command](args, cfg, values, k, sim)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

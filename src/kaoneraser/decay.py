@@ -131,8 +131,9 @@ def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
                      tau_r: float, k: PhysicalConstants,
                      model: AmplitudeModel) -> float:
     """Joint decay rate density of the entangled pair into (f_l, f_r)."""
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError("decay times must be nonnegative")
+    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
+        raise ValueError("times must be finite and nonnegative, "
+                         f"got {tau_l!r} and {tau_r!r}")
     i, j = channel_code(f_l), channel_code(f_r)
     direct, cross = pair_rate_terms(model.a_L[i] * model.a_S[j],
                                     model.a_S[i] * model.a_L[j],
@@ -143,8 +144,9 @@ def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
 def mixed_decay_rate(f_r: DecayChannel, tau_l: float, tau_r: float,
                      k: PhysicalConstants, model: AmplitudeModel) -> float:
     """Rate density for an active left K0 at tau_l and a right decay (f_r, tau_r)."""
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError("times must be nonnegative")
+    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
+        raise ValueError("times must be finite and nonnegative, "
+                         f"got {tau_l!r} and {tau_r!r}")
     j = channel_code(f_r)
     direct, cross = pair_rate_terms(model.a_S[j], model.a_L[j], tau_l, tau_r, k)
     return 0.25 * (direct - cross)
@@ -189,8 +191,9 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
     """
     if active_out_l not in (Outcome.K0, Outcome.K0BAR):
         raise ValueError("active left outcome must be a strangeness outcome")
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError("times must be nonnegative")
+    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
+        raise ValueError("times must be finite and nonnegative, "
+                         f"got {tau_l!r} and {tau_r!r}")
     sign = +1.0 if active_out_l is Outcome.K0 else -1.0
     f_r = outcome_channel(out_r)
     j = CHANNEL_CODES[f_r]

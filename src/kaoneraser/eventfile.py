@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import usable_cpus
-from .sim import RECORDS, EventSet, SimConfig
+from .sim import RECORDS, EventSet
 
 HEADER = ("pair_id,left_procedure,left_observable,left_outcome,left_time,"
           "left_channel,right_procedure,right_observable,right_outcome,"
@@ -359,8 +359,7 @@ def _pickled_range(path, start: int, lo: int, hi: int) -> list[bytes]:
     return [pickle.dumps(result, pickle.HIGHEST_PROTOCOL)]
 
 
-def read_events(path: str | Path, kind: str = "unknown",
-                config: SimConfig | None = None) -> EventSet:
+def read_events(path: str | Path, kind: str = "unknown") -> EventSet:
     """Parse an event file back into an EventSet, in byte ranges that forked
     workers parse (see the module docstring); a malformed row raises a
     ValueError naming the line number."""
@@ -390,6 +389,4 @@ def read_events(path: str | Path, kind: str = "unknown",
         raise ValueError(f"{path}: no event records")
     cols = {c: np.concatenate([block[c] for block in blocks])
             for c in blocks[0]}
-    if config is None:
-        config = SimConfig(n_pairs=len(cols["l_rec"]))
-    return EventSet(kind=kind, config=config, **cols)
+    return EventSet(kind=kind, **cols)

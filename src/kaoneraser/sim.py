@@ -73,7 +73,7 @@ class SimConfig:
     seed: int = 0
     partitions: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
         if self.n_pairs > np.iinfo(np.intp).max:
@@ -116,7 +116,6 @@ class EventSet:
     discarded side)."""
 
     kind: str
-    config: SimConfig
     l_rec: np.ndarray = field(repr=False, default=None)
     l_time: np.ndarray = field(repr=False, default=None)
     r_rec: np.ndarray = field(repr=False, default=None)
@@ -416,7 +415,6 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
     raised here."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    cfg.validate()
     gen = _GENERATORS[kind]
     cols = _empty_columns(cfg.n_pairs)
     n, parts = cfg.n_pairs, cfg.partitions
@@ -450,7 +448,7 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
             t.join()
     if errors:
         raise errors[0]
-    return EventSet(kind=kind, config=cfg, **cols)
+    return EventSet(kind=kind, **cols)
 
 
 # ---------------------------------------------------------------------------

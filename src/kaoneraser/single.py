@@ -24,15 +24,15 @@ class MisidWindow:
 
 def visibility_single(tau: float, k: PhysicalConstants) -> float:
     """Visibility of the strangeness oscillations, 1/cosh(DeltaGamma tau / 2)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     return pair_visibility(tau, k)
 
 
 def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
     """(P[K0], P[K0bar]) at proper time tau for an initial K0, survivors only."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     osc = pair_visibility(tau, k) * math.cos(k.delta_m * tau)
     p_k0 = 0.5 * (1.0 + osc)
     return p_k0, 1.0 - p_k0
@@ -40,8 +40,8 @@ def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
 
 def lifetime_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
     """(P[K_S], P[K_L]) at proper time tau, survivors only; no oscillation."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     x = k.delta_gamma * tau
     p_ks = 1.0 / (1.0 + math.exp(-x))
     return p_ks, 1.0 - p_ks
@@ -62,8 +62,8 @@ def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
                       model: AmplitudeModel) -> float:
     """Decay rate density Gamma(f, tau) of an initial K0 into the given mode:
     the pair form at tau_r = 0 with (alpha, beta) = (a_L, -a_S)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     c = channel_code(channel)
     direct, cross = pair_rate_terms(model.a_L[c], -model.a_S[c], tau, 0.0, k)
     return 0.5 * (direct - cross)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +350,31 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == (f"error: {path}: line 26: b'\\xff' is not UTF-8 "
                        "(invalid start byte)\n")
+
+
+class TestOneBoundary:
+    """Every command checks every config key, also those it does not read,
+    so a config one command rejects no command accepts."""
+
+    GOLDEN_A1 = Path(__file__).parent / "data" / "golden_events_A1.csv"
+
+    @pytest.mark.parametrize("doc,named", [
+        ({"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        ({"tau_l_grid": 5}, "config key 'tau_l_grid' must be a list of numbers"),
+        ({"partitions": 0}, "partitions must be >= 1"),
+        ({"window": -1}, "window length must be positive"),
+        ({"kind": "Z"}, "kind must be one of")])
+    @pytest.mark.parametrize("command", ["analytic", "verify", "fit"])
+    def test_unread_bad_key_rejected(self, tmp_path, capsys, command, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        events = [str(self.GOLDEN_A1)] if command == "fit" else []
+        assert run(command, *events, "--config", str(cfg), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestOutOfRange:

@@ -131,7 +131,7 @@ def event_sets(draw):
         cols[p + "rec"] = np.array([row[at][0] for row in rows], dtype=np.int8)
         cols[p + "time"] = np.array([t if rec > 0 else np.nan
                                      for rec, t in (row[at] for row in rows)])
-    return EventSet(kind="unknown", config=SimConfig(n_pairs=len(rows)), **cols)
+    return EventSet(kind="unknown", **cols)
 
 
 def check_round_trip(ev, path):
@@ -163,7 +163,7 @@ class TestRoundTripProperty:
         codes = np.array([(left, right) for left in range(len(NINE))
                           for right in range(len(NINE))], dtype=np.int8)
         times = np.resize(EDGE_TIMES, len(codes))
-        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=len(codes)),
+        ev = EventSet(kind="unknown",
                       l_rec=codes[:, 0],
                       l_time=np.where(codes[:, 0] > 0, times, np.nan),
                       r_rec=codes[:, 1],
@@ -183,7 +183,7 @@ class TestWriterBoundary:
         recs = {"left": np.array([1, 5, 8, 5], dtype=np.int8),
                 "right": np.array([2, 6, 7, 6], dtype=np.int8)}
         recs[side][2:] = code
-        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=4),
+        ev = EventSet(kind="unknown",
                       l_rec=recs["left"], l_time=np.full(4, 1.5),
                       r_rec=recs["right"], r_time=np.full(4, 2.5))
         path = tmp_path / "events.csv"
@@ -199,7 +199,7 @@ class TestWriterBoundary:
         left; written, it would be a file the reader rejects."""
         times = {"left": np.full(4, 1.5), "right": np.full(4, 2.5)}
         times[side][2:] = time
-        ev = EventSet(kind="unknown", config=SimConfig(n_pairs=4),
+        ev = EventSet(kind="unknown",
                       l_rec=np.array([1, 5, 8, 5], dtype=np.int8),
                       l_time=times["left"],
                       r_rec=np.array([2, 6, 7, 6], dtype=np.int8),

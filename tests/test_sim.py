@@ -55,21 +55,21 @@ def _binomial_band(p, n, sigmas=4.0):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(n_pairs=0).validate()
+            SimConfig(n_pairs=0)
         with pytest.raises(ValueError):
-            SimConfig(n_pairs=10, partitions=0).validate()
+            SimConfig(n_pairs=10, partitions=0)
         with pytest.raises(ValueError):
-            SimConfig(n_pairs=10, tau_r0=-1.0).validate()
+            SimConfig(n_pairs=10, tau_r0=-1.0)
         with pytest.raises(ValueError):
-            SimConfig(n_pairs=10, tau_l_grid=(1.0, -2.0)).validate()
+            SimConfig(n_pairs=10, tau_l_grid=(1.0, -2.0))
         with pytest.raises(ValueError, match="seed must be >= 0"):
-            SimConfig(n_pairs=10, seed=-5).validate()
+            SimConfig(n_pairs=10, seed=-5)
         with pytest.raises(ValueError, match="tau_r0 must be a finite number"):
-            SimConfig(n_pairs=10, tau_r0=math.nan).validate()
+            SimConfig(n_pairs=10, tau_r0=math.nan)
         with pytest.raises(ValueError, match="tau_l_grid must be a finite number"):
-            SimConfig(n_pairs=10, tau_l_grid=(1.0, math.inf)).validate()
+            SimConfig(n_pairs=10, tau_l_grid=(1.0, math.inf))
         with pytest.raises(ValueError, match="n_pairs must be at most"):
-            SimConfig(n_pairs=np.iinfo(np.intp).max + 1).validate()
+            SimConfig(n_pairs=np.iinfo(np.intp).max + 1)
 
     def test_default_grid_brackets_tau_r0(self):
         grid = SimConfig(n_pairs=1).tau_l_grid
@@ -592,7 +592,7 @@ def _random_events(rng, n, low=0, high=9, t_max=24):
         cols[side + "rec"] = rec
         cols[side + "time"] = np.where(
             rec > 0, 0.25 * rng.integers(0, 4 * t_max + 1, n), np.nan)
-    return EventSet(kind="D", config=SimConfig(n_pairs=n), **cols)
+    return EventSet(kind="D", **cols)
 
 
 def _per_cell_counts(events, binning):
@@ -646,7 +646,7 @@ class TestEstimators:
 
     def test_empty_event_set_rejected(self, k, model):
         ev = run_experiment("D", _cfg(n_pairs=5), k, model)
-        empty = EventSet(kind="D", config=ev.config,
+        empty = EventSet(kind="D",
                          **{c: getattr(ev, c)[:0] for c in EventSet._COLS})
         with pytest.raises(ValueError):
             estimate_probs(empty)

@@ -6,8 +6,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kaoneraser import (Outcome, DecayChannel, MisidWindow, lifetime_probs,
-                        misid_probs, passive_single_prob, single_decay_rate,
+from kaoneraser import (Outcome, DecayChannel, MisidWindow, joint_decay_rate,
+                        lifetime_probs, misid_probs, mixed_active_passive_prob,
+                        mixed_decay_rate, passive_single_prob, single_decay_rate,
                         strangeness_probs, visibility_single)
 from kaoneraser.decay import CHANNEL_CODES
 
@@ -54,6 +55,35 @@ def test_negative_time_rejected(k):
     for fn in (strangeness_probs, lifetime_probs, visibility_single):
         with pytest.raises(ValueError):
             fn(-1.0, k)
+
+
+SL, TWO_PI, K0 = DecayChannel.SL_PLUS, DecayChannel.TWO_PI, Outcome.K0
+# each scalar oracle with its time argument t; the two-time rates take t on
+# either side
+ORACLES = {
+    "visibility_single": lambda t, k, m: visibility_single(t, k),
+    "strangeness_probs": lambda t, k, m: strangeness_probs(t, k),
+    "lifetime_probs": lambda t, k, m: lifetime_probs(t, k),
+    "single_decay_rate": lambda t, k, m: single_decay_rate(SL, t, k, m),
+    "passive_single_prob": lambda t, k, m: passive_single_prob(K0, t, k, m),
+    "joint_decay_rate_left": lambda t, k, m: joint_decay_rate(SL, t, TWO_PI, 1.0, k, m),
+    "joint_decay_rate_right": lambda t, k, m: joint_decay_rate(SL, 1.0, TWO_PI, t, k, m),
+    "mixed_decay_rate_left": lambda t, k, m: mixed_decay_rate(SL, t, 1.0, k, m),
+    "mixed_decay_rate_right": lambda t, k, m: mixed_decay_rate(SL, 1.0, t, k, m),
+    "mixed_active_passive_prob_left":
+        lambda t, k, m: mixed_active_passive_prob(K0, t, Outcome.KS, 1.0, k, m),
+    "mixed_active_passive_prob_right":
+        lambda t, k, m: mixed_active_passive_prob(K0, 1.0, Outcome.KS, t, k, m),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ORACLES)
+def test_nan_or_infinite_time_rejected(k, model, name, t):
+    """A NaN time would come back as NaN and an infinite one as a limit
+    value or a math domain error; each is rejected instead."""
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ORACLES[name](t, k, model)
 
 
 class TestMisidWindow:
