@@ -57,6 +57,11 @@ class Outcome(Enum):
     KS = "KS"
     KL = "KL"
 
+    # members are singletons compared by identity, so the C identity hash
+    # agrees with equality and spares every dict lookup Enum's Python-level
+    # hash of the name
+    __hash__ = object.__hash__
+
     @property
     def observable(self) -> Observable:
         if self in (Outcome.K0, Outcome.K0BAR):

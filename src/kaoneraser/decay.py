@@ -24,6 +24,8 @@ class DecayChannel(Enum):
     SL_PLUS = "sl+"   # pi- l+ nu, tags K0
     SL_MINUS = "sl-"  # pi+ l- nubar, tags K0bar
 
+    __hash__ = object.__hash__  # the identity hash, as for ``Outcome``
+
 
 #: Channels in integer-code order (code = index, the definition order above),
 #: the order of the event store's channel codes and of the amplitude tuples.
@@ -164,7 +166,10 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     amp = bra.c_S * model.a_S[c] + bra.c_L * model.a_L[c]
     w = abs(amp) ** 2
     if w <= 0.0:
-        raise ValueError(f"identifying width undefined for channel {channel}")
+        # the 2pi width, gamma_S - br_sl_L gamma_L, exceeds gamma_S - gamma_L > 0
+        field = "br_3pi_L" if channel is DecayChannel.THREE_PI else "br_sl_L"
+        raise ValueError(f"identifying width of channel {channel.value!r} is "
+                         f"zero: constants field {field!r} is {getattr(k, field)!r}")
     return w
 
 

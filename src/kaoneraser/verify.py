@@ -35,30 +35,37 @@ def _deviation(a: float, b: float) -> float:
     return abs(a - b) if scale < 1e-12 else abs(a - b) / scale
 
 
-_SS_PAIRS = [
+# the 8 ordered outcome pairs with their closed-form kind, and the 4 kinds
+_PAIRS = [
     (Outcome.K0, Outcome.K0, "ss_like"),
     (Outcome.K0BAR, Outcome.K0BAR, "ss_like"),
     (Outcome.K0, Outcome.K0BAR, "ss_unlike"),
     (Outcome.K0BAR, Outcome.K0, "ss_unlike"),
-]
-_SL_PAIRS = [
     (Outcome.K0, Outcome.KS, "s_ks"),
     (Outcome.K0BAR, Outcome.KS, "s_ks"),
     (Outcome.K0, Outcome.KL, "s_kl"),
     (Outcome.K0BAR, Outcome.KL, "s_kl"),
 ]
+_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
+
+
+def _closed_forms(delta_tau: float, k: PhysicalConstants) -> dict:
+    """``closed_form_joint`` of each kind at one time difference."""
+    return {kind: closed_form_joint(kind, delta_tau, k) for kind in _KINDS}
 
 
 def check_oracle_grid(k: PhysicalConstants, tol: float = 1e-10) -> CheckResult:
     """Projector computation on the normalized pair state vs closed forms,
     for all 8 outcome pairs over a dense time-difference grid."""
+    projectors = [(JointProjector(left, right), kind)
+                  for left, right, kind in _PAIRS]
     worst = 0.0
-    for dt in np.arange(-12.0, 12.0 + 1e-9, 0.25):
-        state = normalized_pair(float(dt), k)
-        for left, right, kind in _SS_PAIRS + _SL_PAIRS:
-            got = joint_projective_prob(state, JointProjector(left, right))
-            want = closed_form_joint(kind, float(dt), k)
-            worst = max(worst, _deviation(got, want))
+    for dt in np.arange(-12.0, 12.0 + 1e-9, 0.25).tolist():
+        state = normalized_pair(dt, k)
+        closed = _closed_forms(dt, k)
+        for p, kind in projectors:
+            got = joint_projective_prob(state, p)
+            worst = max(worst, _deviation(got, closed[kind]))
     return CheckResult("oracle-equivalence-grid", worst < tol, worst, tol)
 
 
@@ -70,13 +77,12 @@ def check_active_passive(k: PhysicalConstants, model: AmplitudeModel,
     grid = (0.0, 1.0, 2.0, 4.0, 8.0)
     for tl in grid:
         for tr in grid:
-            dt = tl - tr
-            for left, right, kind in _SS_PAIRS + _SL_PAIRS:
-                want = closed_form_joint(kind, dt, k)
+            closed = _closed_forms(tl - tr, k)
+            for left, right, kind in _PAIRS:
                 got = passive_joint_prob(left, tl, right, tr, k, model)
-                worst = max(worst, _deviation(got, want))
+                worst = max(worst, _deviation(got, closed[kind]))
                 got = mixed_active_passive_prob(left, tl, right, tr, k, model)
-                worst = max(worst, _deviation(got, want))
+                worst = max(worst, _deviation(got, closed[kind]))
     for tau in np.arange(0.0, 12.0 + 1e-9, 0.5):
         p_k0, p_k0b = strangeness_probs(float(tau), k)
         p_ks, p_kl = lifetime_probs(float(tau), k)
@@ -139,17 +145,24 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
             CheckResult("mixed-rate-normalization", mixed < 1e-5, mixed, 1e-5)]
 
 
+def _delayed_choice_triples(n_triples: int, seed: int) -> list:
+    """(tau_l, tau_r0, projector) triples: both times uniform on [0, 8), each
+    side's outcome uniform over the four, drawn as one array of each."""
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 8.0, (n_triples, 2)).tolist()
+    sides = rng.integers(4, size=(n_triples, 2)).tolist()
+    table = [[JointProjector(left, right) for right in Outcome]
+             for left in Outcome]
+    return [(tau_l, tau_r0, table[i][j])
+            for (tau_l, tau_r0), (i, j) in zip(times, sides)]
+
+
 def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,
                          seed: int = 20240824, tol: float = 1e-12) -> CheckResult:
     """Squared norms of the three operator orderings agree for randomized
     (tau_l, tau_r0, projector) triples."""
-    rng = np.random.default_rng(seed)
-    outcomes = list(Outcome)
     worst = 0.0
-    for _ in range(n_triples):
-        tau_l = float(rng.uniform(0.0, 8.0))
-        tau_r0 = float(rng.uniform(0.0, 8.0))
-        p = JointProjector(outcomes[rng.integers(4)], outcomes[rng.integers(4)])
+    for tau_l, tau_r0, p in _delayed_choice_triples(n_triples, seed):
         norms = delayed_choice_norms(tau_l, tau_r0, p, k)
         worst = max(worst, max(norms) - min(norms))
     return CheckResult("delayed-choice-identity", worst < tol, worst, tol)

@@ -284,7 +284,7 @@ class TestVerify:
 class TestZeroSemileptonicWidths:
     """br_sl_L = br_sl_S = 0 passes the constants boundary: simulation runs
     with no semileptonic decays, and verify names the channel whose
-    identifying width is undefined."""
+    identifying width is zero and the constants field that makes it so."""
 
     DOC = {"constants": {"br_sl_L": 0.0, "br_sl_S": 0.0}}
 
@@ -305,8 +305,17 @@ class TestZeroSemileptonicWidths:
         cfg.write_text(json.dumps(self.DOC))
         assert run("verify", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == (
-            "error: identifying width undefined for channel "
-            "DecayChannel.SL_PLUS\n")
+            "error: identifying width of channel 'sl+' is zero: "
+            "constants field 'br_sl_L' is 0.0\n")
+
+    def test_verify_without_three_pion_decays(self, tmp_path, capsys):
+        """br_sl_L = 1 leaves br_3pi_L its complement, 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"br_sl_L": 1}}))
+        assert run("verify", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            "error: identifying width of channel '3pi' is zero: "
+            "constants field 'br_3pi_L' is 0.0\n")
 
 
 class TestFit:

@@ -1,6 +1,9 @@
 """Effective decay amplitudes, joint rates and the active/passive equivalence."""
 
+import copy
+import inspect
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +13,10 @@ from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
                         joint_decay_rate, mixed_active_passive_prob,
                         mixed_decay_rate, pair_beam_norm, passive_joint_prob,
                         passive_single_prob, single_decay_rate)
-from kaoneraser.decay import CHANNEL_BY_CODE, CHANNEL_CODES
+from kaoneraser.core import _EIGENSTATES
+from kaoneraser.decay import (CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME,
+                              OUTCOME_CHANNEL)
+from kaoneraser.pairs import _KETS
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
 
@@ -135,6 +141,23 @@ def test_unknown_outcome_is_a_value_error(k, model, call, bad):
     with no KeyError on the way."""
     with pytest.raises(ValueError, match=f"^unknown outcome {bad!r}$"):
         call(bad, k, model)
+
+
+# every module table keyed by an enum member, per member type
+ENUM_TABLES = {Outcome: (_EIGENSTATES, _KETS, OUTCOME_CHANNEL),
+               DecayChannel: (CHANNEL_CODES, CHANNEL_OUTCOME)}
+
+
+@pytest.mark.parametrize("member", [*Outcome, *DecayChannel], ids=str)
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_enum_lookups_survive_copies(member, clone):
+    """The members hash by identity in C; a pickled or deep-copied member is
+    the same singleton, so every table still finds it."""
+    assert not inspect.isfunction(type(member).__hash__)
+    twin = clone(member)
+    for table in ENUM_TABLES[type(member)]:
+        assert table[twin] is table[member]
 
 
 class TestJointRates:

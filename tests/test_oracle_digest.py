@@ -33,7 +33,9 @@ PAIRS8 = [(Outcome.K0, Outcome.K0), (Outcome.K0BAR, Outcome.K0BAR),
 
 def oracle_outputs(k, model):
     """Every scalar-oracle output on verify's inputs, in a fixed order."""
-    # delayed_choice_norms on check_delayed_choice's 1000 triples
+    # delayed_choice_norms on 1000 triples drawn one scalar at a time from
+    # verify's seed; check_delayed_choice draws its triples as two arrays,
+    # so these are other triples from the same distribution
     rng = np.random.default_rng(20240824)
     outcomes = list(Outcome)
     for _ in range(1000):

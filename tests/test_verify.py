@@ -16,8 +16,8 @@ import pytest
 from kaoneraser import (PhysicalConstants, evolution_factors, joint_decay_rate,
                         pairs)
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
-from kaoneraser.verify import (check_delayed_choice, check_normalizations,
-                               check_oracle_grid, run_all)
+from kaoneraser.verify import (_delayed_choice_triples, check_delayed_choice,
+                               check_normalizations, check_oracle_grid, run_all)
 
 RATE_CHECKS = ("single-rate-normalization", "joint-rate-normalization",
                "passive-pair-weights", "mixed-rate-normalization")
@@ -49,6 +49,19 @@ def test_delayed_choice_catches_a_wrong_side_in_the_delayed_ordering(k, monkeypa
     result = check_delayed_choice(k, n_triples=50)
     assert not result.passed
     assert result.worst > 1e-3
+
+
+def test_delayed_choice_draw_covers_the_identity(k):
+    """The default draw meets all 16 projectors and both orderings of the
+    two times (tau_l < tau_r0 is delayed-choice mode), and repeats."""
+    defaults = inspect.signature(check_delayed_choice).parameters
+    triples = _delayed_choice_triples(defaults["n_triples"].default,
+                                      defaults["seed"].default)
+    assert len(triples) == 1000
+    assert len({(p.left, p.right) for _, _, p in triples}) == 16
+    assert any(tl < tr for tl, tr, _ in triples)
+    assert any(tl > tr for tl, tr, _ in triples)
+    assert check_delayed_choice(k).worst == check_delayed_choice(k).worst
 
 
 def test_oracle_grid_catches_a_wrong_sign(k, monkeypatch):
