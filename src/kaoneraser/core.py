@@ -174,21 +174,24 @@ def make_state(outcome: Outcome) -> SingleKaonState:
         raise ValueError(f"unknown outcome {outcome!r}") from None
 
 
-def evolution_factors(tau: float, k: PhysicalConstants) -> tuple[complex, complex]:
+def evolution_factors(tau: float, k: PhysicalConstants, exp=math.exp,
+                      cexp=cmath.exp) -> tuple[complex, complex]:
     """Free-propagation factors on (c_S, c_L) with the global phase dropped.
 
     Only the relative phase exp(-i*delta_m*tau) and the moduli
-    exp(-Gamma*tau/2) are observable, so the K_S factor is kept real.
+    exp(-Gamma*tau/2) are observable, so the K_S factor is kept real.  With
+    ``numpy.exp`` as both ``exp`` and ``cexp``, ``tau`` may be an array.
     """
-    f_S = math.exp(-0.5 * k.gamma_S * tau)
-    f_L = cmath.exp(-1j * k.delta_m * tau) * math.exp(-0.5 * k.gamma_L * tau)
+    f_S = exp(-0.5 * k.gamma_S * tau)
+    f_L = cexp(-1j * k.delta_m * tau) * exp(-0.5 * k.gamma_L * tau)
     return f_S, f_L
 
 
-def beam_norm(tau: float, k: PhysicalConstants) -> float:
+def beam_norm(tau: float, k: PhysicalConstants, exp=math.exp) -> float:
     """Single-beam survivor normalization N(tau) = [exp(-G_S t)+exp(-G_L t)]/2.
 
     This is the survival probability of an initial strangeness eigenstate; it
-    appears in every passive-measurement probability.
+    appears in every passive-measurement probability.  With ``numpy.exp`` as
+    ``exp``, ``tau`` may be an array.
     """
-    return 0.5 * (math.exp(-k.gamma_S * tau) + math.exp(-k.gamma_L * tau))
+    return 0.5 * (exp(-k.gamma_S * tau) + exp(-k.gamma_L * tau))

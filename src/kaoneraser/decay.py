@@ -66,13 +66,11 @@ class AmplitudeModel:
     channel in channel-code order (``CHANNEL_BY_CODE``).  The moduli
     saturate the total widths exactly: sum_f |a_S(f)|^2 = Gamma_S and
     sum_f |a_L(f)|^2 = Gamma_L, which makes every decay-rate normalization
-    integral close exactly.  ``warnings`` carries a note when the input
-    branching ratios violate the Delta-S = Delta-Q width consistency.
+    integral close exactly.
     """
 
     a_S: tuple
     a_L: tuple
-    warnings: tuple = ()
 
 
 def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
@@ -83,20 +81,13 @@ def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
     strength then saturates Gamma_S.  In the CP-conserving limit
     a(2pi, K_L) = a(3pi, K_S) = 0 exactly.
     """
-    warnings = ()
-    if not k.semileptonic_width_mismatch() <= 0.10:
-        warnings = (
-            "branching ratios violate the 10% Delta-S=Delta-Q width check: "
-            f"br_sl_L*gamma_L={k.br_sl_L * k.gamma_L:.4g} vs "
-            f"br_sl_S*gamma_S={k.br_sl_S * k.gamma_S:.4g}",
-        )
     # One semileptonic sign channel carries half the semileptonic width.
     a_sl = math.sqrt(0.5 * k.br_sl_L * k.gamma_L)
     a_3pi = math.sqrt(k.br_3pi_L * k.gamma_L)
     a_2pi = math.sqrt(k.gamma_S - k.br_sl_L * k.gamma_L)
     # channel-code order: 2pi, 3pi, sl+, sl-
     return AmplitudeModel(a_S=(a_2pi, 0.0, a_sl, a_sl),
-                          a_L=(0.0, a_3pi, a_sl, -a_sl), warnings=warnings)
+                          a_L=(0.0, a_3pi, a_sl, -a_sl))
 
 
 def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants) -> float:

@@ -53,6 +53,7 @@ import os
 import pickle
 import shutil
 import threading
+import warnings
 from functools import partial
 from itertools import compress, repeat
 from operator import itemgetter
@@ -93,7 +94,14 @@ def _fan_out(own, tasks, receive) -> list:
         for task in tasks:
             r, w = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    # from Python 3.12 fork() warns when the process has more
+                    # than one OS thread, and numpy's OpenBLAS starts one;
+                    # _workers forks only while no other Python thread runs
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is multi-threaded",
+                        DeprecationWarning)
+                    pid = os.fork()
             except OSError:
                 os.close(r)
                 os.close(w)

@@ -6,9 +6,12 @@ created in a phi decay or p-pbar annihilation is antisymmetric, so free
 evolution populates only LS and SL, the two amplitudes of ``TwoKaonState``.
 A one-sided projection populates all four labels, so ``delayed_choice_norms``
 runs its orderings on private functions of plain (LS, SL, SS, LL) tuples and
-of propagators and eigenstates evaluated once per call.  Sums keep the term
-order of a loop over the labels (S before L), so every probability and norm
-is the same to the last bit; ``tests/test_oracle_digest.py`` pins them.
+of propagators and eigenstates evaluated once per call.  The entries are
+floats, or numpy arrays when a whole batch of times runs in one call; only
+the exp and sqrt functions passed in and the time check tell the two apart.
+Sums keep the term order of a loop over the labels (S before L), so every
+float probability and norm is the same to the last bit;
+``tests/test_oracle_digest.py`` pins them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import (Outcome, PhysicalConstants, SingularStateError, beam_norm,
                    evolution_factors, make_state)
@@ -43,10 +48,21 @@ def _norm_sq(c) -> float:
     return abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2 + abs(c[3]) ** 2
 
 
-def _check_times(tau_l: float, tau_r: float) -> None:
-    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
-        raise ValueError("evolution times must be finite and nonnegative, "
-                         f"got {tau_l!r} and {tau_r!r}")
+def _check_times(tau_l, tau_r) -> None:
+    """ValueError unless both times are finite and nonnegative; for arrays of
+    times it names the first pair that is not."""
+    # a bool for float times, an array of them for arrays
+    ok = ((0.0 <= tau_l) & (tau_l < math.inf)
+          & (0.0 <= tau_r) & (tau_r < math.inf))
+    if ok is True or ok is not False and ok.all():
+        return
+    at = ""
+    if ok is not False and ok.ndim:
+        i = int(ok.argmin())
+        tau_l, tau_r = float(tau_l[i]), float(tau_r[i])
+        at = f" at index {i}"
+    raise ValueError("evolution times must be finite and nonnegative, "
+                     f"got {tau_l!r} and {tau_r!r}{at}")
 
 
 def _evolve(c, f_l, f_r) -> tuple:
@@ -57,12 +73,21 @@ def _evolve(c, f_l, f_r) -> tuple:
             l_l * l_r * c[3])
 
 
-def _normalize(c) -> tuple:
-    n2 = _norm_sq(c)
-    if n2 <= 0.0:
-        raise SingularStateError("cannot normalize a zero-norm pair state")
-    n = math.sqrt(n2)
-    return c[0] / n, c[1] / n, c[2] / n, c[3] / n
+def _normalize(c, sqrt=math.sqrt) -> tuple:
+    try:
+        n = sqrt(_norm_sq(c))
+        return c[0] / n, c[1] / n, c[2] / n, c[3] / n
+    except ZeroDivisionError:
+        raise SingularStateError(
+            "cannot normalize a zero-norm pair state") from None
+
+
+def _array_sqrt(x):
+    """``numpy.sqrt`` that raises ZeroDivisionError where ``x`` has a zero,
+    as a float divided by the root of zero does."""
+    if (x <= 0.0).any():
+        raise ZeroDivisionError("division by the root of zero")
+    return np.sqrt(x)
 
 
 def normalized_pair(delta_tau: float, k: PhysicalConstants) -> TwoKaonState:
@@ -88,6 +113,22 @@ def _ket(outcome: Outcome) -> tuple:
         return _KETS[outcome]
     except (KeyError, TypeError):
         raise ValueError(f"unknown outcome {outcome!r}") from None
+
+
+# _KETS as one array, a row per outcome, and the row of each outcome
+_KET_ROWS = np.array(list(_KETS.values()))
+_KET_ROW = {o: i for i, o in enumerate(_KETS)}
+
+
+def _kets(outcomes: list) -> tuple:
+    """``_ket`` of each outcome, as four arrays."""
+    try:
+        rows = [_KET_ROW[o] for o in outcomes]
+    except (KeyError, TypeError):
+        for o in outcomes:
+            _ket(o)  # the ValueError naming the first unknown outcome
+        raise
+    return tuple(_KET_ROWS.take(rows, axis=0).T)
 
 
 def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
@@ -142,10 +183,11 @@ def _project_right(c, b) -> tuple:
     return b_S * in_L, b_L * in_S, b_S * in_S, b_L * in_L
 
 
-def _survivor_factors(dt: float, k: PhysicalConstants) -> tuple:
+def _survivor_factors(dt: float, k: PhysicalConstants, exp=math.exp,
+                      cexp=cmath.exp, sqrt=math.sqrt) -> tuple:
     """``evolution_factors`` over dt rescaled to single-beam survivors."""
-    f_S, f_L = evolution_factors(dt, k)
-    scale = 1.0 / math.sqrt(beam_norm(dt, k))
+    f_S, f_L = evolution_factors(dt, k, exp, cexp)
+    scale = 1.0 / sqrt(beam_norm(dt, k, exp))
     return f_S * scale, f_L * scale
 
 
@@ -165,25 +207,34 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     both projections on the fully evolved state, meter-first (normal mode) and
     object-first (delayed-choice mode).  All three agree identically.  Each
     ordering normalizes, projects and rescales survivors on its own; they
-    share only the propagators at tau_l and tau_r0 and the two eigenstates."""
+    share only the propagators at tau_l and tau_r0 and the two eigenstates.
+
+    Given arrays of times and a sequence of projectors, one per pair, the
+    same steps run on numpy arrays and the three norms are arrays."""
+    if isinstance(p, JointProjector):
+        exp, cexp, sqrt = math.exp, cmath.exp, math.sqrt
+        b_l, b_r = _ket(p.left), _ket(p.right)
+    else:
+        exp = cexp = np.exp
+        sqrt = _array_sqrt
+        b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
+        tau_l, tau_r0 = np.asarray(tau_l, float), np.asarray(tau_r0, float)
     _check_times(tau_l, tau_r0)
-    e_l = evolution_factors(tau_l, k)
-    e_r = evolution_factors(tau_r0, k)
-    b_l = _ket(p.left)
-    b_r = _ket(p.right)
+    e_l = evolution_factors(tau_l, k, exp, cexp)
+    e_r = evolution_factors(tau_r0, k, exp, cexp)
 
     # direct: project the survivor-normalized state at (tau_l, tau_r0)
-    phi = _normalize(_evolve(_INITIAL, e_l, e_r))
+    phi = _normalize(_evolve(_INITIAL, e_l, e_r), sqrt)
     direct = _norm_sq(_project_left(_project_right(phi, b_r), b_l))
 
     # normal ordering: right projection at tau_r0, then left evolution to tau_l
-    s = _project_right(_normalize(_evolve(_INITIAL, e_r, e_r)), b_r)
-    s = _propagate_left(s, _survivor_factors(tau_l - tau_r0, k))
+    s = _project_right(_normalize(_evolve(_INITIAL, e_r, e_r), sqrt), b_r)
+    s = _propagate_left(s, _survivor_factors(tau_l - tau_r0, k, exp, cexp, sqrt))
     normal = _norm_sq(_project_left(s, b_l))
 
     # delayed ordering: left projection at tau_l, then right evolution to tau_r0
-    s = _project_left(_normalize(_evolve(_INITIAL, e_l, e_l)), b_l)
-    s = _propagate_right(s, _survivor_factors(tau_r0 - tau_l, k))
+    s = _project_left(_normalize(_evolve(_INITIAL, e_l, e_l), sqrt), b_l)
+    s = _propagate_right(s, _survivor_factors(tau_r0 - tau_l, k, exp, cexp, sqrt))
     delayed = _norm_sq(_project_right(s, b_r))
 
     return direct, normal, delayed

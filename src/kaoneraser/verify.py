@@ -145,26 +145,24 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
             CheckResult("mixed-rate-normalization", mixed < 1e-5, mixed, 1e-5)]
 
 
-def _delayed_choice_triples(n_triples: int, seed: int) -> list:
-    """(tau_l, tau_r0, projector) triples: both times uniform on [0, 8), each
-    side's outcome uniform over the four, drawn as one array of each."""
+def _delayed_choice_triples(n_triples: int, seed: int) -> tuple:
+    """The (tau_l, tau_r0, projector) triples as three columns: both times
+    uniform on [0, 8), each side's outcome uniform over the four, drawn as
+    one array of each."""
     rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, 8.0, (n_triples, 2)).tolist()
+    tau_l, tau_r0 = rng.uniform(0.0, 8.0, (n_triples, 2)).T
     sides = rng.integers(4, size=(n_triples, 2)).tolist()
     table = [[JointProjector(left, right) for right in Outcome]
              for left in Outcome]
-    return [(tau_l, tau_r0, table[i][j])
-            for (tau_l, tau_r0), (i, j) in zip(times, sides)]
+    return tau_l, tau_r0, [table[i][j] for i, j in sides]
 
 
 def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,
                          seed: int = 20240824, tol: float = 1e-12) -> CheckResult:
     """Squared norms of the three operator orderings agree for randomized
-    (tau_l, tau_r0, projector) triples."""
-    worst = 0.0
-    for tau_l, tau_r0, p in _delayed_choice_triples(n_triples, seed):
-        norms = delayed_choice_norms(tau_l, tau_r0, p, k)
-        worst = max(worst, max(norms) - min(norms))
+    (tau_l, tau_r0, projector) triples, all evaluated in one array call."""
+    norms = delayed_choice_norms(*_delayed_choice_triples(n_triples, seed), k)
+    worst = float(np.ptp(norms, axis=0).max(initial=0.0))
     return CheckResult("delayed-choice-identity", worst < tol, worst, tol)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from kaoneraser import (DecayChannel, Outcome, PhysicalConstants, beam_norm,
                         build_amplitude_model, evolution_factors, make_state,
                         single_decay_rate, strangeness_probs)
+from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 
@@ -48,11 +49,11 @@ class TestPhysicalConstants:
 
     def test_delta_s_delta_q_default_ok(self, k):
         # measured ratios agree to ~3.5%
-        assert build_amplitude_model(k).warnings == ()
+        assert not check_branching_consistency(k).warning
         assert 0.02 < k.semileptonic_width_mismatch() < 0.05
 
     def test_delta_s_delta_q_inconsistent(self):
-        assert build_amplitude_model(PhysicalConstants(br_sl_L=0.9)).warnings
+        assert check_branching_consistency(PhysicalConstants(br_sl_L=0.9)).warning
 
     def test_from_json_dict_and_text(self):
         from_dict = PhysicalConstants.from_json({"delta_m": 0.5})
@@ -112,7 +113,7 @@ class TestZeroSemileptonicWidths:
     def test_amplitude_model(self):
         k = PhysicalConstants(br_sl_L=0.0, br_sl_S=0.0)
         m = build_amplitude_model(k)
-        assert m.warnings == ()
+        assert not check_branching_consistency(k).warning
         assert m.a_S == (1.0, 0.0, 0.0, 0.0)
         assert m.a_L == (0.0, math.sqrt(k.gamma_L), 0.0, 0.0)
 

@@ -17,6 +17,7 @@ from kaoneraser.core import _EIGENSTATES
 from kaoneraser.decay import (CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME,
                               OUTCOME_CHANNEL)
 from kaoneraser.pairs import _KETS
+from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
 
@@ -78,12 +79,14 @@ class TestAmplitudeModel:
         assert sum(abs(a) ** 2 for a in m.a_L) == pytest.approx(k.gamma_L)
 
     def test_warning_on_inconsistent_branching(self):
-        m = build_amplitude_model(PhysicalConstants(br_sl_L=0.9))
-        assert len(m.warnings) == 1
-        assert "Delta-S=Delta-Q" in m.warnings[0]
+        k = PhysicalConstants(br_sl_L=0.9)
+        build_amplitude_model(k)
+        check = check_branching_consistency(k)
+        assert check.passed and check.warning
+        assert "Delta-S=Delta-Q" in check.detail
 
-    def test_no_warning_by_default(self, model):
-        assert model.warnings == ()
+    def test_no_warning_by_default(self, k):
+        assert not check_branching_consistency(k).warning
 
 
 class TestDecayWidths:

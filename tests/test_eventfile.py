@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -491,6 +492,29 @@ class TestProcesses:
         finally:
             stop.set()
             thread.join()
+        assert path.read_bytes() == golden("D").read_bytes()
+        assert_same_columns(back, read_events(golden("D")))
+
+    def test_fork_warning_on_a_multithreaded_process_is_ignored(
+            self, k, model, tmp_path, monkeypatch):
+        """From Python 3.12 os.fork warns when the process has more than one
+        OS thread, as it has once numpy has started OpenBLAS's; the tests
+        run with warnings as errors.  Here every fork warns as 3.12 would,
+        and each still happens with one Python thread running."""
+        fork, threads = os.fork, []
+
+        def warning_fork():
+            threads.append(threading.active_count())
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                          "use of fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return fork()
+        monkeypatch.setattr(os, "fork", warning_fork)
+        path = tmp_path / "events.csv"
+        with forced_workers(2):
+            write_events(run_experiment("D", GOLDEN_CFG, k, model), path)
+            back = read_events(path)
+        assert threads == [1, 1]
         assert path.read_bytes() == golden("D").read_bytes()
         assert_same_columns(back, read_events(golden("D")))
 

@@ -3,6 +3,7 @@ ordering-independence of delayed-choice measurements."""
 
 import itertools
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -236,6 +237,43 @@ class TestNonFiniteTimes:
         p = JointProjector(Outcome.K0, Outcome.K0BAR)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             delayed_choice_norms(*times, p, k)
+
+
+class TestArraysRejectAsFloats:
+    """Arrays of times fail where the per-pair float calls fail, with the
+    same error: a bad time names the first bad pair, and a state that
+    underflows to zero norm is a SingularStateError."""
+
+    P = JointProjector(Outcome.K0, Outcome.K0BAR)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf],
+                             ids=["nan", "negative", "infinite"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["left", "right"])
+    def test_bad_time_names_the_first_bad_pair(self, k, bad, which):
+        times = np.ones((2, 4))
+        times[which, 2] = bad
+        times[1 - which, 3] = -2.0  # a later bad pair is not the one named
+        tau_l, tau_r0 = times[:, 2].tolist()
+        first = f"got {tau_l!r} and {tau_r0!r}"
+        with pytest.raises(ValueError, match=re.escape(first) + "$"):
+            delayed_choice_norms(tau_l, tau_r0, self.P, k)
+        with pytest.raises(ValueError, match=re.escape(
+                "evolution times must be finite and nonnegative, "
+                f"{first} at index 2")):
+            delayed_choice_norms(*times, [self.P] * 4, k)
+
+    def test_unknown_outcome(self, k):
+        tau = np.ones(2)
+        with pytest.raises(ValueError, match="unknown outcome 'K0'"):
+            delayed_choice_norms(tau, tau,
+                                 [self.P, JointProjector(Outcome.K0, "K0")], k)
+
+    def test_zero_norm_entry(self, k):
+        tau = np.array([1.0, 760.0, 2.0])
+        with pytest.raises(SingularStateError):
+            delayed_choice_norms(760.0, 760.0, self.P, k)
+        with pytest.raises(SingularStateError):
+            delayed_choice_norms(tau, tau, [self.P] * 3, k)
 
 
 # Bit-level reference for the pair-state algebra: the same arithmetic step for

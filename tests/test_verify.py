@@ -35,7 +35,9 @@ def _mutated(func, old, new):
 
 def test_delayed_choice_catches_missing_survivor_rescaling(k, monkeypatch):
     # both reorderings take their one-sided propagator from _survivor_factors
-    monkeypatch.setattr(pairs, "_survivor_factors", evolution_factors)
+    monkeypatch.setattr(pairs, "_survivor_factors",
+                        lambda dt, k, exp, cexp, sqrt: evolution_factors(
+                            dt, k, exp, cexp))
     result = check_delayed_choice(k, n_triples=50)
     assert not result.passed
     assert result.worst > 1e-3
@@ -51,17 +53,50 @@ def test_delayed_choice_catches_a_wrong_side_in_the_delayed_ordering(k, monkeypa
     assert result.worst > 1e-3
 
 
+def _default_draw():
+    defaults = inspect.signature(check_delayed_choice).parameters
+    return _delayed_choice_triples(defaults["n_triples"].default,
+                                   defaults["seed"].default)
+
+
 def test_delayed_choice_draw_covers_the_identity(k):
     """The default draw meets all 16 projectors and both orderings of the
     two times (tau_l < tau_r0 is delayed-choice mode), and repeats."""
-    defaults = inspect.signature(check_delayed_choice).parameters
-    triples = _delayed_choice_triples(defaults["n_triples"].default,
-                                      defaults["seed"].default)
-    assert len(triples) == 1000
-    assert len({(p.left, p.right) for _, _, p in triples}) == 16
-    assert any(tl < tr for tl, tr, _ in triples)
-    assert any(tl > tr for tl, tr, _ in triples)
+    tau_l, tau_r0, projectors = _default_draw()
+    assert len(tau_l) == len(tau_r0) == len(projectors) == 1000
+    assert len({(p.left, p.right) for p in projectors}) == 16
+    assert np.any(tau_l < tau_r0)
+    assert np.any(tau_l > tau_r0)
     assert check_delayed_choice(k).worst == check_delayed_choice(k).worst
+
+
+def test_batched_norms_match_the_float_calls(k):
+    """One array call gives each triple's float-call norms, to a few units
+    in the last place (numpy's exp may round otherwise than math.exp and
+    cmath.exp); the norms are at most 1, so the bound is absolute."""
+    tau_l, tau_r0, projectors = _default_draw()
+    batched = np.array(pairs.delayed_choice_norms(tau_l, tau_r0, projectors, k))
+    each = np.array([pairs.delayed_choice_norms(tl, tr, p, k) for tl, tr, p
+                     in zip(tau_l.tolist(), tau_r0.tolist(), projectors)])
+    assert batched.shape == (3, 1000)
+    assert np.max(np.abs(batched.T - each)) <= 4 * 2.0 ** -52
+    one = check_delayed_choice(k, n_triples=1)
+    assert one.passed and type(one.worst) is float
+
+
+def test_delayed_choice_check_rescales_in_one_batch(k, monkeypatch):
+    """The check calls the survivor rescaling once per reordering, however
+    many triples it draws."""
+    calls, survivor_factors = [], pairs._survivor_factors
+
+    def counted(*args):
+        calls.append(1)
+        return survivor_factors(*args)
+    monkeypatch.setattr(pairs, "_survivor_factors", counted)
+    for n in (1, 50, 1000):
+        calls.clear()
+        assert check_delayed_choice(k, n_triples=n).passed
+        assert len(calls) == 2, n
 
 
 def test_oracle_grid_catches_a_wrong_sign(k, monkeypatch):
