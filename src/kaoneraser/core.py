@@ -5,6 +5,19 @@ All times are measured in units of the K_S mean lifetime tau_S, so gamma_S = 1
 by default and every other scale is a ratio.  The strangeness basis is fixed by
 the convention K0 = (K_S + K_L)/sqrt(2), K0bar = (K_S - K_L)/sqrt(2), used
 consistently throughout the package.
+
+Floats and arrays.  Each formula has one implementation, which takes its
+times as floats or as numpy arrays; the functions it calls (exp, cos, cosh,
+sqrt) come from its last argument ``m``, ``FloatMath`` (``math`` and
+``cmath``) or ``ArrayMath`` (numpy).  A public oracle of ``single``,
+``pairs`` or ``decay`` is called without ``m`` and picks it by
+``isinstance(time, numpy.ndarray)``, a test ``check_times`` makes as it
+checks the times: a float, or a numpy scalar, stays on ``math``/``cmath``
+and keeps its bits, and arrays go through ``on_arrays``, which runs the same
+code on numpy under an error state that raises, so an array fails with an
+ArithmeticError wherever one of its elements would fail as a float, never
+with an inf, NaN or 0 and a warning.  Given ``m``, an oracle is a step of
+another one, which has checked the times.
 """
 
 from __future__ import annotations
@@ -17,6 +30,8 @@ import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,6 +59,57 @@ def finite_number(name: str, value) -> float:
         if math.isfinite(x):
             return x
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+# The two namespaces of functions a formula calls.  They are classes, never
+# instantiated, because the interpreter looks up a class attribute as fast
+# as a module's, and an instance's or a SimpleNamespace's more slowly.
+
+class FloatMath:
+    exp, cexp, sqrt = math.exp, cmath.exp, math.sqrt
+    cos, cosh = math.cos, math.cosh
+
+
+class ArrayMath:
+    exp = cexp = np.exp
+    cos, cosh, sqrt = np.cos, np.cosh, np.sqrt
+
+
+def on_arrays(oracle, *args):
+    """``oracle(*args)`` on ``ArrayMath``, raising FloatingPointError on
+    overflow, division by zero and invalid values."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return oracle(*args, m=ArrayMath)
+
+
+def check_times(what: str, tau, tau_r=None) -> bool:
+    """ValueError ``"<what> must be finite and nonnegative, got ..."`` unless
+    ``tau`` (and ``tau_r``, if given) are; for arrays of times the test is
+    elementwise and the message gives the times at the first bad index.
+    Returns whether either time is an array, the test by which an oracle
+    picks its path."""
+    # the common case first: float times (numpy's float64 is a float)
+    if (isinstance(tau, float) and 0.0 <= tau < math.inf
+            and (tau_r is None
+                 or isinstance(tau_r, float) and 0.0 <= tau_r < math.inf)):
+        return False
+    times = (tau,) if tau_r is None else (tau, tau_r)
+    ok = True
+    for t in times:
+        ok = ok & (0.0 <= t) & (t < math.inf)
+    # a bool for Python numbers, a numpy bool for numpy scalars, an array
+    # for arrays
+    if ok is True or ok is not False and ok.all():
+        return isinstance(tau, np.ndarray) or isinstance(tau_r, np.ndarray)
+    at = ""
+    if ok is not False and ok.ndim:
+        i = np.unravel_index(ok.argmin(), ok.shape)
+        # no comprehension: one would make i a cell, which every call pays
+        times = np.stack(np.broadcast_arrays(*times))[(slice(None), *i)]
+        times = times.tolist()
+        at = f" at index {', '.join(map(str, i))}"
+    raise ValueError(f"{what} must be finite and nonnegative, got "
+                     f"{' and '.join(map(repr, times))}{at}")
 
 
 class Observable(Enum):
@@ -174,24 +240,24 @@ def make_state(outcome: Outcome) -> SingleKaonState:
         raise ValueError(f"unknown outcome {outcome!r}") from None
 
 
-def evolution_factors(tau: float, k: PhysicalConstants, exp=math.exp,
-                      cexp=cmath.exp) -> tuple[complex, complex]:
+def evolution_factors(tau: float, k: PhysicalConstants,
+                      m=FloatMath) -> tuple[complex, complex]:
     """Free-propagation factors on (c_S, c_L) with the global phase dropped.
 
     Only the relative phase exp(-i*delta_m*tau) and the moduli
     exp(-Gamma*tau/2) are observable, so the K_S factor is kept real.  With
-    ``numpy.exp`` as both ``exp`` and ``cexp``, ``tau`` may be an array.
+    ``ArrayMath`` as ``m``, ``tau`` may be an array.
     """
-    f_S = exp(-0.5 * k.gamma_S * tau)
-    f_L = cexp(-1j * k.delta_m * tau) * exp(-0.5 * k.gamma_L * tau)
+    f_S = m.exp(-0.5 * k.gamma_S * tau)
+    f_L = m.cexp(-1j * k.delta_m * tau) * m.exp(-0.5 * k.gamma_L * tau)
     return f_S, f_L
 
 
-def beam_norm(tau: float, k: PhysicalConstants, exp=math.exp) -> float:
+def beam_norm(tau: float, k: PhysicalConstants, m=FloatMath) -> float:
     """Single-beam survivor normalization N(tau) = [exp(-G_S t)+exp(-G_L t)]/2.
 
     This is the survival probability of an initial strangeness eigenstate; it
-    appears in every passive-measurement probability.  With ``numpy.exp`` as
-    ``exp``, ``tau`` may be an array.
+    appears in every passive-measurement probability.  With ``ArrayMath`` as
+    ``m``, ``tau`` may be an array.
     """
-    return 0.5 * (exp(-k.gamma_S * tau) + exp(-k.gamma_L * tau))
+    return 0.5 * (m.exp(-k.gamma_S * tau) + m.exp(-k.gamma_L * tau))

@@ -5,6 +5,8 @@ channel carries a scalar effective amplitude <f|T|K_S,L> whose squared modulus
 is the corresponding partial width.  Phases are all zero except the mandatory
 minus sign between the two semileptonic couplings of K_L, which follows from
 the Delta-S = Delta-Q rule and the basis convention K0 = (K_S + K_L)/sqrt(2).
+The rate and probability oracles take float times or arrays of times, by the
+float/array rule of ``core``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Outcome, PhysicalConstants, make_state
+from .core import (FloatMath, Outcome, PhysicalConstants, check_times,
+                   make_state, on_arrays)
 
 
 class DecayChannel(Enum):
@@ -90,22 +93,26 @@ def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
                           a_L=(0.0, a_3pi, a_sl, -a_sl))
 
 
-def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants) -> float:
+def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,
+                   m=None) -> float:
     """Two-beam survivor normalization N(tau_l, tau_r)."""
-    return (math.exp(-k.gamma_mean * (tau_l + tau_r))
-            * math.cosh(0.5 * k.delta_gamma * (tau_l - tau_r)))
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(pair_beam_norm, tau_l, tau_r, k)
+    m = m or FloatMath
+    return (m.exp(-k.gamma_mean * (tau_l + tau_r))
+            * m.cosh(0.5 * k.delta_gamma * (tau_l - tau_r)))
 
 
 def pair_rate_terms(alpha, beta, tau_l, tau_r, k: PhysicalConstants,
-                    exp=math.exp, cos=math.cos):
+                    m=FloatMath):
     """(direct, cross) of every passive rate's form |alpha e_L(tau_l) e_S(tau_r)
     - beta e_S(tau_l) e_L(tau_r)|^2 = direct - cross, e_S(t) = e^{-G_S t/2},
     e_L(t) = e^{-i dm t - G_L t/2}; with real amplitudes the only phase is the
-    cross term's cos.  Floats use ``math``; arrays pass ``np.exp, np.cos``."""
-    direct = (alpha * alpha * exp(-k.gamma_L * tau_l - k.gamma_S * tau_r)
-              + beta * beta * exp(-k.gamma_S * tau_l - k.gamma_L * tau_r))
-    cross = (2.0 * alpha * beta * exp(-k.gamma_mean * (tau_l + tau_r))
-             * cos(k.delta_m * (tau_l - tau_r)))
+    cross term's cos.  Arrays pass ``ArrayMath`` as ``m``."""
+    direct = (alpha * alpha * m.exp(-k.gamma_L * tau_l - k.gamma_S * tau_r)
+              + beta * beta * m.exp(-k.gamma_S * tau_l - k.gamma_L * tau_r))
+    cross = (2.0 * alpha * beta * m.exp(-k.gamma_mean * (tau_l + tau_r))
+             * m.cos(k.delta_m * (tau_l - tau_r)))
     return direct, cross
 
 
@@ -122,26 +129,26 @@ def passive_pair_weights(k: PhysicalConstants, model: AmplitudeModel) -> np.ndar
 
 def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
                      tau_r: float, k: PhysicalConstants,
-                     model: AmplitudeModel) -> float:
+                     model: AmplitudeModel, m=None) -> float:
     """Joint decay rate density of the entangled pair into (f_l, f_r)."""
-    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
-        raise ValueError("times must be finite and nonnegative, "
-                         f"got {tau_l!r} and {tau_r!r}")
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(joint_decay_rate, f_l, tau_l, f_r, tau_r, k, model)
     i, j = channel_code(f_l), channel_code(f_r)
     direct, cross = pair_rate_terms(model.a_L[i] * model.a_S[j],
                                     model.a_S[i] * model.a_L[j],
-                                    tau_l, tau_r, k)
+                                    tau_l, tau_r, k, m or FloatMath)
     return 0.5 * (direct - cross)
 
 
 def mixed_decay_rate(f_r: DecayChannel, tau_l: float, tau_r: float,
-                     k: PhysicalConstants, model: AmplitudeModel) -> float:
+                     k: PhysicalConstants, model: AmplitudeModel,
+                     m=None) -> float:
     """Rate density for an active left K0 at tau_l and a right decay (f_r, tau_r)."""
-    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
-        raise ValueError("times must be finite and nonnegative, "
-                         f"got {tau_l!r} and {tau_r!r}")
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(mixed_decay_rate, f_r, tau_l, tau_r, k, model)
     j = channel_code(f_r)
-    direct, cross = pair_rate_terms(model.a_S[j], model.a_L[j], tau_l, tau_r, k)
+    direct, cross = pair_rate_terms(model.a_S[j], model.a_L[j], tau_l, tau_r,
+                                    k, m or FloatMath)
     return 0.25 * (direct - cross)
 
 
@@ -166,35 +173,40 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
 
 def passive_joint_prob(out_l: Outcome, tau_l: float, out_r: Outcome,
                        tau_r: float, k: PhysicalConstants,
-                       model: AmplitudeModel) -> float:
+                       model: AmplitudeModel, m=None) -> float:
     """Joint detection probability reconstructed from passive decay rates."""
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(passive_joint_prob, out_l, tau_l, out_r, tau_r, k,
+                         model)
+    m = m or FloatMath
     f_l = outcome_channel(out_l)
     f_r = outcome_channel(out_r)
-    rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model)
+    rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model, m)
     denom = (decay_width(f_l, k, model) * decay_width(f_r, k, model)
-             * pair_beam_norm(tau_l, tau_r, k))
+             * pair_beam_norm(tau_l, tau_r, k, m))
     return rate / denom
 
 
 def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
                               out_r: Outcome, tau_r: float,
                               k: PhysicalConstants,
-                              model: AmplitudeModel) -> float:
+                              model: AmplitudeModel, m=None) -> float:
     """Joint probability: active strangeness on the left, passive on the right.
 
     The left K0bar variant follows from the same amplitude structure with the
     opposite relative sign between the two propagation terms.
     """
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(mixed_active_passive_prob, active_out_l, tau_l,
+                         out_r, tau_r, k, model)
+    m = m or FloatMath
     if active_out_l not in (Outcome.K0, Outcome.K0BAR):
         raise ValueError("active left outcome must be a strangeness outcome")
-    if not (0.0 <= tau_l < math.inf and 0.0 <= tau_r < math.inf):
-        raise ValueError("times must be finite and nonnegative, "
-                         f"got {tau_l!r} and {tau_r!r}")
     sign = +1.0 if active_out_l is Outcome.K0 else -1.0
     f_r = outcome_channel(out_r)
     j = CHANNEL_CODES[f_r]
     direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
-                                    tau_l, tau_r, k)
+                                    tau_l, tau_r, k, m)
     rate = 0.25 * (direct - cross)
-    denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k)
+    denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)
     return rate / denom

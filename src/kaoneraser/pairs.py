@@ -7,24 +7,24 @@ evolution populates only LS and SL, the two amplitudes of ``TwoKaonState``.
 A one-sided projection populates all four labels, so ``delayed_choice_norms``
 runs its orderings on private functions of plain (LS, SL, SS, LL) tuples and
 of propagators and eigenstates evaluated once per call.  The entries are
-floats, or numpy arrays when a whole batch of times runs in one call; only
-the exp and sqrt functions passed in and the time check tell the two apart.
-Sums keep the term order of a loop over the labels (S before L), so every
-float probability and norm is the same to the last bit;
+floats, or numpy arrays when a whole batch of times runs in one call; the
+oracles take either, by the float/array rule of ``core``.  Sums keep the
+term order of a loop over the labels (S before L), so every float
+probability and norm is the same to the last bit;
 ``tests/test_oracle_digest.py`` pins them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Outcome, PhysicalConstants, SingularStateError, beam_norm,
-                   evolution_factors, make_state)
+from .core import (FloatMath, Outcome, PhysicalConstants, SingularStateError,
+                   beam_norm, check_times, evolution_factors, make_state,
+                   on_arrays)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -48,23 +48,6 @@ def _norm_sq(c) -> float:
     return abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2 + abs(c[3]) ** 2
 
 
-def _check_times(tau_l, tau_r) -> None:
-    """ValueError unless both times are finite and nonnegative; for arrays of
-    times it names the first pair that is not."""
-    # a bool for float times, an array of them for arrays
-    ok = ((0.0 <= tau_l) & (tau_l < math.inf)
-          & (0.0 <= tau_r) & (tau_r < math.inf))
-    if ok is True or ok is not False and ok.all():
-        return
-    at = ""
-    if ok is not False and ok.ndim:
-        i = int(ok.argmin())
-        tau_l, tau_r = float(tau_l[i]), float(tau_r[i])
-        at = f" at index {i}"
-    raise ValueError("evolution times must be finite and nonnegative, "
-                     f"got {tau_l!r} and {tau_r!r}{at}")
-
-
 def _evolve(c, f_l, f_r) -> tuple:
     """Both sides propagated by their ``evolution_factors`` (f_S, f_L)."""
     s_l, l_l = f_l
@@ -73,32 +56,28 @@ def _evolve(c, f_l, f_r) -> tuple:
             l_l * l_r * c[3])
 
 
-def _normalize(c, sqrt=math.sqrt) -> tuple:
+def _normalize(c, m=FloatMath) -> tuple:
     try:
-        n = sqrt(_norm_sq(c))
+        n = m.sqrt(_norm_sq(c))
         return c[0] / n, c[1] / n, c[2] / n, c[3] / n
-    except ZeroDivisionError:
+    except (ZeroDivisionError, FloatingPointError):  # floats, arrays
         raise SingularStateError(
             "cannot normalize a zero-norm pair state") from None
 
 
-def _array_sqrt(x):
-    """``numpy.sqrt`` that raises ZeroDivisionError where ``x`` has a zero,
-    as a float divided by the root of zero does."""
-    if (x <= 0.0).any():
-        raise ZeroDivisionError("division by the root of zero")
-    return np.sqrt(x)
-
-
-def normalized_pair(delta_tau: float, k: PhysicalConstants) -> TwoKaonState:
+def normalized_pair(delta_tau: float, k: PhysicalConstants,
+                    m=None) -> TwoKaonState:
     """The pair state normalized to both members surviving, as a function of
     delta_tau = tau_l - tau_r only."""
+    if m is None and isinstance(delta_tau, np.ndarray):
+        return on_arrays(normalized_pair, delta_tau, k)
+    m = m or FloatMath
     x = k.delta_gamma * delta_tau
-    pref = 1.0 / math.sqrt(1.0 + math.exp(x))
-    phase = cmath.exp(1j * k.delta_m * delta_tau)
+    pref = 1.0 / m.sqrt(1.0 + m.exp(x))
+    phase = m.cexp(1j * k.delta_m * delta_tau)
     return TwoKaonState(
         c_LS=pref,
-        c_SL=-pref * phase * math.exp(0.5 * x),
+        c_SL=-pref * phase * m.exp(0.5 * x),
         normalized=True,
     )
 
@@ -142,7 +121,8 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     return abs(amp) ** 2
 
 
-def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants) -> float:
+def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants,
+                      m=None) -> float:
     """Closed-form joint probabilities per ordered (left, right) outcome pair.
 
     kind: 'ss_like'   -- equal strangeness on both sides
@@ -150,20 +130,25 @@ def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants) -> floa
           's_ks'      -- strangeness on the left, K_S on the right
           's_kl'      -- strangeness on the left, K_L on the right
     """
+    if m is None and isinstance(delta_tau, np.ndarray):
+        return on_arrays(closed_form_joint, kind, delta_tau, k)
+    m = m or FloatMath
     x = k.delta_gamma * delta_tau
     if kind in ("ss_like", "ss_unlike"):
-        osc = math.cos(k.delta_m * delta_tau) / math.cosh(0.5 * x)
+        osc = m.cos(k.delta_m * delta_tau) / m.cosh(0.5 * x)
         sign = -1.0 if kind == "ss_like" else 1.0
         return 0.25 * (1.0 + sign * osc)
     if kind == "s_ks":
-        return 1.0 / (2.0 * (1.0 + math.exp(x)))
+        return 1.0 / (2.0 * (1.0 + m.exp(x)))
     if kind == "s_kl":
-        return 1.0 / (2.0 * (1.0 + math.exp(-x)))
+        return 1.0 / (2.0 * (1.0 + m.exp(-x)))
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
-def pair_visibility(delta_tau: float, k: PhysicalConstants) -> float:
-    return 1.0 / math.cosh(0.5 * k.delta_gamma * delta_tau)
+def pair_visibility(delta_tau: float, k: PhysicalConstants, m=None) -> float:
+    if m is None and isinstance(delta_tau, np.ndarray):
+        return on_arrays(pair_visibility, delta_tau, k)
+    return 1.0 / (m or FloatMath).cosh(0.5 * k.delta_gamma * delta_tau)
 
 
 # one-sided projectors |b><b|: contract the bra with the chosen side per
@@ -183,11 +168,10 @@ def _project_right(c, b) -> tuple:
     return b_S * in_L, b_L * in_S, b_S * in_S, b_L * in_L
 
 
-def _survivor_factors(dt: float, k: PhysicalConstants, exp=math.exp,
-                      cexp=cmath.exp, sqrt=math.sqrt) -> tuple:
+def _survivor_factors(dt: float, k: PhysicalConstants, m=FloatMath) -> tuple:
     """``evolution_factors`` over dt rescaled to single-beam survivors."""
-    f_S, f_L = evolution_factors(dt, k, exp, cexp)
-    scale = 1.0 / sqrt(beam_norm(dt, k, exp))
+    f_S, f_L = evolution_factors(dt, k, m)
+    scale = 1.0 / m.sqrt(beam_norm(dt, k, m))
     return f_S * scale, f_L * scale
 
 
@@ -202,7 +186,8 @@ def _propagate_right(c, f) -> tuple:
 
 
 def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
-                         k: PhysicalConstants) -> tuple[float, float, float]:
+                         k: PhysicalConstants,
+                         m=None) -> tuple[float, float, float]:
     """Squared norms of the projected pair state under three operator orderings:
     both projections on the fully evolved state, meter-first (normal mode) and
     object-first (delayed-choice mode).  All three agree identically.  Each
@@ -212,29 +197,28 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     Given arrays of times and a sequence of projectors, one per pair, the
     same steps run on numpy arrays and the three norms are arrays."""
     if isinstance(p, JointProjector):
-        exp, cexp, sqrt = math.exp, cmath.exp, math.sqrt
-        b_l, b_r = _ket(p.left), _ket(p.right)
+        m, b_l, b_r = FloatMath, _ket(p.left), _ket(p.right)
+    elif m is None:
+        return on_arrays(delayed_choice_norms, np.asarray(tau_l, float),
+                         np.asarray(tau_r0, float), p, k)
     else:
-        exp = cexp = np.exp
-        sqrt = _array_sqrt
         b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
-        tau_l, tau_r0 = np.asarray(tau_l, float), np.asarray(tau_r0, float)
-    _check_times(tau_l, tau_r0)
-    e_l = evolution_factors(tau_l, k, exp, cexp)
-    e_r = evolution_factors(tau_r0, k, exp, cexp)
+    check_times("evolution times", tau_l, tau_r0)
+    e_l = evolution_factors(tau_l, k, m)
+    e_r = evolution_factors(tau_r0, k, m)
 
     # direct: project the survivor-normalized state at (tau_l, tau_r0)
-    phi = _normalize(_evolve(_INITIAL, e_l, e_r), sqrt)
+    phi = _normalize(_evolve(_INITIAL, e_l, e_r), m)
     direct = _norm_sq(_project_left(_project_right(phi, b_r), b_l))
 
     # normal ordering: right projection at tau_r0, then left evolution to tau_l
-    s = _project_right(_normalize(_evolve(_INITIAL, e_r, e_r), sqrt), b_r)
-    s = _propagate_left(s, _survivor_factors(tau_l - tau_r0, k, exp, cexp, sqrt))
+    s = _project_right(_normalize(_evolve(_INITIAL, e_r, e_r), m), b_r)
+    s = _propagate_left(s, _survivor_factors(tau_l - tau_r0, k, m))
     normal = _norm_sq(_project_left(s, b_l))
 
     # delayed ordering: left projection at tau_l, then right evolution to tau_r0
-    s = _project_left(_normalize(_evolve(_INITIAL, e_l, e_l), sqrt), b_l)
-    s = _propagate_right(s, _survivor_factors(tau_r0 - tau_l, k, exp, cexp, sqrt))
+    s = _project_left(_normalize(_evolve(_INITIAL, e_l, e_l), m), b_l)
+    s = _propagate_right(s, _survivor_factors(tau_r0 - tau_l, k, m))
     delayed = _norm_sq(_project_right(s, b_r))
 
     return direct, normal, delayed

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Outcome, PhysicalConstants, Procedure, beam_norm,
-                   finite_number, usable_cpus)
+from .core import (ArrayMath, Outcome, PhysicalConstants, Procedure,
+                   beam_norm, finite_number, usable_cpus)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
                     pair_beam_norm, pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
@@ -290,7 +290,7 @@ def _sample_pair_times(n, alpha, beta, k, rng):
         cand_r = np.where(first, rng.exponential(1.0 / g_s, m),
                           rng.exponential(1.0 / g_l, m))
         envelope, cross = pair_rate_terms(alpha, beta, cand_l, cand_r, k,
-                                          np.exp, np.cos)
+                                          ArrayMath)
         ratio = 0.5 * (envelope - cross) / envelope
         if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
             raise RuntimeError("rejection envelope violated; amplitude math bug")

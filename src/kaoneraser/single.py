@@ -1,11 +1,16 @@
-"""Closed-form single-kaon observables and passive-measurement reconstruction."""
+"""Closed-form single-kaon observables and passive-measurement reconstruction.
+
+The oracles take a float time or an array of times, by the float/array rule
+of ``core``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .core import Outcome, PhysicalConstants, beam_norm, finite_number
+from .core import (FloatMath, Outcome, PhysicalConstants, beam_norm,
+                   check_times, finite_number, on_arrays)
 from .decay import (AmplitudeModel, DecayChannel, channel_code, decay_width,
                     outcome_channel, pair_rate_terms)
 from .pairs import pair_visibility
@@ -24,26 +29,28 @@ class MisidWindow:
 
 def visibility_single(tau: float, k: PhysicalConstants) -> float:
     """Visibility of the strangeness oscillations, 1/cosh(DeltaGamma tau / 2)."""
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    check_times("tau", tau)
     return pair_visibility(tau, k)
 
 
-def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
+def strangeness_probs(tau: float, k: PhysicalConstants,
+                      m=None) -> tuple[float, float]:
     """(P[K0], P[K0bar]) at proper time tau for an initial K0, survivors only."""
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
-    osc = pair_visibility(tau, k) * math.cos(k.delta_m * tau)
+    if m is None and check_times("tau", tau):
+        return on_arrays(strangeness_probs, tau, k)
+    m = m or FloatMath
+    osc = pair_visibility(tau, k, m) * m.cos(k.delta_m * tau)
     p_k0 = 0.5 * (1.0 + osc)
     return p_k0, 1.0 - p_k0
 
 
-def lifetime_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
+def lifetime_probs(tau: float, k: PhysicalConstants,
+                   m=None) -> tuple[float, float]:
     """(P[K_S], P[K_L]) at proper time tau, survivors only; no oscillation."""
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    if m is None and check_times("tau", tau):
+        return on_arrays(lifetime_probs, tau, k)
     x = k.delta_gamma * tau
-    p_ks = 1.0 / (1.0 + math.exp(-x))
+    p_ks = 1.0 / (1.0 + (m or FloatMath).exp(-x))
     return p_ks, 1.0 - p_ks
 
 
@@ -59,23 +66,27 @@ def misid_probs(window: MisidWindow, k: PhysicalConstants) -> tuple[float, float
 
 
 def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
-                      model: AmplitudeModel) -> float:
+                      model: AmplitudeModel, m=None) -> float:
     """Decay rate density Gamma(f, tau) of an initial K0 into the given mode:
     the pair form at tau_r = 0 with (alpha, beta) = (a_L, -a_S)."""
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    if m is None and check_times("tau", tau):
+        return on_arrays(single_decay_rate, channel, tau, k, model)
     c = channel_code(channel)
-    direct, cross = pair_rate_terms(model.a_L[c], -model.a_S[c], tau, 0.0, k)
+    direct, cross = pair_rate_terms(model.a_L[c], -model.a_S[c], tau, 0.0, k,
+                                    m or FloatMath)
     return 0.5 * (direct - cross)
 
 
 def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
-                        model: AmplitudeModel) -> float:
+                        model: AmplitudeModel, m=None) -> float:
     """Detection probability reconstructed from the identifying decay rate.
 
     Coincides with the active closed forms from strangeness_probs and
     lifetime_probs.
     """
+    if m is None and check_times("tau", tau):
+        return on_arrays(passive_single_prob, outcome, tau, k, model)
+    m = m or FloatMath
     channel = outcome_channel(outcome)
-    rate = single_decay_rate(channel, tau, k, model)
-    return rate / (decay_width(channel, k, model) * beam_norm(tau, k))
+    rate = single_decay_rate(channel, tau, k, model, m)
+    return rate / (decay_width(channel, k, model) * beam_norm(tau, k, m))

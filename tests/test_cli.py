@@ -243,8 +243,10 @@ def test_pinned_cli_outputs(tmp_path, capsys, kind):
 
 # sha256 of `kaoneraser verify` stdout with the default constants.  Worst
 # deviations print to 3 digits, so a change in any check's result shows; taken
-# with CPython 3.11 on x86-64 Linux (another libm may round differently).
-VERIFY_REPORT_SHA256 = "9343b403e04beb624f5787e9865ef774a9c5ced9f033f9eeb35eec217f00c2d8"
+# with CPython 3.11 on x86-64 Linux (another libm may round differently) and
+# numpy 2.4 with its AVX512 (X86_V4) loops, whose exp and cos round otherwise
+# than the AVX2 ones: without them active-passive-coincidence reads 1.247e-15.
+VERIFY_REPORT_SHA256 = "6a96ccfec22a2e0e69d574674f802f7f8983555a6afece6e25125fdb108f5837"
 
 
 class TestVerify:

@@ -169,6 +169,12 @@ class TestJointRates:
             joint_decay_rate(DecayChannel.TWO_PI, -1.0, DecayChannel.TWO_PI,
                              0.0, k, model)
 
+    def test_pair_beam_norm_rejects_a_negative_time(self, k):
+        """Not a survivor norm above 1: N(-1, 0) would be 1.86."""
+        with pytest.raises(ValueError, match="times must be finite and "
+                           "nonnegative, got -1.0 and 0.0"):
+            pair_beam_norm(-1.0, 0.0, k)
+
     def test_same_channel_same_time_vanishes(self, k, model):
         """Antisymmetry forbids identical simultaneous decays."""
         for f in DecayChannel:

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from kaoneraser import (Outcome, DecayChannel, MisidWindow, joint_decay_rate,
                         lifetime_probs, misid_probs, mixed_active_passive_prob,
-                        mixed_decay_rate, passive_single_prob, single_decay_rate,
-                        strangeness_probs, visibility_single)
+                        mixed_decay_rate, pair_beam_norm, passive_single_prob,
+                        single_decay_rate, strangeness_probs, visibility_single)
 from kaoneraser.decay import CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=25.0, allow_nan=False)
@@ -74,6 +74,8 @@ ORACLES = {
         lambda t, k, m: mixed_active_passive_prob(K0, t, Outcome.KS, 1.0, k, m),
     "mixed_active_passive_prob_right":
         lambda t, k, m: mixed_active_passive_prob(K0, 1.0, Outcome.KS, t, k, m),
+    "pair_beam_norm_left": lambda t, k, m: pair_beam_norm(t, 1.0, k),
+    "pair_beam_norm_right": lambda t, k, m: pair_beam_norm(1.0, t, k),
 }
 
 

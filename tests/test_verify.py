@@ -13,11 +13,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from kaoneraser import (PhysicalConstants, evolution_factors, joint_decay_rate,
-                        pairs)
+from kaoneraser import (PhysicalConstants, decay, evolution_factors,
+                        joint_decay_rate, pairs, single, verify)
+from kaoneraser.core import ArrayMath
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
-from kaoneraser.verify import (_delayed_choice_triples, check_delayed_choice,
-                               check_normalizations, check_oracle_grid, run_all)
+from kaoneraser.verify import (_delayed_choice_triples, check_active_passive,
+                               check_delayed_choice, check_normalizations,
+                               check_oracle_grid, run_all)
 
 RATE_CHECKS = ("single-rate-normalization", "joint-rate-normalization",
                "passive-pair-weights", "mixed-rate-normalization")
@@ -36,8 +38,7 @@ def _mutated(func, old, new):
 def test_delayed_choice_catches_missing_survivor_rescaling(k, monkeypatch):
     # both reorderings take their one-sided propagator from _survivor_factors
     monkeypatch.setattr(pairs, "_survivor_factors",
-                        lambda dt, k, exp, cexp, sqrt: evolution_factors(
-                            dt, k, exp, cexp))
+                        lambda dt, k, m: evolution_factors(dt, k, m))
     result = check_delayed_choice(k, n_triples=50)
     assert not result.passed
     assert result.worst > 1e-3
@@ -112,6 +113,66 @@ def test_oracle_grid_catches_a_wrong_sign(k, monkeypatch):
     assert result.worst > 1e-3
 
 
+def test_active_passive_catches_a_swapped_strangeness_sign(k, model, monkeypatch):
+    swapped = _mutated(decay.mixed_active_passive_prob,
+                       "sign = +1.0 if active_out_l is Outcome.K0 else -1.0",
+                       "sign = -1.0 if active_out_l is Outcome.K0 else +1.0")
+    monkeypatch.setattr("kaoneraser.verify.mixed_active_passive_prob", swapped)
+    result = check_active_passive(k, model)
+    assert not result.passed
+    assert result.worst > 1e-3
+
+
+def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
+    """A flipped cross term moves each strangeness probability, so the
+    active-passive check fails; the channel sum misses the cross term
+    (sum_f a_S a_L = 0), so the normalization passes.  Swapped widths
+    (alpha, beta) = (a_S, -a_L) fail the normalization."""
+    rate = single.single_decay_rate
+    flipped = _mutated(rate, "0.5 * (direct - cross)", "0.5 * (direct + cross)")
+    monkeypatch.setattr(single, "single_decay_rate", flipped)
+    monkeypatch.setattr("kaoneraser.verify.single_decay_rate", flipped)
+    result = check_active_passive(k, model)
+    assert not result.passed and result.worst > 1e-3
+    results = {r.name: r for r in check_normalizations(k, model)}
+    assert results["single-rate-normalization"].passed
+
+    swapped = _mutated(rate, "model.a_L[c], -model.a_S[c]",
+                       "model.a_S[c], -model.a_L[c]")
+    monkeypatch.setattr("kaoneraser.verify.single_decay_rate", swapped)
+    results = {r.name: r for r in check_normalizations(k, model)}
+    assert not results["single-rate-normalization"].passed
+    assert results["single-rate-normalization"].worst > 1.0
+
+
+def _counting(monkeypatch, name):
+    """Replace ``verify``'s ``name`` by a wrapper; returns its call list."""
+    calls, func = [], getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_oracle_grid_builds_one_array_state(k, monkeypatch):
+    """One state over all 97 time differences, not one per difference."""
+    states = _counting(monkeypatch, "normalized_pair")
+    assert check_oracle_grid(k).passed
+    assert len(states) == 1
+
+
+def test_active_passive_calls_each_oracle_once_per_outcome_pair(k, model,
+                                                                monkeypatch):
+    """One passive and one mixed call per outcome pair over the 25
+    (tau_l, tau_r) points, not one per pair and point."""
+    passive = _counting(monkeypatch, "passive_joint_prob")
+    mixed = _counting(monkeypatch, "mixed_active_passive_prob")
+    assert check_active_passive(k, model).passed
+    assert len(passive) == len(mixed) == 8
+
+
 def test_pair_weights_catch_a_flipped_cross_term(k, model, monkeypatch):
     """Flipping the cross term moves each sl+-/sl+- cell by 0.73%; the rate
     sums stay at 1 because the cross terms add up to zero over the cells."""
@@ -150,7 +211,7 @@ def test_pair_rate_terms_on_arrays_match_joint_decay_rate(k, model):
     tau_l, tau_r = rng.exponential(3.0, n), rng.exponential(3.0, n)
     a_s, a_l = np.asarray(model.a_S), np.asarray(model.a_L)
     direct, cross = pair_rate_terms(a_l[cl] * a_s[cr], a_s[cl] * a_l[cr],
-                                    tau_l, tau_r, k, np.exp, np.cos)
+                                    tau_l, tau_r, k, ArrayMath)
     want = [joint_decay_rate(CHANNEL_BY_CODE[i], tl, CHANNEL_BY_CODE[j], tr,
                              k, model)
             for i, j, tl, tr in zip(cl.tolist(), cr.tolist(),
