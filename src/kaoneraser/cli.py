@@ -32,8 +32,7 @@ from .eventfile import write_events, read_events
 from .pairs import closed_form_joint, pair_visibility
 from .sim import (RECORDS, RNG_SCHEME, ExperimentKind, SimConfig,
                   estimate_probs, fit_visibility, run_experiment)
-from .single import (MisidWindow, lifetime_probs, strangeness_probs,
-                     visibility_single)
+from .single import MisidWindow, lifetime_probs, strangeness_probs
 from .verify import run_all
 
 
@@ -160,7 +159,7 @@ def cmd_analytic(args, cfg, values, k, sim) -> int:
             tau = float(tau)
             p0, p0b = strangeness_probs(tau, k)
             ps, pl = lifetime_probs(tau, k)
-            single.append((tau, p0, p0b, ps, pl, visibility_single(tau, k)))
+            single.append((tau, p0, p0b, ps, pl, pair_visibility(tau, k)))
     except ArithmeticError as exc:
         raise _at_entry(exc, cfg, "tau_grid", tau) from exc
 

@@ -1,5 +1,5 @@
-"""Neutral kaon basics: constants, the single-kaon eigenstates and their
-free-propagation factors.
+"""Neutral kaon basics: constants, the single-kaon eigenstates, their
+free-propagation factors and the survivor norm of a pair.
 
 All times are measured in units of the K_S mean lifetime tau_S, so gamma_S = 1
 by default and every other scale is a ratio.  The strangeness basis is fixed by
@@ -9,15 +9,17 @@ consistently throughout the package.
 Floats and arrays.  Each formula has one implementation, which takes its
 times as floats or as numpy arrays; the functions it calls (exp, cos, cosh,
 sqrt) come from its last argument ``m``, ``FloatMath`` (``math`` and
-``cmath``) or ``ArrayMath`` (numpy).  A public oracle of ``single``,
-``pairs`` or ``decay`` is called without ``m`` and picks it by
-``isinstance(time, numpy.ndarray)``, a test ``check_times`` makes as it
-checks the times: a float, or a numpy scalar, stays on ``math``/``cmath``
+``cmath``) or ``ArrayMath`` (numpy).  A public oracle of ``pairs`` or
+``decay`` is called without ``m`` and picks it by
+``isinstance(time, numpy.ndarray)``, a test ``check_times`` (or
+``check_time_difference``, for a time difference of either sign) makes as
+it checks the times: a float, or a numpy scalar, stays on ``math``/``cmath``
 and keeps its bits, and arrays go through ``on_arrays``, which runs the same
 code on numpy under an error state that raises, so an array fails with an
 ArithmeticError wherever one of its elements would fail as a float, never
 with an inf, NaN or 0 and a warning.  Given ``m``, an oracle is a step of
-another one, which has checked the times.
+another one, which has checked the times.  The oracles of ``single`` take
+no ``m``: each checks its time and calls a pair oracle.
 """
 
 from __future__ import annotations
@@ -97,10 +99,27 @@ def check_times(what: str, tau, tau_r=None) -> bool:
     ok = True
     for t in times:
         ok = ok & (0.0 <= t) & (t < math.inf)
+    return _checked(what, "finite and nonnegative", times, ok)
+
+
+def check_time_difference(what: str, delta_tau) -> bool:
+    """``check_times`` for a time difference, which may take either sign:
+    ValueError ``"<what> must be finite, got ..."`` unless it is finite."""
+    if isinstance(delta_tau, float) and -math.inf < delta_tau < math.inf:
+        return False
+    return _checked(what, "finite", (delta_tau,),
+                    (-math.inf < delta_tau) & (delta_tau < math.inf))
+
+
+def _checked(what: str, rule: str, times: tuple, ok) -> bool:
+    """Whether a time is an array, given ``ok``, the elementwise test of the
+    times; ValueError naming ``what``, ``rule`` and the times at the first
+    bad index unless ``ok`` holds everywhere."""
     # a bool for Python numbers, a numpy bool for numpy scalars, an array
     # for arrays
     if ok is True or ok is not False and ok.all():
-        return isinstance(tau, np.ndarray) or isinstance(tau_r, np.ndarray)
+        return (isinstance(times[0], np.ndarray)
+                or isinstance(times[-1], np.ndarray))
     at = ""
     if ok is not False and ok.ndim:
         i = np.unravel_index(ok.argmin(), ok.shape)
@@ -108,7 +127,7 @@ def check_times(what: str, tau, tau_r=None) -> bool:
         times = np.stack(np.broadcast_arrays(*times))[(slice(None), *i)]
         times = times.tolist()
         at = f" at index {', '.join(map(str, i))}"
-    raise ValueError(f"{what} must be finite and nonnegative, got "
+    raise ValueError(f"{what} must be {rule}, got "
                      f"{' and '.join(map(repr, times))}{at}")
 
 
@@ -253,11 +272,14 @@ def evolution_factors(tau: float, k: PhysicalConstants,
     return f_S, f_L
 
 
-def beam_norm(tau: float, k: PhysicalConstants, m=FloatMath) -> float:
-    """Single-beam survivor normalization N(tau) = [exp(-G_S t)+exp(-G_L t)]/2.
-
-    This is the survival probability of an initial strangeness eigenstate; it
-    appears in every passive-measurement probability.  With ``ArrayMath`` as
-    ``m``, ``tau`` may be an array.
-    """
-    return 0.5 * (m.exp(-k.gamma_S * tau) + m.exp(-k.gamma_L * tau))
+def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,
+                   m=None) -> float:
+    """Two-beam survivor normalization N(tau_l, tau_r) = [exp(-G_L tau_l -
+    G_S tau_r) + exp(-G_S tau_l - G_L tau_r)]/2.  At tau_r = 0 it is the
+    survival probability of a single kaon born in a strangeness eigenstate,
+    the denominator of every passive-measurement probability."""
+    if m is None and check_times("times", tau_l, tau_r):
+        return on_arrays(pair_beam_norm, tau_l, tau_r, k)
+    m = m or FloatMath
+    return 0.5 * (m.exp(-k.gamma_L * tau_l - k.gamma_S * tau_r)
+                  + m.exp(-k.gamma_S * tau_l - k.gamma_L * tau_r))

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (FloatMath, Outcome, PhysicalConstants, check_times,
-                   make_state, on_arrays)
+                   make_state, on_arrays, pair_beam_norm)
 
 
 class DecayChannel(Enum):
@@ -44,6 +44,10 @@ CHANNEL_OUTCOME = {
 }
 
 OUTCOME_CHANNEL = {v: k for k, v in CHANNEL_OUTCOME.items()}
+
+# The relative sign of the two propagation terms of the mixed rate, per
+# active left strangeness outcome.
+_STRANGENESS_SIGN = {Outcome.K0: +1.0, Outcome.K0BAR: -1.0}
 
 
 def channel_code(channel: DecayChannel) -> int:
@@ -93,16 +97,6 @@ def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
                           a_L=(0.0, a_3pi, a_sl, -a_sl))
 
 
-def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,
-                   m=None) -> float:
-    """Two-beam survivor normalization N(tau_l, tau_r)."""
-    if m is None and check_times("times", tau_l, tau_r):
-        return on_arrays(pair_beam_norm, tau_l, tau_r, k)
-    m = m or FloatMath
-    return (m.exp(-k.gamma_mean * (tau_l + tau_r))
-            * m.cosh(0.5 * k.delta_gamma * (tau_l - tau_r)))
-
-
 def pair_rate_terms(alpha, beta, tau_l, tau_r, k: PhysicalConstants,
                     m=FloatMath):
     """(direct, cross) of every passive rate's form |alpha e_L(tau_l) e_S(tau_r)
@@ -140,15 +134,20 @@ def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
     return 0.5 * (direct - cross)
 
 
-def mixed_decay_rate(f_r: DecayChannel, tau_l: float, tau_r: float,
-                     k: PhysicalConstants, model: AmplitudeModel,
+def mixed_decay_rate(active_out_l: Outcome, f_r: DecayChannel, tau_l: float,
+                     tau_r: float, k: PhysicalConstants, model: AmplitudeModel,
                      m=None) -> float:
-    """Rate density for an active left K0 at tau_l and a right decay (f_r, tau_r)."""
+    """Rate density for an active left strangeness outcome at tau_l and a
+    right decay (f_r, tau_r); a left K0bar flips the relative sign of the
+    two propagation terms (``_STRANGENESS_SIGN``)."""
     if m is None and check_times("times", tau_l, tau_r):
-        return on_arrays(mixed_decay_rate, f_r, tau_l, tau_r, k, model)
+        return on_arrays(mixed_decay_rate, active_out_l, f_r, tau_l, tau_r, k,
+                         model)
+    if (sign := _STRANGENESS_SIGN.get(active_out_l)) is None:
+        raise ValueError("active left outcome must be a strangeness outcome")
     j = channel_code(f_r)
-    direct, cross = pair_rate_terms(model.a_S[j], model.a_L[j], tau_l, tau_r,
-                                    k, m or FloatMath)
+    direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
+                                    tau_l, tau_r, k, m or FloatMath)
     return 0.25 * (direct - cross)
 
 
@@ -191,22 +190,14 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
                               out_r: Outcome, tau_r: float,
                               k: PhysicalConstants,
                               model: AmplitudeModel, m=None) -> float:
-    """Joint probability: active strangeness on the left, passive on the right.
-
-    The left K0bar variant follows from the same amplitude structure with the
-    opposite relative sign between the two propagation terms.
-    """
+    """Joint probability: active strangeness on the left, passive on the
+    right, the mixed rate over the right identifying width and the survivor
+    norm."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(mixed_active_passive_prob, active_out_l, tau_l,
                          out_r, tau_r, k, model)
     m = m or FloatMath
-    if active_out_l not in (Outcome.K0, Outcome.K0BAR):
-        raise ValueError("active left outcome must be a strangeness outcome")
-    sign = +1.0 if active_out_l is Outcome.K0 else -1.0
     f_r = outcome_channel(out_r)
-    j = CHANNEL_CODES[f_r]
-    direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
-                                    tau_l, tau_r, k, m)
-    rate = 0.25 * (direct - cross)
+    rate = mixed_decay_rate(active_out_l, f_r, tau_l, tau_r, k, model, m)
     denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)
     return rate / denom

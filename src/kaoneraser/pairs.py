@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (FloatMath, Outcome, PhysicalConstants, SingularStateError,
-                   beam_norm, check_times, evolution_factors, make_state,
-                   on_arrays)
+                   check_time_difference, check_times, evolution_factors,
+                   make_state, on_arrays, pair_beam_norm)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -69,7 +69,7 @@ def normalized_pair(delta_tau: float, k: PhysicalConstants,
                     m=None) -> TwoKaonState:
     """The pair state normalized to both members surviving, as a function of
     delta_tau = tau_l - tau_r only."""
-    if m is None and isinstance(delta_tau, np.ndarray):
+    if m is None and check_time_difference("delta_tau", delta_tau):
         return on_arrays(normalized_pair, delta_tau, k)
     m = m or FloatMath
     x = k.delta_gamma * delta_tau
@@ -130,23 +130,25 @@ def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants,
           's_ks'      -- strangeness on the left, K_S on the right
           's_kl'      -- strangeness on the left, K_L on the right
     """
-    if m is None and isinstance(delta_tau, np.ndarray):
+    if m is None and check_time_difference("delta_tau", delta_tau):
         return on_arrays(closed_form_joint, kind, delta_tau, k)
     m = m or FloatMath
-    x = k.delta_gamma * delta_tau
     if kind in ("ss_like", "ss_unlike"):
-        osc = m.cos(k.delta_m * delta_tau) / m.cosh(0.5 * x)
+        osc = pair_visibility(delta_tau, k, m) * m.cos(k.delta_m * delta_tau)
         sign = -1.0 if kind == "ss_like" else 1.0
         return 0.25 * (1.0 + sign * osc)
+    # 0.5/y, not 1/(2y): the same bits, and no overflow where 2y would
+    x = k.delta_gamma * delta_tau
     if kind == "s_ks":
-        return 1.0 / (2.0 * (1.0 + m.exp(x)))
+        return 0.5 / (1.0 + m.exp(x))
     if kind == "s_kl":
-        return 1.0 / (2.0 * (1.0 + m.exp(-x)))
+        return 0.5 / (1.0 + m.exp(-x))
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
 def pair_visibility(delta_tau: float, k: PhysicalConstants, m=None) -> float:
-    if m is None and isinstance(delta_tau, np.ndarray):
+    """Visibility of the strangeness fringes, 1/cosh(DeltaGamma delta_tau / 2)."""
+    if m is None and check_time_difference("delta_tau", delta_tau):
         return on_arrays(pair_visibility, delta_tau, k)
     return 1.0 / (m or FloatMath).cosh(0.5 * k.delta_gamma * delta_tau)
 
@@ -171,7 +173,7 @@ def _project_right(c, b) -> tuple:
 def _survivor_factors(dt: float, k: PhysicalConstants, m=FloatMath) -> tuple:
     """``evolution_factors`` over dt rescaled to single-beam survivors."""
     f_S, f_L = evolution_factors(dt, k, m)
-    scale = 1.0 / m.sqrt(beam_norm(dt, k, m))
+    scale = 1.0 / m.sqrt(pair_beam_norm(dt, 0.0, k, m))
     return f_S * scale, f_L * scale
 
 

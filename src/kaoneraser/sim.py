@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ArrayMath, Outcome, PhysicalConstants, Procedure,
-                   beam_norm, finite_number, usable_cpus)
+                   finite_number, pair_beam_norm, usable_cpus)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
-                    pair_beam_norm, pair_rate_terms, passive_pair_weights)
+                    pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
 from .single import MisidWindow
 
@@ -374,7 +374,7 @@ def _gen_b(n, rng, cfg, k, model, cols):
     alive_pre, lrec_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
                                                          k, model, rng)
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
-    alive_post = rng.random(n) < (norm / beam_norm(cfg.tau_r0, k))[ig]
+    alive_post = rng.random(n) < (norm / pair_beam_norm(cfg.tau_r0, 0.0, k))[ig]
     unlike = rng.random(n) < p_unlike[ig]
     # right: active lifetime if it decayed before tau_r0, else strangeness
     cols["r_rec"][:] = np.where(pre, classify_lifetime(t_r, 0.0, cfg.window),
@@ -514,12 +514,11 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> CountTable
     return CountTable(binning, counts)
 
 
-def fit_visibility(table: CountTable, k: PhysicalConstants,
-                   min_cos: float = 0.1) -> list[FitRow]:
+def fit_visibility(table: CountTable, k: PhysicalConstants) -> list[FitRow]:
     """Reconstruct the oscillation visibility per time-difference bin from the
     strangeness-strangeness asymmetry A = (unlike - like)/(unlike + like) =
     V cos(delta_m * delta_tau), over the bins with such pairs.  Bins where the
-    cosine is nearly zero are flagged as excluded, not dropped."""
+    cosine is below 0.1 in size are flagged as excluded, not dropped."""
     ss = table.counts[:, :2, :2]  # outcome codes 0 and 1: K0 and K0bar
     like_all, unlike_all = ss[:, 0, 0] + ss[:, 1, 1], ss[:, 0, 1] + ss[:, 1, 0]
     centers = table.binning.centers()
@@ -533,7 +532,7 @@ def fit_visibility(table: CountTable, k: PhysicalConstants,
         sig_a = 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / n_ss)
         center = float(centers[b])
         c = math.cos(k.delta_m * center)
-        excluded = abs(c) < min_cos
+        excluded = abs(c) < 0.1
         v = a / c if c != 0.0 else float("nan")
         sig_v = sig_a / abs(c) if c != 0.0 else float("nan")
         rows.append(FitRow(delta_tau=center, v_hat=v, stderr=sig_v,

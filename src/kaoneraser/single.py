@@ -1,7 +1,8 @@
-"""Closed-form single-kaon observables and passive-measurement reconstruction.
-
-The oracles take a float time or an array of times, by the float/array rule
-of ``core``.
+"""Single-kaon observables: the pair oracles with the partner measured at
+tau = 0.  Finding it as K0bar then prepares a K0, so each single-kaon
+probability or rate is twice its pair form (P[K0bar] = 1/2 for the partner).
+The window rule (``misid_probs``) is the one formula of its own.  Each oracle
+checks its time, a float or an array, and the pair oracle does the rest.
 """
 
 from __future__ import annotations
@@ -9,11 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (FloatMath, Outcome, PhysicalConstants, beam_norm,
-                   check_times, finite_number, on_arrays)
-from .decay import (AmplitudeModel, DecayChannel, channel_code, decay_width,
-                    outcome_channel, pair_rate_terms)
-from .pairs import pair_visibility
+from .core import Outcome, PhysicalConstants, check_times, finite_number
+from .decay import (AmplitudeModel, DecayChannel, mixed_active_passive_prob,
+                    mixed_decay_rate)
+from .pairs import closed_form_joint
 
 
 @dataclass(frozen=True)
@@ -27,30 +27,19 @@ class MisidWindow:
             raise ValueError("window length must be positive")
 
 
-def visibility_single(tau: float, k: PhysicalConstants) -> float:
-    """Visibility of the strangeness oscillations, 1/cosh(DeltaGamma tau / 2)."""
+def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
+    """(P[K0], P[K0bar]) at proper time tau for an initial K0, survivors only:
+    unlike strangeness with the partner's K0bar at 0."""
     check_times("tau", tau)
-    return pair_visibility(tau, k)
-
-
-def strangeness_probs(tau: float, k: PhysicalConstants,
-                      m=None) -> tuple[float, float]:
-    """(P[K0], P[K0bar]) at proper time tau for an initial K0, survivors only."""
-    if m is None and check_times("tau", tau):
-        return on_arrays(strangeness_probs, tau, k)
-    m = m or FloatMath
-    osc = pair_visibility(tau, k, m) * m.cos(k.delta_m * tau)
-    p_k0 = 0.5 * (1.0 + osc)
+    p_k0 = 2.0 * closed_form_joint("ss_unlike", tau, k)
     return p_k0, 1.0 - p_k0
 
 
-def lifetime_probs(tau: float, k: PhysicalConstants,
-                   m=None) -> tuple[float, float]:
-    """(P[K_S], P[K_L]) at proper time tau, survivors only; no oscillation."""
-    if m is None and check_times("tau", tau):
-        return on_arrays(lifetime_probs, tau, k)
-    x = k.delta_gamma * tau
-    p_ks = 1.0 / (1.0 + (m or FloatMath).exp(-x))
+def lifetime_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
+    """(P[K_S], P[K_L]) at proper time tau, survivors only; no oscillation.
+    The partner's strangeness at 0 is the left side, so delta_tau = -tau."""
+    check_times("tau", tau)
+    p_ks = 2.0 * closed_form_joint("s_ks", -tau, k)
     return p_ks, 1.0 - p_ks
 
 
@@ -66,27 +55,18 @@ def misid_probs(window: MisidWindow, k: PhysicalConstants) -> tuple[float, float
 
 
 def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
-                      model: AmplitudeModel, m=None) -> float:
+                      model: AmplitudeModel) -> float:
     """Decay rate density Gamma(f, tau) of an initial K0 into the given mode:
-    the pair form at tau_r = 0 with (alpha, beta) = (a_L, -a_S)."""
-    if m is None and check_times("tau", tau):
-        return on_arrays(single_decay_rate, channel, tau, k, model)
-    c = channel_code(channel)
-    direct, cross = pair_rate_terms(model.a_L[c], -model.a_S[c], tau, 0.0, k,
-                                    m or FloatMath)
-    return 0.5 * (direct - cross)
+    the mixed rate with the partner's K0bar at 0."""
+    check_times("tau", tau)
+    return 2.0 * mixed_decay_rate(Outcome.K0BAR, channel, 0.0, tau, k, model)
 
 
 def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
-                        model: AmplitudeModel, m=None) -> float:
-    """Detection probability reconstructed from the identifying decay rate.
-
-    Coincides with the active closed forms from strangeness_probs and
-    lifetime_probs.
-    """
-    if m is None and check_times("tau", tau):
-        return on_arrays(passive_single_prob, outcome, tau, k, model)
-    m = m or FloatMath
-    channel = outcome_channel(outcome)
-    rate = single_decay_rate(channel, tau, k, model, m)
-    return rate / (decay_width(channel, k, model) * beam_norm(tau, k, m))
+                        model: AmplitudeModel) -> float:
+    """Detection probability reconstructed from the identifying decay rate:
+    the mixed probability with the partner's K0bar at 0.  Coincides with the
+    active closed forms from strangeness_probs and lifetime_probs."""
+    check_times("tau", tau)
+    return 2.0 * mixed_active_passive_prob(Outcome.K0BAR, 0.0, outcome, tau,
+                                           k, model)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayMath, Outcome, PhysicalConstants, beam_norm
+from .core import ArrayMath, Outcome, PhysicalConstants, pair_beam_norm
 from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
                     mixed_active_passive_prob, mixed_decay_rate,
                     pair_rate_terms, passive_joint_prob, passive_pair_weights)
@@ -58,7 +58,7 @@ def _closed_forms(delta_tau: np.ndarray, k: PhysicalConstants) -> dict:
     return {kind: closed_form_joint(kind, delta_tau, k) for kind in _KINDS}
 
 
-def check_oracle_grid(k: PhysicalConstants, tol: float = 1e-10) -> CheckResult:
+def check_oracle_grid(k: PhysicalConstants) -> CheckResult:
     """Projector computation on the normalized pair state vs closed forms,
     for all 8 outcome pairs over a dense time-difference grid."""
     dt = np.arange(-12.0, 12.0 + 1e-9, 0.25)
@@ -66,11 +66,11 @@ def check_oracle_grid(k: PhysicalConstants, tol: float = 1e-10) -> CheckResult:
     closed = _closed_forms(dt, k)
     worst = max(_worst(joint_projective_prob(state, JointProjector(l, r)),
                        closed[kind]) for l, r, kind in _PAIRS)
-    return CheckResult("oracle-equivalence-grid", worst < tol, worst, tol)
+    return CheckResult("oracle-equivalence-grid", worst < 1e-10, worst, 1e-10)
 
 
-def check_active_passive(k: PhysicalConstants, model: AmplitudeModel,
-                         tol: float = 1e-10) -> CheckResult:
+def check_active_passive(k: PhysicalConstants,
+                         model: AmplitudeModel) -> CheckResult:
     """Passive and mixed joint probabilities vs the active closed forms on the
     (tau_l, tau_r) product grid {0,1,2,4,8}^2, plus the single-kaon case."""
     grid = np.array((0.0, 1.0, 2.0, 4.0, 8.0))
@@ -86,7 +86,8 @@ def check_active_passive(k: PhysicalConstants, model: AmplitudeModel,
                           (Outcome.KS, p_ks), (Outcome.KL, p_kl)):
         worst = max(worst, _worst(passive_single_prob(outcome, tau, k, model),
                                   want))
-    return CheckResult("active-passive-coincidence", worst < tol, worst, tol)
+    return CheckResult("active-passive-coincidence", worst < 1e-10, worst,
+                       1e-10)
 
 
 def decay_time_nodes(k: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +132,11 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
     # the mixed rate summed over right channels integrates to N(tau_l, 0)/2,
     # here for three tau_l at once, a row each
     taus = (0.0, 1.0, 4.0)
-    rates = sum(mixed_decay_rate(f, np.array(taus)[:, None], t, k, model) @ w
+    rates = sum(mixed_decay_rate(Outcome.K0, f, np.array(taus)[:, None], t, k,
+                                 model) @ w
                 for f in DecayChannel)
     mixed = float(np.max(np.abs(
-        rates - [0.5 * beam_norm(tau_l, k) for tau_l in taus])))
+        rates - [0.5 * pair_beam_norm(tau_l, 0.0, k) for tau_l in taus])))
     return [CheckResult("single-rate-normalization", single < 1e-6, single, 1e-6),
             CheckResult("joint-rate-normalization", joint < 1e-5, joint, 1e-5),
             CheckResult("passive-pair-weights", weights < 1e-10, weights, 1e-10,
@@ -155,12 +157,12 @@ def _delayed_choice_triples(n_triples: int, seed: int) -> tuple:
 
 
 def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,
-                         seed: int = 20240824, tol: float = 1e-12) -> CheckResult:
+                         seed: int = 20240824) -> CheckResult:
     """Squared norms of the three operator orderings agree for randomized
     (tau_l, tau_r0, projector) triples, all evaluated in one array call."""
     norms = delayed_choice_norms(*_delayed_choice_triples(n_triples, seed), k)
     worst = float(np.ptp(norms, axis=0).max(initial=0.0))
-    return CheckResult("delayed-choice-identity", worst < tol, worst, tol)
+    return CheckResult("delayed-choice-identity", worst < 1e-12, worst, 1e-12)
 
 
 def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:

@@ -68,7 +68,8 @@ def _two_times(k, model):
                    f_l, tl, f_r, tr, k, model), "rel")
     for f in DecayChannel:
         yield (f"mixed_decay_rate[{f.value}]",
-               lambda tl, tr, f=f: mixed_decay_rate(f, tl, tr, k, model), "rel")
+               lambda tl, tr, f=f: mixed_decay_rate(Outcome.K0, f, tl, tr, k,
+                                                    model), "rel")
     for left, right in itertools.product(STRANGENESS, Outcome):
         yield (f"passive_joint_prob[{left.value},{right.value}]",
                lambda tl, tr, l=left, r=right: passive_joint_prob(
@@ -101,9 +102,10 @@ def test_mixed_rate_on_the_nodes_matches_the_float_calls(k, model):
     nodes = decay_time_nodes(k)[0]
     taus = (0.0, 1.0, 4.0)
     for f in DecayChannel:
-        want = [[mixed_decay_rate(f, tl, t, k, model) for t in nodes.tolist()]
-                for tl in taus]
-        got = mixed_decay_rate(f, np.array(taus)[:, None], nodes, k, model)
+        want = [[mixed_decay_rate(Outcome.K0, f, tl, t, k, model)
+                 for t in nodes.tolist()] for tl in taus]
+        got = mixed_decay_rate(Outcome.K0, f, np.array(taus)[:, None], nodes,
+                               k, model)
         _assert_close(got, want, "rel", f)
 
 
@@ -128,7 +130,6 @@ def _failing(k, model):
     yield lambda t: lifetime_probs(t, k), 800.0, OverflowError
     yield (lambda t: passive_single_prob(Outcome.K0, t, k, model), 5e5,
            ZeroDivisionError)
-    yield lambda t: pair_beam_norm(t, 0.0, k), 2000.0, OverflowError
     yield (lambda t: passive_joint_prob(Outcome.K0, t, Outcome.KS, t, k, model),
            800.0, ZeroDivisionError)
     yield (lambda t: mixed_active_passive_prob(Outcome.K0, t, Outcome.KS, t,
@@ -145,6 +146,14 @@ def test_arrays_fail_where_floats_fail(k, model):
             oracle(bad)
         with pytest.raises(FloatingPointError):
             oracle(np.array([1.0, bad]))
+
+
+def test_survivor_norm_is_finite_far_out(k):
+    """N(tau, 0) is a sum of two exponentials, with no cosh to overflow: at
+    2000 tau_S the K_S term underflows to 0 and the K_L term is left."""
+    want = 0.5 * math.exp(-2000.0 * k.gamma_L)
+    assert pair_beam_norm(2000.0, 0.0, k) == want
+    assert pair_beam_norm(np.array([2000.0]), 0.0, k).tolist() == [want]
 
 
 def test_a_bad_time_in_an_array_is_named(k, model):

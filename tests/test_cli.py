@@ -15,6 +15,13 @@ def run(*argv):
     return main(list(argv))
 
 
+# sha256 of the files `analytic` writes with the default config
+PINNED_ANALYTIC_SHA256 = {
+    "single_kaon.csv": "bb1088c9e28c95e6a7f2a4cc3924b1ce18920f995fdf4e181eeba0fab6b15def",
+    "joint.csv": "5be7b20e333e75b4a99c2840a034d06b4a70109cdc795a817154f22bf63b5277",
+}
+
+
 class TestAnalytic:
     def test_writes_curve_files(self, tmp_path):
         assert run("analytic", "--out", str(tmp_path)) == 0
@@ -27,6 +34,15 @@ class TestAnalytic:
         # p_like vanishes at delta_tau = 0
         zero_row = [l for l in joint[2:] if l.startswith("0,") or l.startswith("-0,")]
         assert zero_row and zero_row[0].split(",")[1] == "0"
+
+    def test_outputs_are_pinned(self, tmp_path):
+        """Byte for byte, so a last-bit change of a closed form that reaches
+        the 12 printed digits shows here (the digests of
+        perfbench/workloads.PINNED)."""
+        assert run("analytic", "--out", str(tmp_path)) == 0
+        for name, digest in PINNED_ANALYTIC_SHA256.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -246,7 +262,7 @@ def test_pinned_cli_outputs(tmp_path, capsys, kind):
 # with CPython 3.11 on x86-64 Linux (another libm may round differently) and
 # numpy 2.4 with its AVX512 (X86_V4) loops, whose exp and cos round otherwise
 # than the AVX2 ones: without them active-passive-coincidence reads 1.247e-15.
-VERIFY_REPORT_SHA256 = "6a96ccfec22a2e0e69d574674f802f7f8983555a6afece6e25125fdb108f5837"
+VERIFY_REPORT_SHA256 = "30913ce7f3ff370f12bee638c809746919af3c8aa07a7db836c7518c12d68fc3"
 
 
 class TestVerify:

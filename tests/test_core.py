@@ -6,9 +6,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kaoneraser import (DecayChannel, Outcome, PhysicalConstants, beam_norm,
+from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
                         build_amplitude_model, evolution_factors, make_state,
-                        single_decay_rate, strangeness_probs)
+                        pair_beam_norm, single_decay_rate, strangeness_probs)
 from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -187,10 +187,11 @@ class TestEvolution:
     def test_strangeness_survival_is_beam_norm(self, k, tau):
         for out in (Outcome.K0, Outcome.K0BAR):
             assert _norm_sq(*_evolved(out, tau, k)) == pytest.approx(
-                beam_norm(tau, k), rel=1e-12)
+                pair_beam_norm(tau, 0.0, k), rel=1e-12)
 
     def test_beam_norm_value(self, k):
-        assert beam_norm(2.5, k) == pytest.approx(0.53888825879118025, abs=1e-15)
+        assert pair_beam_norm(2.5, 0.0, k) == pytest.approx(
+            0.53888825879118025, abs=1e-15)
 
     @given(t1=times, t2=st.floats(min_value=0.0, max_value=10.0))
     def test_evolution_composes(self, k, t1, t2):
@@ -203,9 +204,9 @@ class TestEvolution:
     @given(tau=times)
     def test_survivor_normalization(self, k, tau):
         """Conditioning an evolved K0 on survival, i.e. dividing by
-        sqrt(beam_norm), gives a unit state whose K0 weight is the
+        sqrt(pair_beam_norm(tau, 0)), gives a unit state whose K0 weight is the
         closed-form strangeness probability."""
-        n = math.sqrt(beam_norm(tau, k))
+        n = math.sqrt(pair_beam_norm(tau, 0.0, k))
         c_S, c_L = (c / n for c in _evolved(Outcome.K0, tau, k))
         assert _norm_sq(c_S, c_L) == pytest.approx(1.0, rel=1e-12)
         k0 = make_state(Outcome.K0)

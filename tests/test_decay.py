@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,7 +114,8 @@ CHANNEL_TAKERS = {
     "single_decay_rate": lambda ch, k, m: single_decay_rate(ch, 1.0, k, m),
     "joint_decay_rate": lambda ch, k, m: joint_decay_rate(
         DecayChannel.SL_PLUS, 1.0, ch, 2.0, k, m),
-    "mixed_decay_rate": lambda ch, k, m: mixed_decay_rate(ch, 1.0, 2.0, k, m),
+    "mixed_decay_rate": lambda ch, k, m: mixed_decay_rate(
+        Outcome.K0, ch, 1.0, 2.0, k, m),
     "decay_width": lambda ch, k, m: decay_width(ch, k, m),
 }
 
@@ -144,6 +146,26 @@ def test_unknown_outcome_is_a_value_error(k, model, call, bad):
     with no KeyError on the way."""
     with pytest.raises(ValueError, match=f"^unknown outcome {bad!r}$"):
         call(bad, k, model)
+
+
+# each mixed rate or probability with a bad outcome in its active left slot
+ACTIVE_TAKERS = {
+    "mixed_decay_rate": lambda out, t, k, m: mixed_decay_rate(
+        out, DecayChannel.SL_PLUS, t, 2.0, k, m),
+    "mixed_active_passive_prob": lambda out, t, k, m: mixed_active_passive_prob(
+        out, t, Outcome.KS, 2.0, k, m),
+}
+
+
+@pytest.mark.parametrize("call", ACTIVE_TAKERS.values(), ids=ACTIVE_TAKERS)
+@pytest.mark.parametrize("bad", [Outcome.KS, Outcome.KL, "K0", None])
+def test_active_left_outcome_must_be_a_strangeness_outcome(k, model, call, bad):
+    """The mixed rate owns the sign of K0 and K0bar and refuses the rest,
+    on floats and arrays."""
+    for tau in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="^active left outcome must be "
+                           "a strangeness outcome$"):
+            call(bad, tau, k, model)
 
 
 # every module table keyed by an enum member, per member type

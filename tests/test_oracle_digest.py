@@ -21,7 +21,7 @@ from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         passive_single_prob, single_decay_rate)
 from kaoneraser.decay import passive_pair_weights
 
-ORACLE_DIGEST = "e727232e1de15fcdf43c87868dffb3c16e90f70f3883f7c742ee43e3c47dde27"
+ORACLE_DIGEST = "6819722357eed84b75dbbc0639c9b53c5a3cc660b44e405ad0d970405799b717"
 
 
 # the 8 ordered outcome pairs of check_active_passive

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kaoneraser import (JointProjector, Observable, Outcome, SingularStateError,
-                        TwoKaonState, beam_norm, closed_form_joint,
+                        TwoKaonState, closed_form_joint,
                         delayed_choice_norms, evolution_factors,
                         joint_projective_prob, make_state, normalized_pair,
                         pair_visibility, pairs)
@@ -238,6 +238,31 @@ class TestNonFiniteTimes:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             delayed_choice_norms(*times, p, k)
 
+    # each oracle of one time difference, which may take either sign
+    DIFFERENCE_ORACLES = {
+        "closed_form_joint": lambda dt, k: closed_form_joint("s_ks", dt, k),
+        "pair_visibility": pair_visibility,
+        "normalized_pair": normalized_pair,
+    }
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", DIFFERENCE_ORACLES)
+    def test_time_difference(self, k, name, bad):
+        """A NaN difference came back as NaN, an infinite one as a limit."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta_tau must be finite, got {bad!r}") + "$"):
+            self.DIFFERENCE_ORACLES[name](bad, k)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", DIFFERENCE_ORACLES)
+    def test_time_difference_in_an_array(self, k, name, bad):
+        """Not ``[0.25, nan]``: on_arrays' error state does not trap a NaN
+        input.  The message names the first bad index."""
+        dts = np.array([-3.0, 0.0, bad, bad])
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta_tau must be finite, got {bad!r} at index 2") + "$"):
+            self.DIFFERENCE_ORACLES[name](dts, k)
+
 
 class TestArraysRejectAsFloats:
     """Arrays of times fail where the per-pair float calls fail, with the
@@ -328,7 +353,9 @@ def ref_project_side(state, side, outcome):
 
 def ref_survivor_unitary_side(state, side, dt, k):
     f_S, f_L = evolution_factors(dt, k)
-    scale = 1.0 / math.sqrt(beam_norm(dt, k))
+    # the single-beam survivor norm, at a time difference of either sign
+    norm = 0.5 * (math.exp(-k.gamma_S * dt) + math.exp(-k.gamma_L * dt))
+    scale = 1.0 / math.sqrt(norm)
     f_S, f_L = f_S * scale, f_L * scale
     c_LS, c_SL, c_SS, c_LL, normalized = state
     if side == "left":

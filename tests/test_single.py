@@ -2,14 +2,19 @@
 equivalence of active and passive detection probabilities."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kaoneraser import (Outcome, DecayChannel, MisidWindow, joint_decay_rate,
-                        lifetime_probs, misid_probs, mixed_active_passive_prob,
-                        mixed_decay_rate, pair_beam_norm, passive_single_prob,
-                        single_decay_rate, strangeness_probs, visibility_single)
+from kaoneraser import (Outcome, DecayChannel, MisidWindow, PhysicalConstants,
+                        build_amplitude_model, closed_form_joint,
+                        joint_decay_rate, lifetime_probs, misid_probs,
+                        mixed_active_passive_prob, mixed_decay_rate,
+                        pair_beam_norm, pair_visibility, passive_single_prob,
+                        single_decay_rate, strangeness_probs)
+from kaoneraser.core import ArrayMath, FloatMath
 from kaoneraser.decay import CHANNEL_CODES
 
 times = st.floats(min_value=0.0, max_value=25.0, allow_nan=False)
@@ -27,13 +32,13 @@ def test_frozen_reference_values(tau, k):
     p_k0_ref, p_ks_ref, v_ref = ORACLE[tau]
     assert strangeness_probs(tau, k)[0] == pytest.approx(p_k0_ref, abs=1e-14)
     assert lifetime_probs(tau, k)[0] == pytest.approx(p_ks_ref, abs=1e-14)
-    assert visibility_single(tau, k) == pytest.approx(v_ref, abs=1e-14)
+    assert pair_visibility(tau, k) == pytest.approx(v_ref, abs=1e-14)
 
 
 def test_initial_conditions(k):
     assert strangeness_probs(0.0, k) == (1.0, 0.0)
     assert lifetime_probs(0.0, k) == (0.5, 0.5)
-    assert visibility_single(0.0, k) == 1.0
+    assert pair_visibility(0.0, k) == 1.0
 
 
 @given(tau=times)
@@ -42,34 +47,98 @@ def test_probabilities_well_formed(k, tau):
     ps, pl = lifetime_probs(tau, k)
     assert 0.0 <= p0 <= 1.0 and p0 + p0b == pytest.approx(1.0)
     assert 0.0 <= ps <= 0.5 and ps + pl == pytest.approx(1.0)
-    assert 0.0 < visibility_single(tau, k) <= 1.0
+    assert 0.0 < pair_visibility(tau, k) <= 1.0
 
 
 @given(tau=st.floats(min_value=0.1, max_value=25.0))
 def test_oscillation_bounded_by_visibility(k, tau):
     p0, _ = strangeness_probs(tau, k)
-    assert abs(2.0 * p0 - 1.0) <= visibility_single(tau, k) + 1e-12
+    assert abs(2.0 * p0 - 1.0) <= pair_visibility(tau, k) + 1e-12
+
+
+def test_ks_share_below_the_normal_range_stays_positive(k):
+    """At 711 tau_S, P[K_S] = 1/(1 + e^{-DeltaGamma tau}) is a subnormal
+    double.  Halved in the pair form and doubled back, it stays positive on
+    floats and arrays: the pair form's denominator 2(1 + e^x) would
+    overflow there, so it is not formed."""
+    p_ks, p_kl = lifetime_probs(711.0, k)
+    assert 0.0 < p_ks < sys.float_info.min and p_kl == 1.0
+    got = lifetime_probs(np.array([711.0]), k)[0]
+    assert got.tolist() == [pytest.approx(p_ks, rel=1e-12)]
 
 
 def test_negative_time_rejected(k):
-    for fn in (strangeness_probs, lifetime_probs, visibility_single):
+    for fn in (strangeness_probs, lifetime_probs):
         with pytest.raises(ValueError):
             fn(-1.0, k)
+
+
+# Valid constants, with every Gamma tau below at most 500, so that no
+# exponential overflows at either sign of tau.
+constants = st.builds(
+    lambda g_s, ratio, dm, br: PhysicalConstants(
+        gamma_S=g_s, gamma_L=g_s * ratio, delta_m=dm, br_sl_L=br),
+    st.floats(0.1, 10.0), st.floats(1e-4, 0.99), st.floats(0.0, 20.0),
+    st.floats(0.01, 0.99))
+time_lists = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@given(consts=constants, taus=time_lists)
+def test_single_kaon_oracles_are_the_pair_oracles_at_zero(consts, taus):
+    """Finding the partner as K0bar at tau = 0 prepares a K0: each
+    single-kaon oracle is twice its pair form, to the bit, on floats and on
+    an array of the same times."""
+    model = build_amplitude_model(consts)
+    for tau in (*taus, np.array(taus)):
+        p_k0 = 2.0 * closed_form_joint("ss_unlike", tau, consts)
+        assert _bits(strangeness_probs(tau, consts)) == _bits((p_k0, 1.0 - p_k0))
+        p_ks = 2.0 * closed_form_joint("s_ks", -tau, consts)
+        assert _bits(lifetime_probs(tau, consts)) == _bits((p_ks, 1.0 - p_ks))
+        assert _bits(p_ks) == _bits(2.0 * closed_form_joint("s_kl", tau, consts))
+        for f in DecayChannel:
+            assert _bits(single_decay_rate(f, tau, consts, model)) == _bits(
+                2.0 * mixed_decay_rate(Outcome.K0BAR, f, 0.0, tau, consts, model))
+        for o in Outcome:
+            assert _bits(passive_single_prob(o, tau, consts, model)) == _bits(
+                2.0 * mixed_active_passive_prob(Outcome.K0BAR, 0.0, o, tau,
+                                                consts, model))
+
+
+@given(consts=constants, taus=time_lists)
+def test_survivor_norm_at_zero_is_the_single_beam_norm(consts, taus):
+    """N(tau, 0) = [exp(-G_S tau) + exp(-G_L tau)]/2 to the bit, on floats
+    and arrays, and at negative tau too, where the survivor rescaling of
+    ``delayed_choice_norms`` evaluates it (with ``m`` given)."""
+    g_s, g_l = consts.gamma_S, consts.gamma_L
+    for tau in taus:
+        for t in (tau, -tau):
+            assert pair_beam_norm(t, 0.0, consts, FloatMath) == 0.5 * (
+                math.exp(-g_s * t) + math.exp(-g_l * t))
+        assert pair_beam_norm(tau, 0.0, consts) == pair_beam_norm(
+            tau, 0.0, consts, FloatMath)
+    tau = np.array(taus)
+    assert _bits(pair_beam_norm(tau, 0.0, consts)) == _bits(
+        0.5 * (np.exp(-g_s * tau) + np.exp(-g_l * tau)))
+    assert _bits(pair_beam_norm(-tau, 0.0, consts, ArrayMath)) == _bits(
+        0.5 * (np.exp(g_s * tau) + np.exp(g_l * tau)))
 
 
 SL, TWO_PI, K0 = DecayChannel.SL_PLUS, DecayChannel.TWO_PI, Outcome.K0
 # each scalar oracle with its time argument t; the two-time rates take t on
 # either side
 ORACLES = {
-    "visibility_single": lambda t, k, m: visibility_single(t, k),
     "strangeness_probs": lambda t, k, m: strangeness_probs(t, k),
     "lifetime_probs": lambda t, k, m: lifetime_probs(t, k),
     "single_decay_rate": lambda t, k, m: single_decay_rate(SL, t, k, m),
     "passive_single_prob": lambda t, k, m: passive_single_prob(K0, t, k, m),
     "joint_decay_rate_left": lambda t, k, m: joint_decay_rate(SL, t, TWO_PI, 1.0, k, m),
     "joint_decay_rate_right": lambda t, k, m: joint_decay_rate(SL, 1.0, TWO_PI, t, k, m),
-    "mixed_decay_rate_left": lambda t, k, m: mixed_decay_rate(SL, t, 1.0, k, m),
-    "mixed_decay_rate_right": lambda t, k, m: mixed_decay_rate(SL, 1.0, t, k, m),
+    "mixed_decay_rate_left": lambda t, k, m: mixed_decay_rate(K0, SL, t, 1.0, k, m),
+    "mixed_decay_rate_right": lambda t, k, m: mixed_decay_rate(K0, SL, 1.0, t, k, m),
     "mixed_active_passive_prob_left":
         lambda t, k, m: mixed_active_passive_prob(K0, t, Outcome.KS, 1.0, k, m),
     "mixed_active_passive_prob_right":

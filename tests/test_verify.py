@@ -114,32 +114,34 @@ def test_oracle_grid_catches_a_wrong_sign(k, monkeypatch):
 
 
 def test_active_passive_catches_a_swapped_strangeness_sign(k, model, monkeypatch):
-    swapped = _mutated(decay.mixed_active_passive_prob,
-                       "sign = +1.0 if active_out_l is Outcome.K0 else -1.0",
-                       "sign = -1.0 if active_out_l is Outcome.K0 else +1.0")
-    monkeypatch.setattr("kaoneraser.verify.mixed_active_passive_prob", swapped)
+    """The shared mixed rate with K0 and K0bar's signs swapped."""
+    swapped = {out: -sign for out, sign in decay._STRANGENESS_SIGN.items()}
+    monkeypatch.setattr(decay, "_STRANGENESS_SIGN", swapped)
     result = check_active_passive(k, model)
     assert not result.passed
     assert result.worst > 1e-3
 
 
 def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
-    """A flipped cross term moves each strangeness probability, so the
-    active-passive check fails; the channel sum misses the cross term
-    (sum_f a_S a_L = 0), so the normalization passes.  Swapped widths
-    (alpha, beta) = (a_S, -a_L) fail the normalization."""
-    rate = single.single_decay_rate
-    flipped = _mutated(rate, "0.5 * (direct - cross)", "0.5 * (direct + cross)")
-    monkeypatch.setattr(single, "single_decay_rate", flipped)
-    monkeypatch.setattr("kaoneraser.verify.single_decay_rate", flipped)
+    """The single-kaon rate and probability are the shared mixed rate (bound
+    in ``decay`` and ``single``) with the partner at 0.  A flipped cross term
+    there moves each strangeness probability, so the active-passive check
+    fails; the channel sum misses the cross term (sum_f a_S a_L = 0), so the
+    normalization passes.  Swapped widths (alpha, beta) = (a_L, +-a_S) fail
+    the normalization."""
+    rate = decay.mixed_decay_rate
+    flipped = _mutated(rate, "0.25 * (direct - cross)", "0.25 * (direct + cross)")
+    monkeypatch.setattr(decay, "mixed_decay_rate", flipped)
+    monkeypatch.setattr(single, "mixed_decay_rate", flipped)
     result = check_active_passive(k, model)
     assert not result.passed and result.worst > 1e-3
     results = {r.name: r for r in check_normalizations(k, model)}
     assert results["single-rate-normalization"].passed
 
-    swapped = _mutated(rate, "model.a_L[c], -model.a_S[c]",
-                       "model.a_S[c], -model.a_L[c]")
-    monkeypatch.setattr("kaoneraser.verify.single_decay_rate", swapped)
+    swapped = _mutated(rate, "model.a_S[j], sign * model.a_L[j]",
+                       "model.a_L[j], sign * model.a_S[j]")
+    monkeypatch.setattr(decay, "mixed_decay_rate", swapped)
+    monkeypatch.setattr(single, "mixed_decay_rate", swapped)
     results = {r.name: r for r in check_normalizations(k, model)}
     assert not results["single-rate-normalization"].passed
     assert results["single-rate-normalization"].worst > 1.0
