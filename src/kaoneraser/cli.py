@@ -36,10 +36,6 @@ from .single import MisidWindow, lifetime_probs, strangeness_probs
 from .verify import run_all
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with status 1, not 2."""
 
@@ -140,49 +136,59 @@ def _at_entry(exc: ArithmeticError, cfg: dict, key: str, value: float):
     return type(exc)(f"{exc} at {where} entry {value!r}")
 
 
-def _write_csv(path: Path, comment: str, header: str, rows) -> None:
+def _on_grid(columns, key: str, grid, cfg: dict) -> tuple:
+    """``columns(times)``, evaluated on the whole grid as one array.  On an
+    ArithmeticError the entries are evaluated as floats, in order, so that
+    the error names the first entry that fails."""
+    times = np.asarray(grid, dtype=float)
+    try:
+        return columns(times)
+    except ArithmeticError:
+        for t in times.tolist():
+            try:
+                columns(t)
+            except ArithmeticError as exc:
+                raise _at_entry(exc, cfg, key, t) from exc
+        raise
+
+
+def _write_csv(path: Path, comment: str, header: str, row: str,
+               columns) -> None:
+    """A CSV file: the comment line, the header, then one line per entry of
+    the equal-length ``columns``, made by filling the %-template ``row``."""
+    body = "".join(map(row.__mod__,
+                       zip(*(np.asarray(c).tolist() for c in columns))))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    path.write_text(f"{comment}\n{header}\n{body}")
+
+
+# the analytic curves' columns, each a float printed to 12 significant digits
+_CURVE_ROW = ",".join(["%.12g"] * 6) + "\n"
+_JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
 
 
 def cmd_analytic(args, cfg, values, k, sim) -> int:
+    def single_columns(tau):
+        return (tau, *strangeness_probs(tau, k), *lifetime_probs(tau, k),
+                pair_visibility(tau, k))
+
+    def joint_columns(dt):
+        return (dt, *(closed_form_joint(kind, dt, k) for kind in _JOINT_KINDS),
+                pair_visibility(dt, k))
+
     tau_grid = values.get("tau_grid", np.arange(0, 121) * 0.1)
     dt_grid = values.get("delta_tau_grid", np.arange(-100, 101) * 0.1)
-    single = []
-    try:
-        for tau in tau_grid:
-            tau = float(tau)
-            p0, p0b = strangeness_probs(tau, k)
-            ps, pl = lifetime_probs(tau, k)
-            single.append((tau, p0, p0b, ps, pl, pair_visibility(tau, k)))
-    except ArithmeticError as exc:
-        raise _at_entry(exc, cfg, "tau_grid", tau) from exc
-
-    joint = []
-    try:
-        for dt in dt_grid:
-            dt = float(dt)
-            joint.append((dt,
-                          closed_form_joint("ss_like", dt, k),
-                          closed_form_joint("ss_unlike", dt, k),
-                          closed_form_joint("s_ks", dt, k),
-                          closed_form_joint("s_kl", dt, k),
-                          pair_visibility(dt, k)))
-    except ArithmeticError as exc:
-        raise _at_entry(exc, cfg, "delta_tau_grid", dt) from exc
+    single = _on_grid(single_columns, "tau_grid", tau_grid, cfg)
+    joint = _on_grid(joint_columns, "delta_tau_grid", dt_grid, cfg)
 
     # nothing is written unless every row evaluated
     out = values.get("out", Path("."))
     comment = _config_comment(cfg)
     _write_csv(out / "single_kaon.csv", comment,
-               "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", single)
+               "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", _CURVE_ROW, single)
     _write_csv(out / "joint.csv", comment,
-               "delta_tau,p_like,p_unlike,p_s_ks,p_s_kl,visibility", joint)
+               "delta_tau,p_like,p_unlike,p_s_ks,p_s_kl,visibility", _CURVE_ROW,
+               joint)
     print(f"wrote {out / 'single_kaon.csv'} and {out / 'joint.csv'}")
     return 0
 
@@ -247,8 +253,9 @@ def cmd_fit(args, cfg, values, k, sim) -> int:
     path = values.get("out", Path(".")) / "visibility.csv"
     _write_csv(path, _config_comment(cfg),
                "delta_tau_bin,v_hat,stderr,excluded_flag",
-               ((r.delta_tau, r.v_hat, r.stderr, int(r.excluded))
-                for r in rows))
+               "%.12g,%.12g,%.12g,%d\n",
+               zip(*((r.delta_tau, r.v_hat, r.stderr, r.excluded)
+                     for r in rows)))
     print(f"wrote {path}")
     return 0
 

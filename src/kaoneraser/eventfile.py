@@ -19,13 +19,13 @@ at LF, CR LF or CR, as in a text-mode file.
 Both directions cut the rows into w contiguous ranges: the first runs here,
 each other one in a forked child process, as formatting and parsing hold the
 GIL.  w is the number of usable CPUs, lowered so that each worker gets a
-minimum of live times to write or of body bytes to read, and 1 while another
-thread is alive (the CLI writes after ``run_experiment`` has joined its
-threads).  A writer child formats its range in its own memory, then streams
-it for the parent to copy into the file; a reader worker counts the line
-ends before its byte range to learn its first row.  Every w runs the same
-range code, so bytes, columns and messages never depend on it, and every
-child is reaped before the call returns or raises.
+minimum of rows and live times to format or of body bytes to read, and 1
+while another thread is alive (the CLI writes after ``run_experiment`` has
+joined its threads).  A writer child formats its range in its own memory,
+then streams it for the parent to copy into the file; a reader worker counts
+the line ends before its byte range to learn its first row.  Every w runs
+the same range code, so bytes, columns and messages never depend on it, and
+every child is reaped before the call returns or raises.
 
 ``read_events`` is the gate.  It accepts what the writer writes, and other
 time spellings only as the time rule below allows; it rejects with a
@@ -72,7 +72,11 @@ _HEAD = HEADER.encode()
 _FIELDS = 11
 _WRITE_ROWS = 8192       # rows formatted and written at a time
 _READ_CHARS = 1 << 20    # bytes read, or copied from a child, at a time
-_WRITE_MIN_TIMES = 50_000  # live times each write worker gets at least
+# the writer's work, in live times: a time takes about 850 ns to format and
+# a row about 300 ns of its own (CPython 3.11, x86-64), so the rows of a
+# mostly discarded file are most of its work
+_WRITE_ROW_TIMES = 0.35    # the work of a row, in live times
+_WRITE_MIN_TIMES = 20_000  # work each write worker gets at least
 _READ_MIN_BYTES = 2 << 20  # body bytes each read worker gets at least
 
 
@@ -197,7 +201,7 @@ def write_events(events: EventSet, path: str | Path) -> None:
             raise ValueError(f"{side} time {float(time[row])!r} at row {row} "
                              "is not a finite, non-negative number")
     live = np.count_nonzero(events.l_rec) + np.count_nonzero(events.r_rec)
-    w = _workers(int(live), _WRITE_MIN_TIMES)
+    w = _workers(int(live + _WRITE_ROW_TIMES * len(events)), _WRITE_MIN_TIMES)
     bounds = [len(events) * j // w for j in range(w + 1)]
     with open(path, "wb") as fh:
         fh.write(_HEAD + b"\n")

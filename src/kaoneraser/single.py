@@ -15,6 +15,10 @@ from .decay import (AmplitudeModel, DecayChannel, mixed_active_passive_prob,
                     mixed_decay_rate)
 from .pairs import closed_form_joint
 
+# the partner's outcome at tau = 0, bound once: a member read through its
+# class costs about 100 ns a call
+_PARTNER = Outcome.K0BAR
+
 
 @dataclass(frozen=True)
 class MisidWindow:
@@ -59,7 +63,7 @@ def single_decay_rate(channel: DecayChannel, tau: float, k: PhysicalConstants,
     """Decay rate density Gamma(f, tau) of an initial K0 into the given mode:
     the mixed rate with the partner's K0bar at 0."""
     check_times("tau", tau)
-    return 2.0 * mixed_decay_rate(Outcome.K0BAR, channel, 0.0, tau, k, model)
+    return 2.0 * mixed_decay_rate(_PARTNER, channel, 0.0, tau, k, model)
 
 
 def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
@@ -68,5 +72,5 @@ def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
     the mixed probability with the partner's K0bar at 0.  Coincides with the
     active closed forms from strangeness_probs and lifetime_probs."""
     check_times("tau", tau)
-    return 2.0 * mixed_active_passive_prob(Outcome.K0BAR, 0.0, outcome, tau,
+    return 2.0 * mixed_active_passive_prob(_PARTNER, 0.0, outcome, tau,
                                            k, model)

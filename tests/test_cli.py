@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaoneraser import ExperimentKind, read_events
+from kaoneraser import (ExperimentKind, closed_form_joint, cli,
+                        lifetime_probs, pair_visibility, read_events,
+                        strangeness_probs)
 from kaoneraser.cli import main
 
 
@@ -66,6 +68,45 @@ class TestAnalytic:
         assert run("analytic", "--config", str(cfg), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: config key {message}\n"
         assert not out.exists()
+
+    def test_config_grids_match_the_float_oracles(self, tmp_path, k):
+        """The grids are evaluated in array calls; each printed value is the
+        float oracle's at that entry, to the 12 printed digits."""
+        taus, dts = [0.0, 0.02627, 37.5], [-12.3, 0.0, 59.9]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_grid": taus, "delta_tau_grid": dts}))
+        assert run("analytic", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        want = {
+            "single_kaon.csv": [
+                (t, *strangeness_probs(t, k), *lifetime_probs(t, k),
+                 pair_visibility(t, k)) for t in taus],
+            "joint.csv": [
+                (dt, *(closed_form_joint(kind, dt, k) for kind in
+                       ("ss_like", "ss_unlike", "s_ks", "s_kl")),
+                 pair_visibility(dt, k)) for dt in dts]}
+        for name, rows in want.items():
+            got = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2)
+            np.testing.assert_allclose(got, rows, rtol=1e-11, atol=0)
+
+    def test_grids_take_one_call_per_column(self, tmp_path, monkeypatch):
+        """However long the grid, cmd_analytic calls each closed form the
+        same number of times: no loop over the entries."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return closed_form_joint(*args, **kwargs)
+        monkeypatch.setattr(cli, "closed_form_joint", counted)
+        counts = []
+        for n in (3, 300):
+            cfg = tmp_path / f"cfg_{n}.json"
+            grid = np.linspace(-30.0, 30.0, n).tolist()
+            cfg.write_text(json.dumps({"delta_tau_grid": grid}))
+            calls.clear()
+            assert run("analytic", "--config", str(cfg),
+                       "--out", str(tmp_path / f"out_{n}")) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 4
 
     def test_constants_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -431,7 +472,10 @@ class TestOutOfRange:
     @pytest.mark.parametrize("doc,where", [
         ({"tau_grid": [0.5, 1e5]}, "config key 'tau_grid' entry 100000.0"),
         ({"delta_tau_grid": [-1, 2000]}, "config key 'delta_tau_grid' entry 2000.0"),
-        ({"constants": {"gamma_S": 1e5}}, "default 'tau_grid' entry 0.1")])
+        ({"constants": {"gamma_S": 1e5}}, "default 'tau_grid' entry 0.1"),
+        ({"tau_grid": [0.5, 1e5, 1.0]}, "config key 'tau_grid' entry 100000.0"),
+        # the first entry that fails, not the largest
+        ({"tau_grid": [0.5, 2e5, 1e5]}, "config key 'tau_grid' entry 200000.0")])
     def test_grid_overflow_names_key_and_entry(self, tmp_path, capsys, doc, where):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

@@ -383,6 +383,26 @@ class TestWorkerCounts:
                 assert_same_columns(read_events(path), ev)
             assert path.read_bytes() == golden(kind).read_bytes()
 
+    @pytest.mark.parametrize("rows,live_every,workers", [
+        (200_000, 25, 2),  # A1's shape: 16 000 live times
+        (10_000, 1, 1)])   # a small file with every side live
+    def test_workers_count_rows_and_live_times(self, tmp_path, rows,
+                                               live_every, workers):
+        """The writer counts a row's own formatting as work, so a mostly
+        discarded file is also written on two CPUs."""
+        rec = np.zeros(rows, np.int8)
+        rec[::live_every] = 1
+        time = np.where(rec > 0, 1.5, np.nan)
+        ev = EventSet("A1", l_rec=rec, l_time=time, r_rec=rec, r_time=time)
+        path = tmp_path / "events.csv"
+        with mock.patch.object(eventfile, "usable_cpus", lambda: 2), \
+                mock.patch.object(eventfile, "_fan_out",
+                                  wraps=eventfile._fan_out) as fan_out:
+            write_events(ev, path)
+        forked = fan_out.call_args.args[1]
+        assert len(forked) + 1 == workers
+        assert_same_columns(read_events(path), ev)
+
     def test_error_in_the_last_range(self, tmp_path):
         path = corrupted(tmp_path, "A2", set_side(
             380, "right", "active,lifetime,K0,4.8,"))
