@@ -6,6 +6,7 @@ seeds, so they are deterministic in practice.
 
 import hashlib
 import math
+import statistics
 import sys
 import threading
 
@@ -289,6 +290,36 @@ class TestConcurrentPartitions:
         run_experiment("C", _cfg(n_pairs=6400, partitions=64), k, model)
         assert len(started) == 2
         assert threading.active_count() == before
+
+
+class TestOneWritePerElement:
+    """run_experiment allocates its columns with np.empty, so each generator
+    must write every element of its slices, and none outside them."""
+
+    # an odd partition of three left-kaon kernel blocks, and a tiny one
+    @pytest.mark.parametrize("n", [2 * sim._BLOCK + 1, 7])
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_generators_overwrite_poisoned_columns(self, k, model, kind, n):
+        cfg = _cfg(n_pairs=n)
+        full = {}
+        for side in ("l_", "r_"):
+            full[side + "rec"] = np.full(n + 2, 99, dtype=np.int8)
+            full[side + "time"] = np.full(n + 2, -1.0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                           spawn_key=(0,)))
+        sim._GENERATORS[kind](n, rng, cfg, k, model,
+                              {col: v[1:n + 1] for col, v in full.items()})
+        ev = run_experiment(kind, cfg, k, model)
+        for col, v in full.items():
+            poison = v[0]
+            assert v[-1] == poison
+            assert not np.any(v[1:n + 1] == poison), col
+            np.testing.assert_array_equal(v[1:n + 1], getattr(ev, col))
+        for side in ("l_", "r_"):
+            # a discarded side, and only it, has code 0 and time NaN
+            discarded = getattr(ev, side + "rec") == 0
+            np.testing.assert_array_equal(np.isnan(getattr(ev, side + "time")),
+                                          discarded)
 
 
 class TestExperimentInvariants:
@@ -651,6 +682,19 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_probs(empty)
 
+    def test_discarded_side_with_a_time_is_in_no_cell(self):
+        """Only the record code says a side is discarded: a code 0 with a
+        finite time, whose time difference lies in a bin, counts nowhere."""
+        ev = EventSet(kind="C",
+                      l_rec=np.array([1, 0, 2, 0], dtype=np.int8),
+                      l_time=np.array([1.0, 1.0, 1.0, 2.0]),
+                      r_rec=np.array([2, 1, 0, 0], dtype=np.int8),
+                      r_time=np.array([0.0, 0.0, 0.0, 0.5]))
+        counts = estimate_probs(ev).counts
+        assert counts.sum() == 1
+        # delta_tau = 1.0 in bin (1.0 + 10) / 0.5 = 22; K0 left, K0bar right
+        assert counts[22, 0, 1] == 1
+
     def test_binning_centers(self):
         centers = Binning().centers()
         assert len(centers) == 40
@@ -775,3 +819,49 @@ class TestEventFileRoundTrip:
         p.write_text("")
         with pytest.raises(ValueError):
             read_events(p)
+
+
+class TestEraserByName:
+    """The meter-sorted sub-ensembles of A2, B and C at 10^6 pairs, pooled
+    over the pairs whose time difference delta_tau = t_l - t_r lies in the
+    default binning, apart for delta_tau < 0 (the left kaon measured first:
+    delayed choice) and delta_tau > 0.
+
+    Marked (a lifetime record on the right: A2's K_S/K_L, B's pre-detector
+    decays, C's 2pi/3pi): the left P(K0) is 1/2.  Erased (strangeness on the
+    right: B's post-detector measurements, C's sl+- decays): the unlike
+    fraction follows 2 closed_form_joint("ss_unlike", delta_tau) pair by
+    pair.  Each pooled z is held to a Bonferroni bound for a family
+    false-alarm rate of 1e-6 over all the z's of this class."""
+
+    # 5 sub-ensembles (3 marked, 2 erased) x 2 seeds x 2 signs of delta_tau
+    FAMILY = 5 * 2 * 2
+    Z_MAX = statistics.NormalDist().inv_cdf(1.0 - 0.5e-6 / FAMILY)
+
+    @pytest.mark.parametrize("seed", [222, 504])
+    @pytest.mark.parametrize("kind", ["A2", "B", "C"])
+    def test_marked_unfringed_erased_on_the_fringe(self, k, model, kind, seed):
+        ev = run_experiment(kind, SimConfig(n_pairs=10**6, seed=seed,
+                                            partitions=4), k, model)
+        l_out, r_out = _fields(ev, "l_")[2], _fields(ev, "r_")[2]
+        dt = np.where(ev.classified, ev.l_time - ev.r_time, np.nan)
+        binning = Binning()
+        in_range = (dt >= binning.lo) & (dt < binning.hi)
+        zs = {}
+        for sign in (-1, 1):
+            side = in_range & (np.sign(dt) == sign)
+            marked = side & (r_out >= 2)  # K_S or K_L
+            n = int(marked.sum())
+            assert n > 1000
+            assert np.all(l_out[marked] <= 1)
+            n_k0 = int(np.sum(l_out[marked] == 0))
+            zs["marked", sign] = (n_k0 - 0.5 * n) / math.sqrt(0.25 * n)
+            erased = side & (r_out <= 1)  # K0 or K0bar
+            if kind == "A2":
+                assert not erased.any()
+                continue
+            assert erased.sum() > 100
+            p = 2.0 * closed_form_joint("ss_unlike", dt[erased], k)
+            unlike = int(np.sum(l_out[erased] != r_out[erased]))
+            zs["erased", sign] = (unlike - p.sum()) / math.sqrt(np.sum(p * (1.0 - p)))
+        assert max(abs(z) for z in zs.values()) < self.Z_MAX, zs
