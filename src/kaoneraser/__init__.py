@@ -9,12 +9,13 @@ from .decay import (CHANNEL_OUTCOME, OUTCOME_CHANNEL, AmplitudeModel,
                     DecayChannel, build_amplitude_model, decay_width,
                     joint_decay_rate, mixed_active_passive_prob,
                     mixed_decay_rate, passive_joint_prob)
+from .estimate import (Binning, Estimate, FitRow, estimate_probs,
+                       fit_visibility)
 from .eventfile import read_events, write_events
 from .pairs import (JointProjector, TwoKaonState, closed_form_joint,
                     delayed_choice_norms, joint_projective_prob,
                     normalized_pair, pair_visibility)
-from .sim import (RNG_SCHEME, Binning, Estimate, EventSet, ExperimentKind,
-                  FitRow, SimConfig, estimate_probs, fit_visibility,
+from .sim import (RNG_SCHEME, EventSet, ExperimentKind, SimConfig,
                   run_experiment)
 from .single import (MisidWindow, lifetime_probs, misid_probs,
                      passive_single_prob, single_decay_rate,

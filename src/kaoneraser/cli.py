@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Observable, PhysicalConstants, Procedure, finite_number
+from .core import PhysicalConstants, finite_number, load_json
 from .decay import build_amplitude_model
+from .estimate import estimate_probs, fit_visibility, lifetime_share
 from .eventfile import write_events, read_events
-from .pairs import closed_form_joint, pair_visibility
-from .sim import (RECORDS, RNG_SCHEME, ExperimentKind, SimConfig,
-                  estimate_probs, fit_visibility, run_experiment)
+from .pairs import JOINT_KINDS, closed_form_joint, pair_visibility
+from .sim import RNG_SCHEME, ExperimentKind, SimConfig, run_experiment
 from .single import MisidWindow, lifetime_probs, strangeness_probs
 from .verify import run_all
 
@@ -107,7 +107,7 @@ def _effective(args) -> dict:
     """The config file merged with command-line overrides."""
     cfg = {}
     if args.config is not None:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = load_json(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(cfg) - _RULES.keys()
@@ -164,7 +164,6 @@ def _write_csv(path: Path, comment: str, header: str, row: str,
 
 # the analytic curves' columns, each a float printed to 12 significant digits
 _CURVE_ROW = ",".join(["%.12g"] * 6) + "\n"
-_JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
 
 
 def cmd_analytic(args, cfg, values, k, sim) -> int:
@@ -173,7 +172,7 @@ def cmd_analytic(args, cfg, values, k, sim) -> int:
                 pair_visibility(tau, k))
 
     def joint_columns(dt):
-        return (dt, *(closed_form_joint(kind, dt, k) for kind in _JOINT_KINDS),
+        return (dt, *(closed_form_joint(kind, dt, k) for kind in JOINT_KINDS),
                 pair_visibility(dt, k))
 
     tau_grid = values.get("tau_grid", np.arange(0, 121) * 0.1)
@@ -201,6 +200,7 @@ def cmd_simulate(args, cfg, values, k, sim) -> int:
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / f"events_{kind}.csv"
     write_events(events, events_path)
+    discarded = events.n_discarded
 
     summary = {
         "kind": kind,
@@ -211,8 +211,8 @@ def cmd_simulate(args, cfg, values, k, sim) -> int:
         "config": _recorded(cfg),
         "counts": {
             "records": len(events),
-            "classified": len(events) - events.n_discarded,
-            "discarded": events.n_discarded,
+            "classified": len(events) - discarded,
+            "discarded": discarded,
         },
         "estimates": [
             {"bin": e.bin, "pair": list(e.pair), "p_hat": e.p_hat,
@@ -221,10 +221,8 @@ def cmd_simulate(args, cfg, values, k, sim) -> int:
         ],
     }
     if kind == "B":
-        # pre-detector decays are recorded as active lifetime measurements
-        pre = [rec for rec, (proc, out, _) in enumerate(RECORDS) if proc is
-               Procedure.ACTIVE and out.observable is Observable.LIFETIME]
-        summary["pre_detector_fraction"] = float(np.mean(np.isin(events.r_rec, pre)))
+        # pre-detector decays are recorded as lifetime measurements
+        summary["pre_detector_fraction"] = lifetime_share(events.r_rec)
     summary_path = out / f"summary_{kind}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {events_path} and {summary_path}")

@@ -63,6 +63,20 @@ def finite_number(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def load_json(text: str):
+    """``json.loads`` that rejects an object holding a key twice, naming it."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 # The two namespaces of functions a formula calls.  They are classes, never
 # instantiated, because the interpreter looks up a class attribute as fast
 # as a module's, and an instance's or a SimpleNamespace's more slowly.
@@ -225,7 +239,7 @@ class PhysicalConstants:
         file name) or a JSON file (a ``Path``); missing fields take defaults."""
         if isinstance(source, Path):
             source = source.read_text()
-        doc = json.loads(source) if isinstance(source, str) else source
+        doc = load_json(source) if isinstance(source, str) else source
         if not isinstance(doc, dict):
             raise ValueError(f"constants must be a JSON object, got {doc!r}")
         known = {f.name for f in fields(cls)}

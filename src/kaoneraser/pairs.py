@@ -27,6 +27,7 @@ from .core import (FloatMath, Outcome, PhysicalConstants, SingularStateError,
                    make_state, on_arrays, pair_beam_norm)
 
 _SQRT2 = math.sqrt(2.0)
+JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
 
 
 class TwoKaonState(NamedTuple):

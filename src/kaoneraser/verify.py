@@ -15,8 +15,9 @@ from .core import ArrayMath, Outcome, PhysicalConstants, pair_beam_norm
 from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
                     mixed_active_passive_prob, mixed_decay_rate,
                     pair_rate_terms, passive_joint_prob, passive_pair_weights)
-from .pairs import (JointProjector, closed_form_joint, delayed_choice_norms,
-                    joint_projective_prob, normalized_pair)
+from .pairs import (JOINT_KINDS, JointProjector, closed_form_joint,
+                    delayed_choice_norms, joint_projective_prob,
+                    normalized_pair)
 from .single import (MisidWindow, lifetime_probs, misid_probs,
                      passive_single_prob, single_decay_rate, strangeness_probs)
 
@@ -39,7 +40,7 @@ def _worst(got, want) -> float:
     return float((diff / np.where(scale < 1e-12, 1.0, scale)).max(initial=0.0))
 
 
-# the 8 ordered outcome pairs with their closed-form kind, and the 4 kinds
+# the 8 ordered outcome pairs with their closed-form kind
 _PAIRS = [
     (Outcome.K0, Outcome.K0, "ss_like"),
     (Outcome.K0BAR, Outcome.K0BAR, "ss_like"),
@@ -50,12 +51,11 @@ _PAIRS = [
     (Outcome.K0, Outcome.KL, "s_kl"),
     (Outcome.K0BAR, Outcome.KL, "s_kl"),
 ]
-_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
 
 
 def _closed_forms(delta_tau: np.ndarray, k: PhysicalConstants) -> dict:
     """``closed_form_joint`` of each kind on an array of time differences."""
-    return {kind: closed_form_joint(kind, delta_tau, k) for kind in _KINDS}
+    return {kind: closed_form_joint(kind, delta_tau, k) for kind in JOINT_KINDS}
 
 
 def check_oracle_grid(k: PhysicalConstants) -> CheckResult:
@@ -175,7 +175,8 @@ def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     # decreasing: double the upper end until f < 0, then bisect down to
     # adjacent doubles, keeping f(lo) >= 0
     def f(x):
-        return math.exp(-k.gamma_S * x) - (1.0 - math.exp(-k.gamma_L * x))
+        wrong_ks, wrong_kl = misid_probs(MisidWindow(x), k)
+        return wrong_ks - wrong_kl
 
     lo, hi = 0.0, 1.0
     while f(hi) >= 0.0:

@@ -97,6 +97,14 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError, match="unknown"):
             PhysicalConstants.from_json({"gamma_X": 1.0})
 
+    def test_from_json_duplicate_key(self, tmp_path):
+        text = '{"delta_m": 0.4737, "gamma_S": 1.0, "delta_m": 5}'
+        path = tmp_path / "constants.json"
+        path.write_text(text)
+        for source in (text, path):
+            with pytest.raises(ValueError, match="duplicate JSON key 'delta_m'"):
+                PhysicalConstants.from_json(source)
+
     def test_epsilon_overlap_is_not_a_field(self):
         with pytest.raises(ValueError, match=r"\['epsilon_overlap'\]"):
             PhysicalConstants.from_json({"epsilon_overlap": 3.2e-3})

@@ -3,11 +3,13 @@
 Modules under src/kaoneraser are read with ast, never imported, so a broken
 import shows up here as a failed assertion naming it.  A module may not import
 a ``_private`` name from another package module, nor reach one as an attribute
-of a package name (``sim._RECORD_OUT``).  Every name a module imports from
+of a package name (``estimate._RECORD_OUT``).  Every name a module imports from
 another package module must be defined there, which covers what ``__init__``
 re-exports.  Every function, class and method must have a caller in the
-package or the benchmark, so API that only tests use does not grow back.  And
-the package needs nothing outside the standard library but numpy.
+package or the benchmark, so API that only tests use does not grow back.  The
+estimator layer (``estimate``) sits above the generators (``sim``) and alone
+maps record codes to outcome codes.  And the package needs nothing outside the
+standard library but numpy.
 """
 
 import ast
@@ -100,6 +102,32 @@ def test_imported_names_exist():
                if (name not in defined.get(source, ()) if source
                    else name and not (PACKAGE / f"{name}.py").is_file())]
     assert not missing, f"modules import names the package lacks: {missing}"
+
+
+def test_sim_imports_nothing_from_the_estimators():
+    bad = [f"sim: from .{source} import {name}"
+           for source, name, _ in _package_imports(_trees()["sim"])
+           if (source or name.split(".")[0]) == "estimate"]
+    assert not bad, f"the generators import the estimator layer: {bad}"
+
+
+def test_cli_takes_the_estimators_from_estimate():
+    source = {name: source for source, name, _ in _package_imports(_trees()["cli"])}
+    assert source.get("estimate_probs") == "estimate"
+    assert source.get("fit_visibility") == "estimate"
+
+
+def test_only_estimate_maps_records_to_outcomes():
+    """The record code -> outcome code table is read only where it is
+    defined, and the outcome codes only there and in ``sim``, which defines
+    them, so no other module keeps a second mapping."""
+    trees = _trees()
+    table = [mod for mod, tree in trees.items() if "_RECORD_OUT" in _referenced(tree)]
+    assert table == ["estimate"]
+    assert "_RECORD_OUT" in _defined(trees["estimate"])
+    codes = [mod for mod, tree in trees.items()
+             if "OUTCOME_BY_CODE" in _referenced(tree)]
+    assert codes == ["estimate", "sim"]
 
 
 def _referenced(tree):

@@ -22,9 +22,9 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         run_experiment, write_events)
 from kaoneraser import pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
-from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, CountTable,
-                            _channel_tables, _count_below,
-                            _sample_left_after_right_decay,
+from kaoneraser.estimate import CountTable
+from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, _channel_tables,
+                            _count_below, _sample_left_after_right_decay,
                             classify_lifetime, left_after_right_decay)
 
 # (procedure, observable, outcome, channel) codes of each record code, as the
