@@ -130,28 +130,6 @@ def _config_comment(cfg: dict) -> str:
     return "# config: " + json.dumps(_recorded(cfg), sort_keys=True)
 
 
-def _at_entry(exc: ArithmeticError, cfg: dict, key: str, value: float):
-    """``exc`` restated with the grid entry it was raised at."""
-    where = f"config key {key!r}" if key in cfg else f"default {key!r}"
-    return type(exc)(f"{exc} at {where} entry {value!r}")
-
-
-def _on_grid(columns, key: str, grid, cfg: dict) -> tuple:
-    """``columns(times)``, evaluated on the whole grid as one array.  On an
-    ArithmeticError the entries are evaluated as floats, in order, so that
-    the error names the first entry that fails."""
-    times = np.asarray(grid, dtype=float)
-    try:
-        return columns(times)
-    except ArithmeticError:
-        for t in times.tolist():
-            try:
-                columns(t)
-            except ArithmeticError as exc:
-                raise _at_entry(exc, cfg, key, t) from exc
-        raise
-
-
 def _write_csv(path: Path, comment: str, header: str, row: str,
                columns) -> None:
     """A CSV file: the comment line, the header, then one line per entry of
@@ -167,18 +145,14 @@ _CURVE_ROW = ",".join(["%.12g"] * 6) + "\n"
 
 
 def cmd_analytic(args, cfg, values, k, sim) -> int:
-    def single_columns(tau):
-        return (tau, *strangeness_probs(tau, k), *lifetime_probs(tau, k),
-                pair_visibility(tau, k))
-
-    def joint_columns(dt):
-        return (dt, *(closed_form_joint(kind, dt, k) for kind in JOINT_KINDS),
-                pair_visibility(dt, k))
-
-    tau_grid = values.get("tau_grid", np.arange(0, 121) * 0.1)
-    dt_grid = values.get("delta_tau_grid", np.arange(-100, 101) * 0.1)
-    single = _on_grid(single_columns, "tau_grid", tau_grid, cfg)
-    joint = _on_grid(joint_columns, "delta_tau_grid", dt_grid, cfg)
+    # each grid is one array, so each column is one oracle call
+    tau = np.asarray(values.get("tau_grid", np.arange(0, 121) * 0.1), float)
+    dt = np.asarray(values.get("delta_tau_grid", np.arange(-100, 101) * 0.1),
+                    float)
+    single = (tau, *strangeness_probs(tau, k), *lifetime_probs(tau, k),
+              pair_visibility(tau, k))
+    joint = (dt, *(closed_form_joint(kind, dt, k) for kind in JOINT_KINDS),
+             pair_visibility(dt, k))
 
     # nothing is written unless every row evaluated
     out = values.get("out", Path("."))

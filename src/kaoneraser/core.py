@@ -7,8 +7,8 @@ the convention K0 = (K_S + K_L)/sqrt(2), K0bar = (K_S - K_L)/sqrt(2), used
 consistently throughout the package.
 
 Floats and arrays.  Each formula has one implementation, which takes its
-times as floats or as numpy arrays; the functions it calls (exp, cos, cosh,
-sqrt) come from its last argument ``m``, ``FloatMath`` (``math`` and
+times as floats or as numpy arrays; the functions it calls (exp, cos, sqrt)
+come from its last argument ``m``, ``FloatMath`` (``math`` and
 ``cmath``) or ``ArrayMath`` (numpy).  A public oracle of ``pairs`` or
 ``decay`` is called without ``m`` and picks it by
 ``isinstance(time, numpy.ndarray)``, a test ``check_times`` (or
@@ -82,13 +82,12 @@ def load_json(text: str):
 # as a module's, and an instance's or a SimpleNamespace's more slowly.
 
 class FloatMath:
-    exp, cexp, sqrt = math.exp, cmath.exp, math.sqrt
-    cos, cosh = math.cos, math.cosh
+    exp, cexp, sqrt, cos = math.exp, cmath.exp, math.sqrt, math.cos
 
 
 class ArrayMath:
     exp = cexp = np.exp
-    cos, cosh, sqrt = np.cos, np.cosh, np.sqrt
+    cos, sqrt = np.cos, np.sqrt
 
 
 def on_arrays(oracle, *args):
@@ -177,9 +176,10 @@ class Procedure(Enum):
 class PhysicalConstants:
     """Widths, mass difference and branching ratios of the neutral kaon system.
 
-    ``gamma_S`` is in units of 1/tau_S, ``delta_m`` in hbar/tau_S.  The two-pion
-    and three-pion branching ratios default to the complements of the
-    semileptonic ones, so each eigenstate's branching ratios sum to one.
+    ``gamma_S`` is in units of 1/tau_S, ``delta_m`` in hbar/tau_S.  Each
+    eigenstate's nonleptonic branching ratio is the complement of its
+    semileptonic one: ``br_3pi_L`` for K_L, and 1 - br_sl_S for K_S's two
+    pions, which no formula reads (the amplitude model saturates Gamma_S).
     """
 
     gamma_S: float = 1.0
@@ -187,28 +187,20 @@ class PhysicalConstants:
     delta_m: float = 0.4737
     br_sl_L: float = 0.66
     br_sl_S: float = 1.1e-3
-    br_2pi_S: float | None = None
-    br_3pi_L: float | None = None
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or f.default is not None:
-                finite_number(f"constants field {f.name!r}", value)
-        if self.br_2pi_S is None:
-            object.__setattr__(self, "br_2pi_S", 1.0 - self.br_sl_S)
-        if self.br_3pi_L is None:
-            object.__setattr__(self, "br_3pi_L", 1.0 - self.br_sl_L)
+            finite_number(f"constants field {f.name!r}", getattr(self, f.name))
         if not (self.gamma_S > self.gamma_L > 0.0):
             raise ValueError("need gamma_S > gamma_L > 0")
-        for name in ("br_sl_L", "br_sl_S", "br_2pi_S", "br_3pi_L"):
+        for name in ("br_sl_L", "br_sl_S"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if abs(self.br_sl_S + self.br_2pi_S - 1.0) > 1e-9:
-            raise ValueError("br_sl_S + br_2pi_S must equal 1")
-        if abs(self.br_sl_L + self.br_3pi_L - 1.0) > 1e-9:
-            raise ValueError("br_sl_L + br_3pi_L must equal 1")
+
+    @property
+    def br_3pi_L(self) -> float:
+        return 1.0 - self.br_sl_L
 
     @property
     def delta_gamma(self) -> float:

@@ -138,20 +138,24 @@ def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants,
         osc = pair_visibility(delta_tau, k, m) * m.cos(k.delta_m * delta_tau)
         sign = -1.0 if kind == "ss_like" else 1.0
         return 0.25 * (1.0 + sign * osc)
-    # 0.5/y, not 1/(2y): the same bits, and no overflow where 2y would
     x = k.delta_gamma * delta_tau
-    if kind == "s_ks":
-        return 0.5 / (1.0 + m.exp(x))
     if kind == "s_kl":
-        return 0.5 / (1.0 + m.exp(-x))
-    raise ValueError(f"unknown closed-form kind {kind!r}")
+        x = -x
+    elif kind != "s_ks":
+        raise ValueError(f"unknown closed-form kind {kind!r}")
+    # 1/2 / (1 + e^x) with no exponential of a positive argument, so that no
+    # finite x overflows; (x > 0) * x is max(x, 0) for floats and arrays
+    return 0.5 * m.exp(-((x > 0) * x)) / (1.0 + m.exp(-abs(x)))
 
 
 def pair_visibility(delta_tau: float, k: PhysicalConstants, m=None) -> float:
-    """Visibility of the strangeness fringes, 1/cosh(DeltaGamma delta_tau / 2)."""
+    """Visibility of the strangeness fringes, 1/cosh(DeltaGamma delta_tau / 2),
+    evaluated as 2e/(1 + e^2) with e = exp(-|DeltaGamma delta_tau / 2|): no
+    finite delta_tau overflows it, and far out it falls to 0."""
     if m is None and check_time_difference("delta_tau", delta_tau):
         return on_arrays(pair_visibility, delta_tau, k)
-    return 1.0 / (m or FloatMath).cosh(0.5 * k.delta_gamma * delta_tau)
+    e = (m or FloatMath).exp(-abs(0.5 * k.delta_gamma * delta_tau))
+    return 2.0 * e / (1.0 + e * e)
 
 
 # one-sided projectors |b><b|: contract the bra with the chosen side per
@@ -197,16 +201,18 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     ordering normalizes, projects and rescales survivors on its own; they
     share only the propagators at tau_l and tau_r0 and the two eigenstates.
 
-    Given arrays of times and a sequence of projectors, one per pair, the
-    same steps run on numpy arrays and the three norms are arrays."""
-    if isinstance(p, JointProjector):
-        m, b_l, b_r = FloatMath, _ket(p.left), _ket(p.right)
-    elif m is None:
+    Given arrays of times and a sequence of projectors, one per pair, or one
+    projector for every pair, the same steps run on numpy arrays and the
+    three norms are arrays."""
+    if m is None and (check_times("evolution times", tau_l, tau_r0)
+                      or not isinstance(p, JointProjector)):
         return on_arrays(delayed_choice_norms, np.asarray(tau_l, float),
                          np.asarray(tau_r0, float), p, k)
+    m = m or FloatMath
+    if isinstance(p, JointProjector):
+        b_l, b_r = _ket(p.left), _ket(p.right)
     else:
         b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
-    check_times("evolution times", tau_l, tau_r0)
     e_l = evolution_factors(tau_l, k, m)
     e_r = evolution_factors(tau_r0, k, m)
 

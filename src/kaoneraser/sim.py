@@ -159,10 +159,13 @@ def _draw_tau_l(n, rng, cfg):
 
 def _strangeness_tables(grid, cfg, k):
     """Survivor norm N(tau_l, tau_r0) and unlike-strangeness probability of
-    both kaons measured actively, per grid point, from the scalar oracles."""
-    norm = np.array([pair_beam_norm(t, cfg.tau_r0, k) for t in grid])
-    unlike = np.array([2.0 * closed_form_joint("ss_unlike", t - cfg.tau_r0, k)
-                       for t in grid])
+    both kaons measured actively, per grid point, from the scalar oracles.
+    The grid points are numpy scalars, whose arithmetic would overflow to inf
+    with a warning: it raises FloatingPointError instead."""
+    with np.errstate(over="raise", invalid="raise"):
+        norm = np.array([pair_beam_norm(t, cfg.tau_r0, k) for t in grid])
+        unlike = np.array([2.0 * closed_form_joint("ss_unlike", t - cfg.tau_r0,
+                                                   k) for t in grid])
     return norm, unlike
 
 
@@ -241,17 +244,21 @@ def _sample_left_after_right_decay(chan, t_r, grid, ig, k, model, rng):
     The kernel runs on blocks of _BLOCK pairs so that its temporaries stay in
     cache, and each block is reduced to its outcomes at once.  The kernel
     draws nothing, so drawing the survival uniforms and then the K0 uniforms
-    before it leaves the stream as if they were drawn after it.  Returns
-    (alive, record code)."""
+    before it leaves the stream as if they were drawn after it.  An overflow
+    or an invalid value other than the kernel's own 0/0 (a delta_m * time
+    product beyond the float range, whose cosine is NaN) raises
+    FloatingPointError instead of sampling from NaN.  Returns (alive, record
+    code)."""
     n = len(ig)
     u_survive, u_k0 = rng.random(n), rng.random(n)
     alive, rec = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
-    for s in range(0, n, _BLOCK):
-        b = slice(s, s + _BLOCK)
-        p_survive, p_k0 = left_after_right_decay(chan[b], t_r[b], grid, ig[b],
-                                                 k, model)
-        alive[b] = u_survive[b] < p_survive
-        rec[b] = _K0BAR - (u_k0[b] < p_k0)
+    with np.errstate(over="raise", invalid="raise"):
+        for s in range(0, n, _BLOCK):
+            b = slice(s, s + _BLOCK)
+            p_survive, p_k0 = left_after_right_decay(chan[b], t_r[b], grid,
+                                                     ig[b], k, model)
+            alive[b] = u_survive[b] < p_survive
+            rec[b] = _K0BAR - (u_k0[b] < p_k0)
     return alive, rec
 
 
@@ -369,7 +376,11 @@ def _gen_b(n, rng, cfg, k, model, cols):
     alive_pre, lrec_pre = _sample_left_after_right_decay(chan, t_r, grid, ig,
                                                          k, model, rng)
     norm, p_unlike = _strangeness_tables(grid, cfg, k)
-    alive_post = rng.random(n) < (norm / pair_beam_norm(cfg.tau_r0, 0.0, k))[ig]
+    # a tau_r0 no kaon survives to underflows both norms: the 0/0 = NaN
+    # reaches no pair, since every right kaon then decays before tau_r0
+    with np.errstate(invalid="ignore"):
+        p_post = norm / pair_beam_norm(cfg.tau_r0, 0.0, k)
+    alive_post = rng.random(n) < p_post[ig]
     unlike = rng.random(n) < p_unlike[ig]
     # right: active lifetime if it decayed before tau_r0, else strangeness;
     # each select is post + pre * (pre value - post)

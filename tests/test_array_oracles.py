@@ -1,7 +1,7 @@
 """The oracles on arrays of times: one array call gives the per-element float
 calls' values, and fails where one of them fails.
 
-An array runs the same formula on numpy, whose exp, cos and cosh may round
+An array runs the same formula on numpy, whose exp and cos may round
 otherwise than those of ``math``/``cmath`` in the last place.  So probabilities
 (at most 1) must agree to 4 * 2^-52 absolutely and rates to 4 * 2^-52
 relatively, on verify's grids: the time differences -12..12 (both signs),
@@ -120,14 +120,9 @@ def test_an_array_state_gives_the_float_projections(k):
 
 def _failing(k, model):
     """(oracle of one time, a time at which its float call fails, the float
-    call's error): exp or cosh overflow, or a survivor norm that underflows
-    to zero under a zero rate."""
+    call's error): exp overflow, or a survivor norm that underflows to zero
+    under a zero rate."""
     yield lambda t: normalized_pair(t, k), -2000.0, OverflowError
-    yield lambda t: pair_visibility(t, k), 2000.0, OverflowError
-    yield lambda t: closed_form_joint("ss_like", t, k), 2000.0, OverflowError
-    yield lambda t: closed_form_joint("s_ks", t, k), -2000.0, OverflowError
-    yield lambda t: strangeness_probs(t, k), 2000.0, OverflowError
-    yield lambda t: lifetime_probs(t, k), 800.0, OverflowError
     yield (lambda t: passive_single_prob(Outcome.K0, t, k, model), 5e5,
            ZeroDivisionError)
     yield (lambda t: passive_joint_prob(Outcome.K0, t, Outcome.KS, t, k, model),
@@ -148,6 +143,27 @@ def test_arrays_fail_where_floats_fail(k, model):
             oracle(np.array([1.0, bad]))
 
 
+def _finite_far_out(k):
+    """(oracle of one time, a time far out, the value there): V and the
+    logistic forms, and the single-kaon probabilities made of them, go
+    through exp(-|x|) only, so they reach their limits instead of
+    overflowing."""
+    yield lambda t: pair_visibility(t, k), 2000.0, 0.0
+    yield lambda t: closed_form_joint("ss_like", t, k), 2000.0, 0.25
+    yield lambda t: closed_form_joint("s_ks", t, k), -2000.0, 0.0
+    yield lambda t: strangeness_probs(t, k), 2000.0, (0.5, 0.5)
+    yield lambda t: lifetime_probs(t, k), 800.0, (0.0, 1.0)
+
+
+def test_survivor_forms_are_finite_far_out(k):
+    """The float call and the array call give the limit, with no error and
+    no warning."""
+    for oracle, far, limit in _finite_far_out(k):
+        assert oracle(far) == limit
+        got = np.asarray(oracle(np.array([1.0, far])))[..., 1]
+        assert got.tolist() == np.asarray(limit).tolist()
+
+
 def test_survivor_norm_is_finite_far_out(k):
     """N(tau, 0) is a sum of two exponentials, with no cosh to overflow: at
     2000 tau_S the K_S term underflows to 0 and the K_L term is left."""
@@ -165,6 +181,16 @@ def test_a_bad_time_in_an_array_is_named(k, model):
     with pytest.raises(ValueError, match=r"^times must be finite and "
                        r"nonnegative, got nan and 1.0 at index 2$"):
         passive_joint_prob(Outcome.K0, times, Outcome.KS, 1.0, k, model)
+
+
+def test_one_projector_applies_to_every_pair(k):
+    """Arrays of times with one JointProjector: the call with that projector
+    repeated once per pair, to the bit."""
+    p = JointProjector(Outcome.K0, Outcome.KL)
+    got = delayed_choice_norms(TL, TR, p, k)
+    want = delayed_choice_norms(TL, TR, [p] * len(TL), k)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_delayed_choice_norms_overflow_in_both_forms(k):

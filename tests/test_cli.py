@@ -203,7 +203,12 @@ class TestSimulate:
         ({"constants": {"epsilon_overlap": 3.2e-3}},
          "unknown constants field(s): ['epsilon_overlap']"),
         ({"n_pairs": 1e19}, f"n_pairs must be at most {np.iinfo(np.intp).max}, "
-                            f"got {10**19}")])
+                            f"got {10**19}"),
+        # the nonleptonic branching ratios are the semileptonic complements
+        ({"constants": {"br_2pi_S": 0.9989}},
+         "unknown constants field(s): ['br_2pi_S']"),
+        ({"constants": {"br_3pi_L": 0.34}},
+         "unknown constants field(s): ['br_3pi_L']")])
     def test_bad_value_rejected_naming_key(self, tmp_path, monkeypatch, capsys,
                                            doc, message):
         monkeypatch.chdir(tmp_path)
@@ -489,21 +494,24 @@ class TestOneBoundary:
 
 
 class TestOutOfRange:
-    """Finite inputs that overflow a closed form end in an error line, not a
-    traceback, and leave no output directory behind."""
+    """Finite inputs that no closed form can evaluate end in an error line,
+    not a traceback, and leave no output directory behind.  Inputs far out
+    in time evaluate: V and the logistic forms reach their limits there."""
 
     @pytest.mark.parametrize("doc,argv", [
-        ({"constants": {"gamma_S": 1e5}}, ("simulate", "--kind", "A1")),
-        ({"constants": {"gamma_S": 1e5}}, ("simulate", "--kind", "B")),
-        ({"constants": {"gamma_S": 1e5}}, ("analytic",)),
         ({"constants": {"gamma_S": 1e5}}, ("verify",)),
-        ({"tau_grid": [1e5]}, ("analytic",)),
-        ({"delta_tau_grid": [2000]}, ("analytic",)),
-        ({"tau_l_grid": [2000], "tau_r0": 0}, ("simulate", "--kind", "A1"))])
+        ({"constants": {"delta_m": 1e308}}, ("analytic",)),
+        # delta_m * time beyond the float range: its cosine would be NaN
+        ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "A1")),
+        ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "A2")),
+        ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "B")),
+        ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "C")),
+        ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "D")),
+        ({"constants": {"delta_m": 1e308}}, ("verify",))])
     def test_overflow_is_an_error_line(self, tmp_path, capsys, doc, argv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert run(*argv, "--pairs", "10", "--config", str(cfg),
+        assert run(*argv, "--pairs", "1000", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: a configured value is outside the range "
@@ -512,20 +520,63 @@ class TestOutOfRange:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("doc,where", [
-        ({"tau_grid": [0.5, 1e5]}, "config key 'tau_grid' entry 100000.0"),
-        ({"delta_tau_grid": [-1, 2000]}, "config key 'delta_tau_grid' entry 2000.0"),
-        ({"constants": {"gamma_S": 1e5}}, "default 'tau_grid' entry 0.1"),
-        ({"tau_grid": [0.5, 1e5, 1.0]}, "config key 'tau_grid' entry 100000.0"),
-        # the first entry that fails, not the largest
-        ({"tau_grid": [0.5, 2e5, 1e5]}, "config key 'tau_grid' entry 200000.0")])
-    def test_grid_overflow_names_key_and_entry(self, tmp_path, capsys, doc, where):
+    @pytest.mark.parametrize("doc,name,far_rows", [
+        ({"tau_grid": [1e5]}, "single_kaon.csv", ["100000,0.5,0.5,0,1,0"]),
+        ({"tau_grid": [0.5, 1e5]}, "single_kaon.csv",
+         ["100000,0.5,0.5,0,1,0"]),
+        ({"tau_grid": [0.5, 1e5, 1.0]}, "single_kaon.csv",
+         ["100000,0.5,0.5,0,1,0"]),
+        ({"tau_grid": [0.5, 2e5, 1e5]}, "single_kaon.csv",
+         ["200000,0.5,0.5,0,1,0", "100000,0.5,0.5,0,1,0"]),
+        ({"delta_tau_grid": [2000, -2000]}, "joint.csv",
+         ["2000,0.25,0.25,0.5,0,0", "-2000,0.25,0.25,0,0.5,0"]),
+        ({"delta_tau_grid": [-1, 2000]}, "joint.csv",
+         ["2000,0.25,0.25,0.5,0,0"])],
+        ids=["tau-1e5", "tau-0.5-1e5", "tau-0.5-1e5-1", "tau-0.5-2e5-1e5",
+             "dt-2000-minus2000", "dt-minus1-2000"])
+    def test_far_grid_entries_print_their_limits(self, tmp_path, capsys, doc,
+                                                 name, far_rows):
+        """Far out, strangeness is even, every survivor is a K_L, V = 0 and
+        each marked pair holds its strangeness partner's lifetime."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert run("analytic", "--config", str(cfg), "--out",
-                   str(tmp_path / "out")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: a configured value is outside the range "
-                              "the closed forms can evaluate")
-        assert f" at {where})" in err
-        assert not (tmp_path / "out").exists()
+        assert run("analytic", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / name).read_text().splitlines()[2:]
+        assert [r for r in rows if abs(float(r.split(",")[0])) >= 2000] == far_rows
+
+    def test_huge_gamma_s_reaches_the_limits_one_step_out(self, tmp_path):
+        """With gamma_S = 1e5, one grid step (0.1 tau_S) from 0 takes every
+        curve of the default grids to its limit."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"gamma_S": 1e5}}))
+        assert run("analytic", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 0
+        single = (tmp_path / "single_kaon.csv").read_text().splitlines()[2:]
+        assert single[0] == "0,1,0,0.5,0.5,1"
+        assert all(r.partition(",")[2] == "0.5,0.5,0,1,0" for r in single[1:])
+        limits = {-1: "0.25,0.25,0,0.5,0", 0: "0,0.5,0.25,0.25,1",
+                  1: "0.25,0.25,0.5,0,0"}
+        for r in (tmp_path / "joint.csv").read_text().splitlines()[2:]:
+            dt, _, rest = r.partition(",")
+            assert rest == limits[int(np.sign(float(dt)))], r
+
+    @pytest.mark.parametrize("doc,kind", [
+        ({"constants": {"gamma_S": 1e5}}, "A1"),
+        ({"constants": {"gamma_S": 1e5}}, "B"),
+        ({"tau_l_grid": [2000], "tau_r0": 0}, "A1"),
+        # a tau_r0 no kaon survives to: both survivor norms underflow, and
+        # every right kaon decays before tau_r0
+        ({"tau_l_grid": [500000], "tau_r0": 500000}, "B")])
+    def test_far_inputs_simulate(self, tmp_path, capsys, doc, kind):
+        """Exit 0 and no warning (which the suite would raise)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("simulate", "--kind", kind, "--pairs", "1000", "--config",
+                   str(cfg), "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / f"summary_{kind}.json").read_text())
+        assert summary["counts"]["records"] == 1000
+        if doc.get("tau_r0") == 500000:
+            assert summary["pre_detector_fraction"] == 1.0

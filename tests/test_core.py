@@ -34,8 +34,9 @@ class TestPhysicalConstants:
         assert k.gamma_mean == pytest.approx(0.5 * (1.0 + 1.0 / 579.0))
 
     def test_branching_complements(self, k):
-        assert k.br_2pi_S == pytest.approx(1.0 - k.br_sl_S)
-        assert k.br_3pi_L == pytest.approx(1.0 - k.br_sl_L)
+        assert k.br_3pi_L == 1.0 - k.br_sl_L
+        with pytest.raises(AttributeError):
+            k.br_3pi_L = 0.34
 
     def test_rejects_inverted_widths(self):
         with pytest.raises(ValueError):
@@ -44,8 +45,11 @@ class TestPhysicalConstants:
     def test_rejects_bad_branching(self):
         with pytest.raises(ValueError):
             PhysicalConstants(br_sl_L=1.2)
-        with pytest.raises(ValueError):
-            PhysicalConstants(br_sl_S=0.1, br_2pi_S=0.1)
+        # the nonleptonic ratios are the complements, not fields
+        for name in ("br_2pi_S", "br_3pi_L"):
+            with pytest.raises(ValueError, match=rf"^unknown constants "
+                               rf"field\(s\): \['{name}'\]$"):
+                PhysicalConstants.from_json({"br_sl_S": 0.1, name: 0.1})
 
     def test_delta_s_delta_q_default_ok(self, k):
         # measured ratios agree to ~3.5%
@@ -77,7 +81,7 @@ class TestPhysicalConstants:
 
     @pytest.mark.parametrize("field,value", [
         ("gamma_S", "x"), ("gamma_L", None), ("delta_m", math.nan),
-        ("br_sl_S", math.inf), ("br_2pi_S", True),
+        ("br_sl_S", math.inf), ("br_sl_L", True),
         pytest.param("delta_m", 10 ** 400, id="delta_m-10**400")])
     def test_rejects_non_finite_or_non_numeric_field(self, field, value):
         with pytest.raises(ValueError,
@@ -116,7 +120,7 @@ class TestZeroSemileptonicWidths:
     def test_mismatch_is_zero(self):
         k = PhysicalConstants(br_sl_L=0.0, br_sl_S=0.0)
         assert k.semileptonic_width_mismatch() == 0.0
-        assert (k.br_2pi_S, k.br_3pi_L) == (1.0, 1.0)
+        assert k.br_3pi_L == 1.0
 
     def test_amplitude_model(self):
         k = PhysicalConstants(br_sl_L=0.0, br_sl_S=0.0)

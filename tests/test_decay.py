@@ -103,10 +103,10 @@ class TestDecayWidths:
             k.br_3pi_L * k.gamma_L, rel=1e-12)
 
     def test_two_pi_width_close_to_branching(self, k, model):
-        """The saturated 2pi width differs from br_2pi_S * Gamma_S only
+        """The saturated 2pi width differs from (1 - br_sl_S) * Gamma_S only
         through the small semileptonic-width mismatch of the inputs."""
         assert decay_width(DecayChannel.TWO_PI, k, model) == pytest.approx(
-            k.br_2pi_S * k.gamma_S, rel=1e-4)
+            (1.0 - k.br_sl_S) * k.gamma_S, rel=1e-4)
 
 
 # each rate or width with a bad channel in its channel slot

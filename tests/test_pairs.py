@@ -1,17 +1,19 @@
 """Entangled pair states: joint probabilities, EPR anticorrelation and the
 ordering-independence of delayed-choice measurements."""
 
+import decimal
 import itertools
 import math
 import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaoneraser import (JointProjector, Observable, Outcome, SingularStateError,
-                        TwoKaonState, closed_form_joint,
+from kaoneraser import (JointProjector, Observable, Outcome, PhysicalConstants,
+                        SingularStateError, TwoKaonState, closed_form_joint,
                         delayed_choice_norms, evolution_factors,
                         joint_projective_prob, make_state, normalized_pair,
                         pair_visibility, pairs)
@@ -64,6 +66,45 @@ class TestClosedForms:
                         + closed_form_joint("s_kl", dt, k))
         assert total_ss == pytest.approx(1.0, rel=1e-12)
         assert total_sl == pytest.approx(1.0, rel=1e-12)
+
+
+# 40 digits, with an exponent range wide enough for e^(10^8)
+_DECIMAL = decimal.Context(prec=40, Emax=10 ** 9, Emin=-10 ** 9)
+
+
+def _ulps_off(got: float, want: decimal.Decimal):
+    """|got - want| in units of the spacing of doubles at ``want``, or None
+    where ``want`` is not a normal double."""
+    w = float(want)
+    if w < sys.float_info.min:
+        return None
+    return float(abs(_DECIMAL.subtract(decimal.Decimal(got), want))) / math.ulp(w)
+
+
+class TestFullPrecision:
+    """V = 1/cosh(y) and the K_S population 1/2/(1 + e^x) against a decimal
+    reference taken at the same float argument as the forms, on floats and on
+    arrays, however far out: each is within 4 ulps wherever the reference is
+    a normal double (below that, the forms round to subnormals or 0)."""
+
+    @given(dt=st.floats(min_value=-2000.0, max_value=2000.0),
+           gamma_s=st.sampled_from([1.0, 10.0, 1e5]))
+    @settings(max_examples=300)
+    def test_within_4_ulps_of_a_decimal_reference(self, dt, gamma_s):
+        k = PhysicalConstants(gamma_S=gamma_s)
+        y = abs(decimal.Decimal(0.5 * k.delta_gamma * dt))
+        x = decimal.Decimal(k.delta_gamma * dt)
+        with decimal.localcontext(_DECIMAL):
+            want = {"visibility": 2 / (y.exp() + (-y).exp()),
+                    "s_ks": decimal.Decimal("0.5") / (1 + x.exp()),
+                    "s_kl": decimal.Decimal("0.5") / (1 + (-x).exp())}
+        got = {"visibility": lambda t: pair_visibility(t, k),
+               "s_ks": lambda t: closed_form_joint("s_ks", t, k),
+               "s_kl": lambda t: closed_form_joint("s_kl", t, k)}
+        for name, form in got.items():
+            for value in (form(dt), form(np.array([dt]))[0]):
+                off = _ulps_off(float(value), want[name])
+                assert off is None or off <= 4.0, (name, off)
 
 
 class TestEPRAnticorrelation:
