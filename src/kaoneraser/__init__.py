@@ -3,8 +3,7 @@ closed-form probabilities, active/passive decay-mode reconstruction, Monte
 Carlo event generation and estimators."""
 
 from .core import (Observable, Outcome, PhysicalConstants, Procedure,
-                   SingleKaonState, SingularStateError, evolution_factors,
-                   make_state, pair_beam_norm)
+                   SingleKaonState, make_state, pair_beam_norm)
 from .decay import (CHANNEL_OUTCOME, OUTCOME_CHANNEL, AmplitudeModel,
                     DecayChannel, build_amplitude_model, decay_width,
                     joint_decay_rate, mixed_active_passive_prob,

@@ -1,5 +1,5 @@
-"""Neutral kaon basics: constants, the single-kaon eigenstates, their
-free-propagation factors and the survivor norm of a pair.
+"""Neutral kaon basics: constants, the single-kaon eigenstates and the
+survivor norm of a pair.
 
 All times are measured in units of the K_S mean lifetime tau_S, so gamma_S = 1
 by default and every other scale is a ratio.  The strangeness basis is fixed by
@@ -44,10 +44,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-class SingularStateError(ValueError):
-    """Raised when an operation needs a nonzero-norm state and gets none."""
 
 
 def finite_number(name: str, value) -> float:
@@ -263,19 +259,6 @@ def make_state(outcome: Outcome) -> SingleKaonState:
         return _EIGENSTATES[outcome]
     except (KeyError, TypeError):
         raise ValueError(f"unknown outcome {outcome!r}") from None
-
-
-def evolution_factors(tau: float, k: PhysicalConstants,
-                      m=FloatMath) -> tuple[complex, complex]:
-    """Free-propagation factors on (c_S, c_L) with the global phase dropped.
-
-    Only the relative phase exp(-i*delta_m*tau) and the moduli
-    exp(-Gamma*tau/2) are observable, so the K_S factor is kept real.  With
-    ``ArrayMath`` as ``m``, ``tau`` may be an array.
-    """
-    f_S = m.exp(-0.5 * k.gamma_S * tau)
-    f_L = m.cexp(-1j * k.delta_m * tau) * m.exp(-0.5 * k.gamma_L * tau)
-    return f_S, f_L
 
 
 def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,

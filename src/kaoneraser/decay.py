@@ -163,10 +163,10 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     amp = bra.c_S * model.a_S[c] + bra.c_L * model.a_L[c]
     w = abs(amp) ** 2
     if w <= 0.0:
-        # the 2pi width, gamma_S - br_sl_L gamma_L, exceeds gamma_S - gamma_L > 0
-        field = "br_3pi_L" if channel is DecayChannel.THREE_PI else "br_sl_L"
+        # sl+- and 3pi widths are zero at br_sl_L = 0 and 1 respectively; the
+        # 2pi width, gamma_S - br_sl_L gamma_L, exceeds gamma_S - gamma_L > 0
         raise ValueError(f"identifying width of channel {channel.value!r} is "
-                         f"zero: constants field {field!r} is {getattr(k, field)!r}")
+                         f"zero: constants field 'br_sl_L' is {k.br_sl_L!r}")
     return w
 
 

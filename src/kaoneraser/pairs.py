@@ -2,15 +2,19 @@
 of delayed-choice measurements.
 
 Amplitudes live on the product lifetime basis |K_i>_l |K_j>_r.  The pair
-created in a phi decay or p-pbar annihilation is antisymmetric, so free
-evolution populates only LS and SL, the two amplitudes of ``TwoKaonState``.
-A one-sided projection populates all four labels, so ``delayed_choice_norms``
-runs its orderings on private functions of plain (LS, SL, SS, LL) tuples and
-of propagators and eigenstates evaluated once per call.  The entries are
-floats, or numpy arrays when a whole batch of times runs in one call; the
-oracles take either, by the float/array rule of ``core``.  Sums keep the
-term order of a loop over the labels (S before L), so every float
-probability and norm is the same to the last bit;
+created in a phi decay or p-pbar annihilation is the antisymmetric singlet,
+so free evolution populates only LS and SL, the two amplitudes of
+``TwoKaonState``.  Conditioned on both kaons surviving, the pair depends on
+delta_tau = tau_l - tau_r only, and at equal times it is the singlet up to a
+global phase.  So every state here is built from the singlet and the
+survivor moduli of ``_survivor_moduli``, which no finite time overflows or
+underflows to a zero norm.  A one-sided projection populates all four
+labels, so ``delayed_choice_norms`` runs its orderings on private functions
+of plain (LS, SL, SS, LL) tuples and of eigenstates looked up once per call.
+The entries are floats, or numpy arrays when a whole batch of times runs in
+one call; the oracles take either, by the float/array rule of ``core``.
+Sums keep the term order of a loop over the labels (S before L), so every
+float probability and norm is the same to the last bit;
 ``tests/test_oracle_digest.py`` pins them.
 """
 
@@ -22,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FloatMath, Outcome, PhysicalConstants, SingularStateError,
-                   check_time_difference, check_times, evolution_factors,
-                   make_state, on_arrays, pair_beam_norm)
+from .core import (FloatMath, Outcome, PhysicalConstants,
+                   check_time_difference, check_times, make_state, on_arrays)
 
 _SQRT2 = math.sqrt(2.0)
 JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
@@ -49,36 +52,29 @@ def _norm_sq(c) -> float:
     return abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2 + abs(c[3]) ** 2
 
 
-def _evolve(c, f_l, f_r) -> tuple:
-    """Both sides propagated by their ``evolution_factors`` (f_S, f_L)."""
-    s_l, l_l = f_l
-    s_r, l_r = f_r
-    return (l_l * s_r * c[0], s_l * l_r * c[1], s_l * s_r * c[2],
-            l_l * l_r * c[3])
-
-
-def _normalize(c, m=FloatMath) -> tuple:
-    try:
-        n = m.sqrt(_norm_sq(c))
-        return c[0] / n, c[1] / n, c[2] / n, c[3] / n
-    except (ZeroDivisionError, FloatingPointError):  # floats, arrays
-        raise SingularStateError(
-            "cannot normalize a zero-norm pair state") from None
+def _survivor_moduli(x, m) -> tuple:
+    """(s, l) = (1/sqrt(1 + e^-x), 1/sqrt(1 + e^x)), with s^2 + l^2 = 1: the
+    K_S and K_L moduli of a side that evolved over dt, x = DeltaGamma dt,
+    relative to its partner, conditioned on survival.  No exponential of a
+    positive argument, so that no finite x overflows; (x > 0) * x is
+    max(x, 0) for floats and arrays."""
+    r = 1.0 / m.sqrt(1.0 + m.exp(-abs(x)))
+    up = (x > 0) * x
+    return m.exp(0.5 * (x - up)) * r, m.exp(-0.5 * up) * r
 
 
 def normalized_pair(delta_tau: float, k: PhysicalConstants,
                     m=None) -> TwoKaonState:
     """The pair state normalized to both members surviving, as a function of
-    delta_tau = tau_l - tau_r only."""
+    delta_tau = tau_l - tau_r only: (l, -e^{i delta_m delta_tau} s) with the
+    moduli of ``_survivor_moduli``; c_LS is real."""
     if m is None and check_time_difference("delta_tau", delta_tau):
         return on_arrays(normalized_pair, delta_tau, k)
     m = m or FloatMath
-    x = k.delta_gamma * delta_tau
-    pref = 1.0 / m.sqrt(1.0 + m.exp(x))
-    phase = m.cexp(1j * k.delta_m * delta_tau)
+    s, l = _survivor_moduli(k.delta_gamma * delta_tau, m)
     return TwoKaonState(
-        c_LS=pref,
-        c_SL=-pref * phase * m.exp(0.5 * x),
+        c_LS=l,
+        c_SL=-m.cexp(1j * k.delta_m * delta_tau) * s,
         normalized=True,
     )
 
@@ -176,10 +172,13 @@ def _project_right(c, b) -> tuple:
 
 
 def _survivor_factors(dt: float, k: PhysicalConstants, m=FloatMath) -> tuple:
-    """``evolution_factors`` over dt rescaled to single-beam survivors."""
-    f_S, f_L = evolution_factors(dt, k, m)
-    scale = 1.0 / m.sqrt(pair_beam_norm(dt, 0.0, k, m))
-    return f_S * scale, f_L * scale
+    """One side's propagators (f_S, f_L) over dt, relative to its partner and
+    conditioned on survival: sqrt(2) times the moduli of
+    ``_survivor_moduli``, with the relative phase e^{-i delta_m dt}.  They
+    keep the norm of a state whose propagated side carries even K_S/K_L
+    weight, such as the singlet with its partner projected."""
+    s, l = _survivor_moduli(k.delta_gamma * dt, m)
+    return _SQRT2 * s, _SQRT2 * m.cexp(-1j * k.delta_m * dt) * l
 
 
 def _propagate_left(c, f) -> tuple:
@@ -196,10 +195,12 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
                          k: PhysicalConstants,
                          m=None) -> tuple[float, float, float]:
     """Squared norms of the projected pair state under three operator orderings:
-    both projections on the fully evolved state, meter-first (normal mode) and
-    object-first (delayed-choice mode).  All three agree identically.  Each
-    ordering normalizes, projects and rescales survivors on its own; they
-    share only the propagators at tau_l and tau_r0 and the two eigenstates.
+    both projections on the survivor-normalized pair (direct), meter-first
+    (normal mode) and object-first (delayed-choice mode).  All three agree
+    identically.  The reorderings project one side of the singlet, the
+    survivor-conditioned state at equal times, and carry the other side
+    over tau_l - tau_r0 with ``_survivor_factors``; direct projects
+    ``normalized_pair`` and shares only the two eigenstates with them.
 
     Given arrays of times and a sequence of projectors, one per pair, or one
     projector for every pair, the same steps run on numpy arrays and the
@@ -213,20 +214,19 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
         b_l, b_r = _ket(p.left), _ket(p.right)
     else:
         b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
-    e_l = evolution_factors(tau_l, k, m)
-    e_r = evolution_factors(tau_r0, k, m)
 
-    # direct: project the survivor-normalized state at (tau_l, tau_r0)
-    phi = _normalize(_evolve(_INITIAL, e_l, e_r), m)
-    direct = _norm_sq(_project_left(_project_right(phi, b_r), b_l))
+    # direct: project the survivor-normalized pair at tau_l - tau_r0
+    c_LS, c_SL, _ = normalized_pair(tau_l - tau_r0, k, m)
+    direct = _norm_sq(_project_left(_project_right((c_LS, c_SL, 0.0, 0.0),
+                                                   b_r), b_l))
 
     # normal ordering: right projection at tau_r0, then left evolution to tau_l
-    s = _project_right(_normalize(_evolve(_INITIAL, e_r, e_r), m), b_r)
+    s = _project_right(_INITIAL, b_r)
     s = _propagate_left(s, _survivor_factors(tau_l - tau_r0, k, m))
     normal = _norm_sq(_project_left(s, b_l))
 
     # delayed ordering: left projection at tau_l, then right evolution to tau_r0
-    s = _project_left(_normalize(_evolve(_INITIAL, e_l, e_l), m), b_l)
+    s = _project_left(_INITIAL, b_l)
     s = _propagate_right(s, _survivor_factors(tau_r0 - tau_l, k, m))
     delayed = _norm_sq(_project_right(s, b_r))
 

@@ -120,9 +120,8 @@ def test_an_array_state_gives_the_float_projections(k):
 
 def _failing(k, model):
     """(oracle of one time, a time at which its float call fails, the float
-    call's error): exp overflow, or a survivor norm that underflows to zero
-    under a zero rate."""
-    yield lambda t: normalized_pair(t, k), -2000.0, OverflowError
+    call's error): a survivor norm that underflows to zero under a zero
+    rate."""
     yield (lambda t: passive_single_prob(Outcome.K0, t, k, model), 5e5,
            ZeroDivisionError)
     yield (lambda t: passive_joint_prob(Outcome.K0, t, Outcome.KS, t, k, model),
@@ -144,11 +143,14 @@ def test_arrays_fail_where_floats_fail(k, model):
 
 
 def _finite_far_out(k):
-    """(oracle of one time, a time far out, the value there): V and the
-    logistic forms, and the single-kaon probabilities made of them, go
-    through exp(-|x|) only, so they reach their limits instead of
-    overflowing."""
+    """(oracle of one time, a time far out, the value there): V, the
+    logistic forms and the pair's survivor moduli, and the single-kaon
+    probabilities made of them, go through exp(-|x|) only, so they reach
+    their limits instead of overflowing."""
     yield lambda t: pair_visibility(t, k), 2000.0, 0.0
+    yield lambda t: normalized_pair(t, k).c_LS, -2000.0, 0.0
+    yield lambda t: normalized_pair(t, k).c_LS, 2000.0, 1.0
+    yield lambda t: normalized_pair(t, k).c_SL, 2000.0, 0.0
     yield lambda t: closed_form_joint("ss_like", t, k), 2000.0, 0.25
     yield lambda t: closed_form_joint("s_ks", t, k), -2000.0, 0.0
     yield lambda t: strangeness_probs(t, k), 2000.0, (0.5, 0.5)
@@ -193,11 +195,28 @@ def test_one_projector_applies_to_every_pair(k):
         assert g.tobytes() == w.tobytes()
 
 
-def test_delayed_choice_norms_overflow_in_both_forms(k):
-    """At (720, 0) the delayed ordering's survivor rescaling over -720 tau_S
-    overflows exp: both forms raise, the array form does not return 0."""
-    p = JointProjector(Outcome.K0, Outcome.K0BAR)
-    with pytest.raises(OverflowError):
-        delayed_choice_norms(720.0, 0.0, p, k)
-    with pytest.raises(ArithmeticError):
-        delayed_choice_norms(np.array([720.0]), np.array([0.0]), [p], k)
+# (tau_l, tau_r0) where absolute survival underflows or a side's survivor
+# rescaling would overflow: far apart either way, late and close, late and
+# equal
+FAR_TIMES = [(720.0, 0.0), (760.0, 0.0), (0.0, 760.0), (2000.0, 1990.0),
+             (760.0, 760.0), (1e5, 0.0)]
+
+
+def test_delayed_choice_norms_are_finite_far_out(k):
+    """Each ordering, float and array, gives the projection of the
+    normalized pair at tau_l - tau_r0 for all 16 projectors, with no error
+    and no warning: 1/4 for K0 K0bar at (760, 0)."""
+    projectors = [JointProjector(l, r)
+                  for l, r in itertools.product(Outcome, repeat=2)]
+    tau_l, tau_r0 = np.repeat(np.array(FAR_TIMES).T, 16, axis=1)
+    batched = delayed_choice_norms(tau_l, tau_r0, projectors * len(FAR_TIMES),
+                                   k)
+    for i, ((tl, tr), p) in enumerate(
+            itertools.product(FAR_TIMES, projectors)):
+        want = joint_projective_prob(normalized_pair(tl - tr, k), p)
+        for got in (*delayed_choice_norms(tl, tr, p, k),
+                    *(norms[i] for norms in batched)):
+            assert abs(got - want) <= 1e-12, (tl, tr, p)
+    quarter = delayed_choice_norms(
+        760.0, 0.0, JointProjector(Outcome.K0, Outcome.K0BAR), k)
+    assert quarter == pytest.approx((0.25,) * 3, rel=1e-14)

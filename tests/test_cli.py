@@ -416,13 +416,14 @@ class TestZeroSemileptonicWidths:
             "constants field 'br_sl_L' is 0.0\n")
 
     def test_verify_without_three_pion_decays(self, tmp_path, capsys):
-        """br_sl_L = 1 leaves br_3pi_L its complement, 0."""
+        """br_sl_L = 1 leaves br_3pi_L its complement, 0.  The message names
+        br_sl_L, the field a config can set, with the value it was given."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"br_sl_L": 1}}))
         assert run("verify", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == (
             "error: identifying width of channel '3pi' is zero: "
-            "constants field 'br_3pi_L' is 0.0\n")
+            "constants field 'br_sl_L' is 1\n")
 
 
 class TestFit:

@@ -6,9 +6,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import free_propagation
 from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
-                        build_amplitude_model, evolution_factors, make_state,
-                        pair_beam_norm, single_decay_rate, strangeness_probs)
+                        build_amplitude_model, make_state, pair_beam_norm,
+                        single_decay_rate, strangeness_probs)
 from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -21,7 +22,7 @@ def _norm_sq(c_S, c_L):
 def _evolved(out, tau, k):
     """Amplitudes of the eigenstate of `out` after free propagation for tau."""
     s = make_state(out)
-    f_S, f_L = evolution_factors(tau, k)
+    f_S, f_L = free_propagation(tau, k)
     return f_S * s.c_S, f_L * s.c_L
 
 
@@ -208,7 +209,7 @@ class TestEvolution:
     @given(t1=times, t2=st.floats(min_value=0.0, max_value=10.0))
     def test_evolution_composes(self, k, t1, t2):
         one_S, one_L = _evolved(Outcome.K0, t1 + t2, k)
-        f_S, f_L = evolution_factors(t2, k)
+        f_S, f_L = free_propagation(t2, k)
         two_S, two_L = _evolved(Outcome.K0, t1, k)
         assert f_S * two_S == pytest.approx(one_S, rel=1e-9, abs=1e-300)
         assert f_L * two_L == pytest.approx(one_L, rel=1e-9, abs=1e-300)

@@ -21,7 +21,7 @@ from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         passive_single_prob, single_decay_rate)
 from kaoneraser.decay import passive_pair_weights
 
-ORACLE_DIGEST = "6819722357eed84b75dbbc0639c9b53c5a3cc660b44e405ad0d970405799b717"
+ORACLE_DIGEST = "3a2e802ffd8ed96edf87f42952961283b12e3ceab4bc051bf43fc772e7433cca"
 
 
 # the 8 ordered outcome pairs of check_active_passive
@@ -67,6 +67,15 @@ def oracle_outputs(k, model):
         for channel in DecayChannel:
             yield single_decay_rate(channel, float(tau), k, model)
     yield from passive_pair_weights(k, model).ravel().tolist()
+    # far out, where exp of the time difference overflows and the absolute
+    # survival of both kaons underflows: the survivor-normalized pair, and
+    # the three orderings for all 16 outcome pairs
+    for dt in (-2000.0, 2000.0):
+        yield normalized_pair(dt, k)
+    for tau_l, tau_r0 in ((760.0, 0.0), (2000.0, 1990.0)):
+        for left, right in itertools.product(Outcome, repeat=2):
+            yield delayed_choice_norms(tau_l, tau_r0,
+                                       JointProjector(left, right), k)
 
 
 def oracle_digest(k, model) -> str:

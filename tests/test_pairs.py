@@ -1,6 +1,7 @@
 """Entangled pair states: joint probabilities, EPR anticorrelation and the
 ordering-independence of delayed-choice measurements."""
 
+import cmath
 import decimal
 import itertools
 import math
@@ -12,14 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import free_propagation
 from kaoneraser import (JointProjector, Observable, Outcome, PhysicalConstants,
-                        SingularStateError, TwoKaonState, closed_form_joint,
-                        delayed_choice_norms, evolution_factors,
+                        TwoKaonState, closed_form_joint, delayed_choice_norms,
                         joint_projective_prob, make_state, normalized_pair,
                         pair_visibility, pairs)
+from kaoneraser.core import on_arrays
 
 dts = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+far_times = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 PROJECTORS = [JointProjector(l, r) for l, r in itertools.product(Outcome, repeat=2)]
 BASES = {obs: [o for o in Outcome if o.observable is obs] for obs in Observable}
@@ -82,10 +85,11 @@ def _ulps_off(got: float, want: decimal.Decimal):
 
 
 class TestFullPrecision:
-    """V = 1/cosh(y) and the K_S population 1/2/(1 + e^x) against a decimal
-    reference taken at the same float argument as the forms, on floats and on
-    arrays, however far out: each is within 4 ulps wherever the reference is
-    a normal double (below that, the forms round to subnormals or 0)."""
+    """V = 1/cosh(y), the K_S population 1/2/(1 + e^x) and the moduli of the
+    survivor-normalized pair against a decimal reference taken at the same
+    float argument as the forms, on floats and on arrays, however far out:
+    each is within 4 ulps wherever the reference is a normal double (below
+    that, the forms round to subnormals or 0)."""
 
     @given(dt=st.floats(min_value=-2000.0, max_value=2000.0),
            gamma_s=st.sampled_from([1.0, 10.0, 1e5]))
@@ -105,6 +109,22 @@ class TestFullPrecision:
             for value in (form(dt), form(np.array([dt]))[0]):
                 off = _ulps_off(float(value), want[name])
                 assert off is None or off <= 4.0, (name, off)
+
+    @given(dt=st.floats(min_value=-2000.0, max_value=2000.0),
+           gamma_s=st.sampled_from([1.0, 10.0, 1e5]))
+    @settings(max_examples=300)
+    def test_pair_moduli_within_4_ulps(self, dt, gamma_s):
+        """|c_LS| = 1/sqrt(1 + e^x) and |c_SL| = 1/sqrt(1 + e^-x), with
+        x = DeltaGamma dt."""
+        k = PhysicalConstants(gamma_S=gamma_s)
+        x = decimal.Decimal(k.delta_gamma * dt)
+        with decimal.localcontext(_DECIMAL):
+            want = (1 / (1 + x.exp()).sqrt(), 1 / (1 + (-x).exp()).sqrt())
+        array = normalized_pair(np.array([dt]), k)
+        for state in (normalized_pair(dt, k), (array.c_LS[0], array.c_SL[0])):
+            for amplitude, modulus in zip(state[:2], want):
+                off = _ulps_off(float(abs(amplitude)), modulus)
+                assert off is None or off <= 4.0, off
 
 
 class TestEPRAnticorrelation:
@@ -145,17 +165,32 @@ class TestOracleEquivalence:
             assert _prob(state, out_l, out_r) == pytest.approx(
                 want, rel=1e-10, abs=1e-12)
 
-    @given(tl=times, tr0=times)
+    @given(tl=far_times, tr0=far_times)
     @settings(max_examples=60)
     def test_evolved_pair_matches_normalized_form(self, k, tl, tr0):
-        """Evolving the production state to (tau_l, tau_r0) and projecting
-        both sides, in each of the three orderings, reproduces the
-        single-parameter normalized pair in all 16 observables."""
+        """Projecting both sides at (tau_l, tau_r0), in each of the three
+        orderings, reproduces the single-parameter normalized pair in all 16
+        observables, however far apart the times."""
         state = normalized_pair(tl - tr0, k)
         for p in PROJECTORS:
             want = joint_projective_prob(state, p)
             for got in delayed_choice_norms(tl, tr0, p, k):
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @given(tl=times, tr=times)
+    def test_freely_evolved_singlet_is_the_normalized_pair(self, k, tl, tr):
+        """The production singlet evolved freely to (tau_l, tau_r) and
+        renormalized to both kaons surviving is ``normalized_pair(tau_l -
+        tau_r)`` up to a global phase, which no probability sees."""
+        s_l, l_l = free_propagation(tl, k)
+        s_r, l_r = free_propagation(tr, k)
+        c_LS, c_SL = l_l * s_r, -s_l * l_r
+        n = math.sqrt(abs(c_LS) ** 2 + abs(c_SL) ** 2)
+        state = normalized_pair(tl - tr, k)
+        phase = c_LS / n / state.c_LS
+        assert abs(phase) == pytest.approx(1.0, rel=1e-12)
+        assert c_SL / n == pytest.approx(phase * state.c_SL, rel=1e-12,
+                                         abs=1e-15)
 
     @given(dt=dts)
     def test_visibility_bounds(self, k, dt):
@@ -181,9 +216,20 @@ class TestStateOperations:
 
     # the private amplitude-tuple operations ``delayed_choice_norms`` runs on
 
-    def test_normalize_zero_state(self):
-        with pytest.raises(SingularStateError):
-            pairs._normalize((0.0, 0.0, 0.0, 0.0))
+    def test_survivor_factors_keep_the_norm_far_out(self, k):
+        """Float and array factors are finite however far dt reaches, either
+        way, and keep the norm of the singlet with one side projected."""
+        c = _amplitudes(normalized_pair(0.0, k))
+        b = pairs._ket(Outcome.K0)
+        for dt in (-2000.0, -760.0, 760.0, 2000.0):
+            array = on_arrays(pairs._survivor_factors, np.array([dt]), k)
+            for f in (pairs._survivor_factors(dt, k), [v[0] for v in array]):
+                for project, propagate in (
+                        (pairs._project_right, pairs._propagate_left),
+                        (pairs._project_left, pairs._propagate_right)):
+                    state = project(c, b)
+                    assert pairs._norm_sq(propagate(state, f)) == (
+                        pytest.approx(pairs._norm_sq(state), rel=1e-12)), dt
 
     def test_project_side_idempotent(self, k):
         c = _amplitudes(normalized_pair(1.3, k))
@@ -307,8 +353,8 @@ class TestNonFiniteTimes:
 
 class TestArraysRejectAsFloats:
     """Arrays of times fail where the per-pair float calls fail, with the
-    same error: a bad time names the first bad pair, and a state that
-    underflows to zero norm is a SingularStateError."""
+    same error, and evaluate where they evaluate: a bad time names the first
+    bad pair, and a far-out pair gives its float call's norms."""
 
     P = JointProjector(Outcome.K0, Outcome.K0BAR)
 
@@ -334,18 +380,22 @@ class TestArraysRejectAsFloats:
             delayed_choice_norms(tau, tau,
                                  [self.P, JointProjector(Outcome.K0, "K0")], k)
 
-    def test_zero_norm_entry(self, k):
+    def test_far_entry_evaluates_as_its_float_call(self, k):
+        """At 760 tau_S both kaons' absolute survival underflows; the
+        survivors are still the singlet, whose K0 K0bar norm is 1/2."""
         tau = np.array([1.0, 760.0, 2.0])
-        with pytest.raises(SingularStateError):
-            delayed_choice_norms(760.0, 760.0, self.P, k)
-        with pytest.raises(SingularStateError):
-            delayed_choice_norms(tau, tau, [self.P] * 3, k)
+        far = delayed_choice_norms(760.0, 760.0, self.P, k)
+        assert far == pytest.approx((0.5,) * 3, rel=1e-14)
+        batched = np.array(delayed_choice_norms(tau, tau, [self.P] * 3, k))
+        each = [delayed_choice_norms(t, t, self.P, k) for t in tau.tolist()]
+        assert np.abs(batched.T - each).max() <= 4 * 2.0 ** -52
 
 
 # Bit-level reference for the pair-state algebra: the same arithmetic step for
-# step, written with one NamedTuple per step, the side chosen by string and
-# each propagator evaluated where it is used (input checks left out).
-# ``delayed_choice_norms`` must agree with it to the last bit.
+# step, written with one NamedTuple per step, the side chosen by string, the
+# survivor moduli chosen by the sign of x and each propagator evaluated where
+# it is used (input checks left out).  ``delayed_choice_norms`` must agree
+# with it to the last bit.
 
 class RefState(NamedTuple):
     c_LS: complex
@@ -364,18 +414,17 @@ def ref_initial_pair():
                     normalized=True)
 
 
-def ref_evolve_pair(state, tau_l, tau_r, k):
-    s_l, l_l = evolution_factors(tau_l, k)
-    s_r, l_r = evolution_factors(tau_r, k)
-    c_LS, c_SL, c_SS, c_LL, _ = state
-    return RefState(l_l * s_r * c_LS, s_l * l_r * c_SL, s_l * s_r * c_SS,
-                    l_l * l_r * c_LL, False)
+def ref_survivor_moduli(x):
+    """(1/sqrt(1 + e^-x), 1/sqrt(1 + e^x)), the larger one computed as r."""
+    r = 1.0 / math.sqrt(1.0 + math.exp(-abs(x)))
+    if x > 0:
+        return r, math.exp(-0.5 * x) * r
+    return math.exp(0.5 * x) * r, r
 
 
-def ref_normalize_pair(state):
-    n = math.sqrt(state.norm_sq())
-    return RefState(state.c_LS / n, state.c_SL / n, state.c_SS / n,
-                    state.c_LL / n, normalized=True)
+def ref_normalized_pair(dt, k):
+    s, l = ref_survivor_moduli(k.delta_gamma * dt)
+    return RefState(l, -cmath.exp(1j * k.delta_m * dt) * s, normalized=True)
 
 
 def ref_project_side(state, side, outcome):
@@ -393,11 +442,9 @@ def ref_project_side(state, side, outcome):
 
 
 def ref_survivor_unitary_side(state, side, dt, k):
-    f_S, f_L = evolution_factors(dt, k)
-    # the single-beam survivor norm, at a time difference of either sign
-    norm = 0.5 * (math.exp(-k.gamma_S * dt) + math.exp(-k.gamma_L * dt))
-    scale = 1.0 / math.sqrt(norm)
-    f_S, f_L = f_S * scale, f_L * scale
+    s, l = ref_survivor_moduli(k.delta_gamma * dt)
+    f_S = math.sqrt(2.0) * s
+    f_L = math.sqrt(2.0) * cmath.exp(-1j * k.delta_m * dt) * l
     c_LS, c_SL, c_SS, c_LL, normalized = state
     if side == "left":
         return RefState(f_L * c_LS, f_S * c_SL, f_S * c_SS, f_L * c_LL,
@@ -407,15 +454,13 @@ def ref_survivor_unitary_side(state, side, dt, k):
 
 
 def ref_delayed_choice_norms(tau_l, tau_r0, p, k):
-    phi = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_l, tau_r0, k))
+    phi = ref_normalized_pair(tau_l - tau_r0, k)
     direct = ref_project_side(ref_project_side(phi, "right", p.right),
                               "left", p.left).norm_sq()
-    phi0 = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_r0, tau_r0, k))
-    s = ref_project_side(phi0, "right", p.right)
+    s = ref_project_side(ref_initial_pair(), "right", p.right)
     s = ref_survivor_unitary_side(s, "left", tau_l - tau_r0, k)
     normal = ref_project_side(s, "left", p.left).norm_sq()
-    phi0 = ref_normalize_pair(ref_evolve_pair(ref_initial_pair(), tau_l, tau_l, k))
-    s = ref_project_side(phi0, "left", p.left)
+    s = ref_project_side(ref_initial_pair(), "left", p.left)
     s = ref_survivor_unitary_side(s, "right", tau_r0 - tau_l, k)
     delayed = ref_project_side(s, "right", p.right).norm_sq()
     return direct, normal, delayed

@@ -13,13 +13,14 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import free_propagation
 from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         EventSet, ExperimentKind, FitRow, MisidWindow,
                         Observable, Outcome, Procedure, SimConfig,
-                        closed_form_joint, estimate_probs, evolution_factors,
-                        fit_visibility, mixed_active_passive_prob,
-                        normalized_pair, pair_visibility, read_events,
-                        run_experiment, write_events)
+                        closed_form_joint, estimate_probs, fit_visibility,
+                        mixed_active_passive_prob, normalized_pair,
+                        pair_visibility, read_events, run_experiment,
+                        write_events)
 from kaoneraser import pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
 from kaoneraser.estimate import CountTable
@@ -421,7 +422,8 @@ def active_measure_and_collapse(c, side, observable, rng):
     projected = [project(c, pairs._ket(o)) for o in outcomes]
     probs = [pairs._norm_sq(s) for s in projected]
     pick = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
-    return outcomes[pick], pairs._normalize(projected[pick])
+    norm = math.sqrt(probs[pick])
+    return outcomes[pick], tuple(a / norm for a in projected[pick])
 
 
 def _amplitudes(dt, k):
@@ -477,7 +479,7 @@ class TestLeftAfterRightDecay:
         p_survive, p_k0 = left_after_right_decay(
             np.full(m, code, dtype=np.int8), np.full(m, t_r), self.GRID,
             np.arange(m), k, model)
-        f_S, f_L = evolution_factors(t_r, k)
+        f_S, f_L = free_propagation(t_r, k)
         c_S = -model.a_L[code] * f_L / math.sqrt(2.0)
         c_L = model.a_S[code] * f_S / math.sqrt(2.0)
         for i, tau_l in enumerate(self.GRID):
@@ -486,7 +488,7 @@ class TestLeftAfterRightDecay:
                                            k, model)
                  for o in (Outcome.K0, Outcome.K0BAR)]
             assert p_k0[i] == pytest.approx(p[0] / (p[0] + p[1]), rel=1e-12)
-            g_S, g_L = evolution_factors(tau_l, k)
+            g_S, g_L = free_propagation(tau_l, k)
             survivors = ((abs(c_S * g_S) ** 2 + abs(c_L * g_L) ** 2)
                          / (abs(c_S) ** 2 + abs(c_L) ** 2))
             assert p_survive[i] == pytest.approx(survivors, rel=1e-12)

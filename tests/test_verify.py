@@ -13,8 +13,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from kaoneraser import (PhysicalConstants, decay, evolution_factors,
-                        joint_decay_rate, pairs, single, verify)
+from conftest import free_propagation
+from kaoneraser import (PhysicalConstants, decay, joint_decay_rate, pairs,
+                        single, verify)
 from kaoneraser.core import ArrayMath
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
 from kaoneraser.verify import (_delayed_choice_triples, check_active_passive,
@@ -37,9 +38,35 @@ def _mutated(func, old, new):
 
 def test_delayed_choice_catches_missing_survivor_rescaling(k, monkeypatch):
     # both reorderings take their one-sided propagator from _survivor_factors
-    monkeypatch.setattr(pairs, "_survivor_factors",
-                        lambda dt, k, m: evolution_factors(dt, k, m))
+    monkeypatch.setattr(pairs, "_survivor_factors", free_propagation)
     result = check_delayed_choice(k, n_triples=50)
+    assert not result.passed
+    assert result.worst > 1e-3
+
+
+def test_delayed_choice_catches_a_slightly_scaled_rescaling(k, monkeypatch):
+    """Direct projects ``normalized_pair`` and never calls
+    ``_survivor_factors``, so a rescaling off by a part in 10^6 moves only
+    the two reorderings, and the check sees it."""
+    survivor_factors = pairs._survivor_factors
+
+    def scaled(dt, k, m):
+        f_S, f_L = survivor_factors(dt, k, m)
+        return f_S * (1.0 + 1e-6), f_L * (1.0 + 1e-6)
+    monkeypatch.setattr(pairs, "_survivor_factors", scaled)
+    result = check_delayed_choice(k)
+    assert not result.passed
+    assert result.worst > 1e-7
+
+
+def test_oracle_grid_catches_swapped_survivor_moduli(k, monkeypatch):
+    """The moduli (s, l) swapped in the one helper every ordering shares:
+    the three orderings still agree with each other, but the pair state no
+    longer matches the closed forms."""
+    moduli = pairs._survivor_moduli
+    monkeypatch.setattr(pairs, "_survivor_moduli",
+                        lambda x, m: moduli(x, m)[::-1])
+    result = check_oracle_grid(k)
     assert not result.passed
     assert result.worst > 1e-3
 
