@@ -173,11 +173,16 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
 def passive_joint_prob(out_l: Outcome, tau_l: float, out_r: Outcome,
                        tau_r: float, k: PhysicalConstants,
                        model: AmplitudeModel, m=None) -> float:
-    """Joint detection probability reconstructed from passive decay rates."""
+    """Joint detection probability reconstructed from passive decay rates.
+    Rate and survivor norm both scale by exp(-(G_S + G_L) s) when both times
+    shift by s, so the quotient is taken with the earlier time at 0: the
+    norm then underflows only for times some 745 K_L lifetimes apart."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(passive_joint_prob, out_l, tau_l, out_r, tau_r, k,
                          model)
     m = m or FloatMath
+    d = tau_l - tau_r
+    tau_l, tau_r = (d > 0) * d, (d < 0) * -d
     f_l = outcome_channel(out_l)
     f_r = outcome_channel(out_r)
     rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model, m)
@@ -192,11 +197,13 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
                               model: AmplitudeModel, m=None) -> float:
     """Joint probability: active strangeness on the left, passive on the
     right, the mixed rate over the right identifying width and the survivor
-    norm."""
+    norm, taken with the earlier time at 0 as in ``passive_joint_prob``."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(mixed_active_passive_prob, active_out_l, tau_l,
                          out_r, tau_r, k, model)
     m = m or FloatMath
+    d = tau_l - tau_r
+    tau_l, tau_r = (d > 0) * d, (d < 0) * -d
     f_r = outcome_channel(out_r)
     rate = mixed_decay_rate(active_out_l, f_r, tau_l, tau_r, k, model, m)
     denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)

@@ -131,12 +131,10 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
     weights = _worst(cells, passive_pair_weights(k, model))
     # the mixed rate summed over right channels integrates to N(tau_l, 0)/2,
     # here for three tau_l at once, a row each
-    taus = (0.0, 1.0, 4.0)
-    rates = sum(mixed_decay_rate(Outcome.K0, f, np.array(taus)[:, None], t, k,
-                                 model) @ w
+    taus = np.array((0.0, 1.0, 4.0))
+    rates = sum(mixed_decay_rate(Outcome.K0, f, taus[:, None], t, k, model) @ w
                 for f in DecayChannel)
-    mixed = float(np.max(np.abs(
-        rates - [0.5 * pair_beam_norm(tau_l, 0.0, k) for tau_l in taus])))
+    mixed = float(np.max(np.abs(rates - 0.5 * pair_beam_norm(taus, 0.0, k))))
     return [CheckResult("single-rate-normalization", single < 1e-6, single, 1e-6),
             CheckResult("joint-rate-normalization", joint < 1e-5, joint, 1e-5),
             CheckResult("passive-pair-weights", weights < 1e-10, weights, 1e-10,

@@ -121,14 +121,9 @@ def test_an_array_state_gives_the_float_projections(k):
 def _failing(k, model):
     """(oracle of one time, a time at which its float call fails, the float
     call's error): a survivor norm that underflows to zero under a zero
-    rate."""
+    rate, here G_L tau > 745."""
     yield (lambda t: passive_single_prob(Outcome.K0, t, k, model), 5e5,
            ZeroDivisionError)
-    yield (lambda t: passive_joint_prob(Outcome.K0, t, Outcome.KS, t, k, model),
-           800.0, ZeroDivisionError)
-    yield (lambda t: mixed_active_passive_prob(Outcome.K0, t, Outcome.KS, t,
-                                               k, model),
-           800.0, ZeroDivisionError)
 
 
 def test_arrays_fail_where_floats_fail(k, model):
@@ -140,6 +135,26 @@ def test_arrays_fail_where_floats_fail(k, model):
             oracle(bad)
         with pytest.raises(FloatingPointError):
             oracle(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("oracle", [passive_joint_prob,
+                                    mixed_active_passive_prob])
+def test_passive_pair_probabilities_evaluate_far_out(k, model, oracle):
+    """Rate and survivor norm scale alike when both times shift, so at 800
+    tau_S, where both underflow, a pair probability is the one at the
+    earlier time 0, float and array; at equal times K0 with K_S is 1/4."""
+    assert oracle(Outcome.K0, 800.0, Outcome.KS, 800.0, k, model) == 0.25
+    far = np.array([1.0, 800.0])
+    assert oracle(Outcome.K0, far, Outcome.KS, far, k, model)[1] == 0.25
+    near = (0.0, 1.0, 3.0)
+    for (a, b), (left, right) in itertools.product(
+            itertools.product(near, repeat=2),
+            itertools.product(STRANGENESS, Outcome)):
+        want = oracle(left, a, right, b, k, model)
+        assert oracle(left, 800.0 + a, right, 800.0 + b, k, model) == want
+        got = oracle(left, np.array([800.0 + a]), right, np.array([800.0 + b]),
+                     k, model)
+        assert abs(got[0] - want) <= ULPS
 
 
 def _finite_far_out(k):

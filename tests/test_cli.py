@@ -330,6 +330,7 @@ def test_pinned_cli_outputs(tmp_path, capsys, kind):
 # 1.176e-15 with them and 1.247e-15 without.  Each is held to its tolerance.
 VERIFY_REPORT_SHA256 = "6e7787c8839729090776dec3e731a7ae7d89f3a95365701986b3ab3c81ab870c"
 _WORST = re.compile(r"worst deviation (\S+) \(tolerance (\S+)\)")
+_CHECK = re.compile(r"^(?:PASS|FAIL|WARN) (\S+): ", re.MULTILINE)
 
 
 def _check_verify_report(out: str) -> None:
@@ -379,6 +380,23 @@ class TestVerify:
         assert "PASS misid-equal-window: " in out
         assert f"-- equal-misid window at {window:.4f} tau_S\n" in out
         assert "FAIL misid-window-4.8: " in out
+
+    @pytest.mark.parametrize("gamma_s", [1e3, 1e5])
+    def test_huge_gamma_s_runs_every_check(self, tmp_path, capsys, gamma_s):
+        """At (8, 8) tau_S both the passive rates and their survivor norm
+        underflow; the quotients are taken with the earlier time at 0, so
+        every check reports, and only the window tuned to the measured
+        widths fails."""
+        assert run("verify") == 0
+        names = _CHECK.findall(capsys.readouterr().out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"gamma_S": gamma_s}}))
+        assert run("verify", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _CHECK.findall(captured.out) == names
+        assert [line.partition(":")[0] for line in captured.out.splitlines()
+                if line.startswith("FAIL")] == ["FAIL misid-window-4.8"]
 
     def test_inconsistent_branching_warns_but_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -500,7 +518,7 @@ class TestOutOfRange:
     in time evaluate: V and the logistic forms reach their limits there."""
 
     @pytest.mark.parametrize("doc,argv", [
-        ({"constants": {"gamma_S": 1e5}}, ("verify",)),
+        ({"constants": {"gamma_S": 1e308}}, ("verify",)),
         ({"constants": {"delta_m": 1e308}}, ("analytic",)),
         # delta_m * time beyond the float range: its cosine would be NaN
         ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "A1")),

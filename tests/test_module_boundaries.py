@@ -174,24 +174,47 @@ def test_every_definition_has_a_caller():
     assert not unused, f"definitions nothing calls: {unused}"
 
 
-def test_only_numpy_outside_the_standard_library():
-    """scipy and pytest stay the benchmark's and the tests' own: no module
-    imports another top-level distribution, and the CLI loads no scipy."""
-    allowed = set(sys.stdlib_module_names) | {"numpy", "kaoneraser"}
+def _foreign_imports(paths, allowed):
+    """'<file>:<line>: <module>' for each absolute import, and each import by
+    a constant name (importlib.import_module, pytest.importorskip), of a
+    top-level module outside the standard library and ``allowed``."""
+    allowed = set(sys.stdlib_module_names) | allowed
     bad = []
-    for mod, tree in _trees().items():
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.args[0], ast.Constant)
+                  and isinstance(node.args[0].value, str)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("import_module", "importorskip", "__import__")):
+                names = [node.args[0].value]
             else:
                 continue
-            bad += [f"{mod}:{node.lineno}: {name}" for name in names
+            bad += [f"{path.name}:{node.lineno}: {name}" for name in names
                     if name.split(".")[0] not in allowed]
+    return bad
+
+
+def test_only_numpy_outside_the_standard_library():
+    """scipy and pytest stay the benchmark's and the tests' own: no module
+    imports another top-level distribution, and the CLI loads no scipy."""
+    bad = _foreign_imports(sorted(PACKAGE.glob("*.py")), {"numpy", "kaoneraser"})
     assert not bad, f"modules import outside the standard library and numpy: {bad}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kaoneraser.cli; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
                             capture_output=True, text=True, check=True).stdout.split()
     assert not loaded, f"importing kaoneraser.cli loads {loaded}"
+
+
+def test_tests_import_only_declared_dependencies():
+    """The tests need numpy and the test extra of pyproject.toml (pytest,
+    hypothesis, scipy) and nothing else: a module that happens to be
+    installed, such as mpmath, is not a dependency."""
+    allowed = {"numpy", "pytest", "hypothesis", "scipy", "kaoneraser", "conftest"}
+    bad = _foreign_imports(sorted(Path(__file__).parent.glob("*.py")), allowed)
+    assert not bad, f"tests import undeclared modules: {bad}"

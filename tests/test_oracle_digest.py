@@ -21,7 +21,7 @@ from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         passive_single_prob, single_decay_rate)
 from kaoneraser.decay import passive_pair_weights
 
-ORACLE_DIGEST = "3a2e802ffd8ed96edf87f42952961283b12e3ceab4bc051bf43fc772e7433cca"
+ORACLE_DIGEST = "79fb15f751c8b375cc8c83836594e6363acf3b2cc9a4a3958c07de1b56c6eeb0"
 
 
 # the 8 ordered outcome pairs of check_active_passive

@@ -6,6 +6,7 @@ seeds, so they are deterministic in practice.
 
 import hashlib
 import math
+import os
 import statistics
 import sys
 import threading
@@ -21,7 +22,7 @@ from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
                         mixed_active_passive_prob, normalized_pair,
                         pair_visibility, read_events, run_experiment,
                         write_events)
-from kaoneraser import pairs, sim
+from kaoneraser import eventfile, pairs, sim
 from kaoneraser.decay import CHANNEL_BY_CODE, passive_pair_weights
 from kaoneraser.estimate import CountTable
 from kaoneraser.sim import (OUTCOME_BY_CODE, RECORDS, _channel_tables,
@@ -197,7 +198,9 @@ def test_pinned_multiblock_estimate_digest(k, model, kind):
 
 class TestConcurrentPartitions:
     """run_experiment fills partitions on min(partitions, CPUs) workers; the
-    CPU count is patched so that the helper threads run on any host."""
+    CPU count is patched so that the helper threads run on any host.  The
+    helpers are a thread pool's, which may hand a second share to a thread
+    that has gone idle, so their count is bounded, not exact."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
@@ -258,7 +261,7 @@ class TestConcurrentPartitions:
         with pytest.raises(ArithmeticError, match=f"^partition {bad}$"):
             run_experiment("A1", _cfg(n_pairs=4000, partitions=4), k, model)
         assert threading.active_count() == before
-        assert len(started) == cpus - 1
+        assert 1 <= len(started) <= cpus - 1
         assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
@@ -289,8 +292,21 @@ class TestConcurrentPartitions:
         started = self._count_thread_starts(monkeypatch)
         before = threading.active_count()
         run_experiment("C", _cfg(n_pairs=6400, partitions=64), k, model)
-        assert len(started) == 2
+        assert 1 <= len(started) <= 2
         assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="eventfile forks")
+    def test_event_writes_may_fork_right_after_a_concurrent_run(
+            self, k, model, monkeypatch):
+        """The CLI writes its events right after it generates them, and the
+        writer forks only while no other Python thread runs: every helper
+        has ended by then."""
+        monkeypatch.setattr(sim, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(eventfile, "usable_cpus", lambda: 4)
+        started = self._count_thread_starts(monkeypatch)
+        run_experiment("A2", _cfg(n_pairs=4000, partitions=4), k, model)
+        assert started
+        assert eventfile._workers(4, 1) > 1
 
 
 class TestOneWritePerElement:

@@ -149,6 +149,22 @@ def test_active_passive_catches_a_swapped_strangeness_sign(k, model, monkeypatch
     assert result.worst > 1e-3
 
 
+@pytest.mark.parametrize("name", ["passive_joint_prob",
+                                  "mixed_active_passive_prob"])
+def test_active_passive_catches_a_shift_of_one_time(k, model, monkeypatch,
+                                                     name):
+    """The quotient is taken with both times shifted by the earlier one; a
+    shift of tau_l alone moves the probabilities where both times are
+    positive."""
+    left_only = _mutated(getattr(decay, name),
+                         "tau_l, tau_r = (d > 0) * d, (d < 0) * -d",
+                         "tau_l, tau_r = (d > 0) * d, tau_r")
+    monkeypatch.setattr(verify, name, left_only)
+    result = check_active_passive(k, model)
+    assert not result.passed
+    assert result.worst > 1e-3
+
+
 def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
     """The single-kaon rate and probability are the shared mixed rate (bound
     in ``decay`` and ``single``) with the partner at 0.  A flipped cross term
