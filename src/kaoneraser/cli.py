@@ -30,9 +30,9 @@ from .core import PhysicalConstants, finite_number, load_json
 from .decay import build_amplitude_model
 from .estimate import estimate_probs, fit_visibility, lifetime_share
 from .eventfile import write_events, read_events
-from .pairs import JOINT_KINDS, closed_form_joint, pair_visibility
+from .pairs import (JOINT_KINDS, closed_form_joint, pair_visibility,
+                    strangeness_probs)
 from .sim import RNG_SCHEME, ExperimentKind, SimConfig, run_experiment
-from .single import MisidWindow, lifetime_probs, strangeness_probs
 from .verify import run_all
 
 
@@ -98,8 +98,7 @@ def _kind(key: str, value) -> str:
 # PhysicalConstants check their own ranges (tau_l_grid's included).
 _RULES = {"constants": _object, "kind": _kind, "n_pairs": _integer,
           "seed": _integer, "partitions": _integer, "tau_r0": _number,
-          "window": lambda key, value: MisidWindow(_number(key, value)),
-          "tau_l_grid": _grid, "tau_grid": _times, "delta_tau_grid": _grid,
+          "window": _number, "tau_l_grid": _grid, "tau_grid": _times, "delta_tau_grid": _grid,
           "out": _path}
 
 
@@ -149,7 +148,9 @@ def cmd_analytic(args, cfg, values, k, sim) -> int:
     tau = np.asarray(values.get("tau_grid", np.arange(0, 121) * 0.1), float)
     dt = np.asarray(values.get("delta_tau_grid", np.arange(-100, 101) * 0.1),
                     float)
-    single = (tau, *strangeness_probs(tau, k), *lifetime_probs(tau, k),
+    # P[K_S] of a kaon born as K0: the partner's K0bar at 0 is the left side
+    p_ks = 2.0 * closed_form_joint("s_ks", -tau, k)
+    single = (tau, *strangeness_probs(tau, k), p_ks, 1.0 - p_ks,
               pair_visibility(tau, k))
     joint = (dt, *(closed_form_joint(kind, dt, k) for kind in JOINT_KINDS),
              pair_visibility(dt, k))

@@ -18,8 +18,9 @@ and keeps its bits, and arrays go through ``on_arrays``, which runs the same
 code on numpy under an error state that raises, so an array fails with an
 ArithmeticError wherever one of its elements would fail as a float, never
 with an inf, NaN or 0 and a warning.  Given ``m``, an oracle is a step of
-another one, which has checked the times.  The oracles of ``single`` take
-no ``m``: each checks its time and calls a pair oracle.
+another one, which has checked the times.  The single-kaon oracles
+``pairs.strangeness_probs`` and ``decay.passive_single_prob`` take no ``m``:
+each checks its time and calls a pair oracle with the partner at tau = 0.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -222,12 +222,9 @@ class PhysicalConstants:
         return abs(wl - ws) / max(wl, ws)
 
     @classmethod
-    def from_json(cls, source: str | Path | dict) -> "PhysicalConstants":
-        """Build constants from a dict, JSON text (a ``str``, never read as a
-        file name) or a JSON file (a ``Path``); missing fields take defaults."""
-        if isinstance(source, Path):
-            source = source.read_text()
-        doc = load_json(source) if isinstance(source, str) else source
+    def from_json(cls, doc: dict) -> "PhysicalConstants":
+        """Build constants from a parsed JSON object; missing fields take
+        defaults."""
         if not isinstance(doc, dict):
             raise ValueError(f"constants must be a JSON object, got {doc!r}")
         known = {f.name for f in fields(cls)}
@@ -237,28 +234,14 @@ class PhysicalConstants:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
-class SingleKaonState:
-    """Amplitudes on |K_S> and |K_L>."""
-
-    c_S: complex
-    c_L: complex
-
-
-_EIGENSTATES = {
-    Outcome.K0: SingleKaonState(1.0 / _SQRT2, 1.0 / _SQRT2),
-    Outcome.K0BAR: SingleKaonState(1.0 / _SQRT2, -1.0 / _SQRT2),
-    Outcome.KS: SingleKaonState(1.0, 0.0),
-    Outcome.KL: SingleKaonState(0.0, 1.0),
+#: Each outcome's eigenstate as its real amplitudes (c_S, c_L) on |K_S> and
+#: |K_L>.
+EIGENSTATES = {
+    Outcome.K0: (1.0 / _SQRT2, 1.0 / _SQRT2),
+    Outcome.K0BAR: (1.0 / _SQRT2, -1.0 / _SQRT2),
+    Outcome.KS: (1.0, 0.0),
+    Outcome.KL: (0.0, 1.0),
 }
-
-
-def make_state(outcome: Outcome) -> SingleKaonState:
-    """The normalized eigenstate of a measurement outcome (a shared instance)."""
-    try:
-        return _EIGENSTATES[outcome]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown outcome {outcome!r}") from None
 
 
 def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (FloatMath, Outcome, PhysicalConstants, check_times,
-                   make_state, on_arrays, pair_beam_norm)
+from .core import (EIGENSTATES, FloatMath, Outcome, PhysicalConstants,
+                   check_times, on_arrays, pair_beam_norm)
 
 
 class DecayChannel(Enum):
@@ -159,9 +159,8 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     Gamma(K0 -> pi- l+ nu) = |<f|T|K0>|^2 = 2 |a_sl|^2 = br_sl_L * Gamma_L.
     """
     c = channel_code(channel)
-    bra = make_state(CHANNEL_OUTCOME[channel])
-    amp = bra.c_S * model.a_S[c] + bra.c_L * model.a_L[c]
-    w = abs(amp) ** 2
+    c_S, c_L = EIGENSTATES[CHANNEL_OUTCOME[channel]]
+    w = abs(c_S * model.a_S[c] + c_L * model.a_L[c]) ** 2
     if w <= 0.0:
         # sl+- and 3pi widths are zero at br_sl_L = 0 and 1 respectively; the
         # 2pi width, gamma_S - br_sl_L gamma_L, exceeds gamma_S - gamma_L > 0
@@ -208,3 +207,14 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
     rate = mixed_decay_rate(active_out_l, f_r, tau_l, tau_r, k, model, m)
     denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)
     return rate / denom
+
+
+def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
+                        model: AmplitudeModel) -> float:
+    """Detection probability of a single kaon born as K0, reconstructed from
+    the identifying decay rate: finding the partner as K0bar at tau = 0
+    prepares the K0, so it is twice the mixed probability with that partner.
+    Coincides with the active closed forms."""
+    check_times("tau", tau)
+    return 2.0 * mixed_active_passive_prob(Outcome.K0BAR, 0.0, outcome, tau,
+                                           k, model)

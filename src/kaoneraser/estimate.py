@@ -130,7 +130,10 @@ def fit_visibility(table: CountTable, k: PhysicalConstants) -> list[FitRow]:
         p_smooth = (unlike + 0.5) / (n_ss + 1.0)
         sig_a = 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / n_ss)
         center = float(centers[b])
-        c = math.cos(k.delta_m * center)
+        phase = k.delta_m * center  # a float product overflows to inf
+        if not math.isfinite(phase):
+            raise OverflowError(f"delta_m * delta_tau at {center} overflows")
+        c = math.cos(phase)
         rows.append(FitRow(delta_tau=center, v_hat=a / c, stderr=sig_a / abs(c),
                            n_ss=n_ss, excluded=abs(c) < 0.1))
     return rows

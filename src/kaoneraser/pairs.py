@@ -10,7 +10,8 @@ global phase.  So every state here is built from the singlet and the
 survivor moduli of ``_survivor_moduli``, which no finite time overflows or
 underflows to a zero norm.  A one-sided projection populates all four
 labels, so ``delayed_choice_norms`` runs its orderings on private functions
-of plain (LS, SL, SS, LL) tuples and of eigenstates looked up once per call.
+of plain (LS, SL, SS, LL) tuples and of the real eigenstates of
+``core.EIGENSTATES``, looked up once per call.
 The entries are floats, or numpy arrays when a whole batch of times runs in
 one call; the oracles take either, by the float/array rule of ``core``.
 Sums keep the term order of a loop over the labels (S before L), so every
@@ -26,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FloatMath, Outcome, PhysicalConstants,
-                   check_time_difference, check_times, make_state, on_arrays)
+from .core import (EIGENSTATES, FloatMath, Outcome, PhysicalConstants,
+                   check_time_difference, check_times, on_arrays)
 
 _SQRT2 = math.sqrt(2.0)
 JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
@@ -79,25 +80,20 @@ def normalized_pair(delta_tau: float, k: PhysicalConstants,
     )
 
 
-# (b_S, b_L, b_S*, b_L*) per outcome: its eigenstate and that state's bra
-_KETS = {o: (b.c_S, b.c_L, b.c_S.conjugate(), b.c_L.conjugate())
-         for o, b in ((o, make_state(o)) for o in Outcome)}
-
-
 def _ket(outcome: Outcome) -> tuple:
     try:
-        return _KETS[outcome]
+        return EIGENSTATES[outcome]
     except (KeyError, TypeError):
         raise ValueError(f"unknown outcome {outcome!r}") from None
 
 
-# _KETS as one array, a row per outcome, and the row of each outcome
-_KET_ROWS = np.array(list(_KETS.values()))
-_KET_ROW = {o: i for i, o in enumerate(_KETS)}
+# EIGENSTATES as one array, a row per outcome, and the row of each outcome
+_KET_ROWS = np.array(list(EIGENSTATES.values()))
+_KET_ROW = {o: i for i, o in enumerate(EIGENSTATES)}
 
 
 def _kets(outcomes: list) -> tuple:
-    """``_ket`` of each outcome, as four arrays."""
+    """``_ket`` of each outcome, as two arrays."""
     try:
         rows = [_KET_ROW[o] for o in outcomes]
     except (KeyError, TypeError):
@@ -111,8 +107,8 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     """|<out_l, out_r | state>|^2 for a normalized two-kaon state."""
     if not state.normalized:
         raise ValueError("joint_projective_prob needs a normalized state")
-    _, _, ls, ll = _ket(p.left)
-    _, _, rs, rl = _ket(p.right)
+    ls, ll = _ket(p.left)
+    rs, rl = _ket(p.right)
     c_LS, c_SL, _ = state
     amp = ll * rs * c_LS + ls * rl * c_SL
     return abs(amp) ** 2
@@ -144,6 +140,15 @@ def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants,
     return 0.5 * m.exp(-((x > 0) * x)) / (1.0 + m.exp(-abs(x)))
 
 
+def strangeness_probs(tau: float, k: PhysicalConstants) -> tuple[float, float]:
+    """(P[K0], P[K0bar]) at proper time tau for a single kaon born as K0,
+    survivors only: finding the partner as K0bar at tau = 0 prepares the
+    K0, so P[K0] is twice the unlike-strangeness pair form."""
+    check_times("tau", tau)
+    p_k0 = 2.0 * closed_form_joint("ss_unlike", tau, k)
+    return p_k0, 1.0 - p_k0
+
+
 def pair_visibility(delta_tau: float, k: PhysicalConstants, m=None) -> float:
     """Visibility of the strangeness fringes, 1/cosh(DeltaGamma delta_tau / 2),
     evaluated as 2e/(1 + e^2) with e = exp(-|DeltaGamma delta_tau / 2|): no
@@ -154,20 +159,20 @@ def pair_visibility(delta_tau: float, k: PhysicalConstants, m=None) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-# one-sided projectors |b><b|: contract the bra with the chosen side per
-# label of the other side, then put the ket back on the chosen side
+# one-sided projectors |b><b|: contract the (real) bra with the chosen side
+# per label of the other side, then put the ket back on the chosen side
 
 def _project_left(c, b) -> tuple:
-    b_S, b_L, bra_S, bra_L = b
-    in_S = bra_S * c[2] + bra_L * c[0]
-    in_L = bra_S * c[1] + bra_L * c[3]
+    b_S, b_L = b
+    in_S = b_S * c[2] + b_L * c[0]
+    in_L = b_S * c[1] + b_L * c[3]
     return b_L * in_S, b_S * in_L, b_S * in_S, b_L * in_L
 
 
 def _project_right(c, b) -> tuple:
-    b_S, b_L, bra_S, bra_L = b
-    in_S = bra_S * c[2] + bra_L * c[1]
-    in_L = bra_S * c[0] + bra_L * c[3]
+    b_S, b_L = b
+    in_S = b_S * c[2] + b_L * c[1]
+    in_L = b_S * c[0] + b_L * c[3]
     return b_S * in_L, b_L * in_S, b_S * in_S, b_L * in_L
 
 

@@ -44,7 +44,6 @@ from .core import (ArrayMath, Outcome, PhysicalConstants, Procedure,
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
                     pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
-from .single import MisidWindow
 
 RNG_SCHEME = "np-seedseq-spawnkey-pcg64-v1"
 
@@ -71,7 +70,7 @@ class SimConfig:
     n_pairs: int
     tau_l_grid: tuple = tuple(round(4.8 + d, 10) for d in np.arange(-4.5, 8.01, 0.5))
     tau_r0: float = 4.8
-    window: MisidWindow = MisidWindow()
+    window: float = 4.8  # lifetime misidentification window, in tau_S
     seed: int = 0
     partitions: int = 1
 
@@ -87,6 +86,8 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if finite_number("tau_r0", self.tau_r0) < 0:
             raise ValueError("tau_r0 must be nonnegative")
+        if finite_number("window", self.window) <= 0:
+            raise ValueError("window length must be positive")
         if (not self.tau_l_grid
                 or any(finite_number("tau_l_grid", t) < 0 for t in self.tau_l_grid)):
             raise ValueError("tau_l_grid must be nonempty and nonnegative")
@@ -99,10 +100,10 @@ class EventSet:
     discarded side)."""
 
     kind: str
-    l_rec: np.ndarray = field(repr=False, default=None)
-    l_time: np.ndarray = field(repr=False, default=None)
-    r_rec: np.ndarray = field(repr=False, default=None)
-    r_time: np.ndarray = field(repr=False, default=None)
+    l_rec: np.ndarray = field(repr=False)
+    l_time: np.ndarray = field(repr=False)
+    r_rec: np.ndarray = field(repr=False)
+    r_time: np.ndarray = field(repr=False)
 
     _COLS = ("l_rec", "l_time", "r_rec", "r_time")
 
@@ -132,10 +133,23 @@ def _empty_columns(n):
 # elementary sampling blocks
 # ---------------------------------------------------------------------------
 
-def classify_lifetime(decay_time, measure_time, window: MisidWindow) -> np.ndarray:
+def classify_lifetime(decay_time, measure_time, window: float) -> np.ndarray:
     """Window rule, as active record codes: a decay within [measure_time,
     measure_time + window] is read as K_S, any later decay as K_L."""
-    return _KL - (decay_time <= measure_time + window.delta_tau_w)
+    return _KL - (decay_time <= measure_time + window)
+
+
+def misid_probs(window: float, k: PhysicalConstants) -> tuple[float, float]:
+    """(wrong-K_S, wrong-K_L) identification probabilities for the window rule.
+
+    A K_S surviving past the window is misread as K_L with probability
+    exp(-Gamma_S w); a K_L decaying inside it is misread as K_S with
+    probability 1 - exp(-Gamma_L w).  The window must be positive, as in
+    ``SimConfig``.
+    """
+    if finite_number("window", window) <= 0:
+        raise ValueError("window length must be positive")
+    return math.exp(-k.gamma_S * window), 1.0 - math.exp(-k.gamma_L * window)
 
 
 def _channel_tables(model: AmplitudeModel, k: PhysicalConstants):

@@ -14,12 +14,12 @@ import numpy as np
 from .core import ArrayMath, Outcome, PhysicalConstants, pair_beam_norm
 from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
                     mixed_active_passive_prob, mixed_decay_rate,
-                    pair_rate_terms, passive_joint_prob, passive_pair_weights)
+                    pair_rate_terms, passive_joint_prob, passive_pair_weights,
+                    passive_single_prob)
 from .pairs import (JOINT_KINDS, JointProjector, closed_form_joint,
                     delayed_choice_norms, joint_projective_prob,
-                    normalized_pair)
-from .single import (MisidWindow, lifetime_probs, misid_probs,
-                     passive_single_prob, single_decay_rate, strangeness_probs)
+                    normalized_pair, strangeness_probs)
+from .sim import misid_probs
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,10 @@ def check_active_passive(k: PhysicalConstants,
                 for oracle in (passive_joint_prob, mixed_active_passive_prob))
     tau = np.arange(0.0, 12.0 + 1e-9, 0.5)
     p_k0, p_k0b = strangeness_probs(tau, k)
-    p_ks, p_kl = lifetime_probs(tau, k)
+    # P[K_S] of a kaon born as K0: the partner's K0bar at 0 is the left side
+    p_ks = 2.0 * closed_form_joint("s_ks", -tau, k)
     for outcome, want in ((Outcome.K0, p_k0), (Outcome.K0BAR, p_k0b),
-                          (Outcome.KS, p_ks), (Outcome.KL, p_kl)):
+                          (Outcome.KS, p_ks), (Outcome.KL, 1.0 - p_ks)):
         worst = max(worst, _worst(passive_single_prob(outcome, tau, k, model),
                                   want))
     return CheckResult("active-passive-coincidence", worst < 1e-10, worst,
@@ -124,8 +125,10 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
     """Rate integrals vs survivor norms, and D's channel-pair weights cell by
     cell: sums miss the cross term, zero over the cells (sum_f a_S a_L = 0)."""
     nodes = t, w = decay_time_nodes(k)
-    single = abs(float(sum(single_decay_rate(f, t, k, model) @ w
-                           for f in DecayChannel)) - 1.0)
+    # the rates of a single kaon born as K0: its partner's K0bar at 0
+    rates = (2.0 * mixed_decay_rate(Outcome.K0BAR, f, 0.0, t, k, model)
+             for f in DecayChannel)
+    single = abs(float(sum(r @ w for r in rates)) - 1.0)
     cells = integrated_pair_weights(k, model, nodes)
     joint = abs(float(cells.sum()) - 1.0)
     weights = _worst(cells, passive_pair_weights(k, model))
@@ -165,7 +168,7 @@ def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,
 
 def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     out = []
-    p_ks, p_kl = misid_probs(MisidWindow(4.8), k)
+    p_ks, p_kl = misid_probs(4.8, k)
     out.append(CheckResult("misid-window-4.8", abs(p_ks - p_kl) < 1e-4,
                            abs(p_ks - p_kl), 1e-4,
                            detail=f"wrong_KS={p_ks:.6f} wrong_KL={p_kl:.6f}"))
@@ -173,7 +176,7 @@ def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     # decreasing: double the upper end until f < 0, then bisect down to
     # adjacent doubles, keeping f(lo) >= 0
     def f(x):
-        wrong_ks, wrong_kl = misid_probs(MisidWindow(x), k)
+        wrong_ks, wrong_kl = misid_probs(x, k)
         return wrong_ks - wrong_kl
 
     lo, hi = 0.0, 1.0
@@ -182,7 +185,7 @@ def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if f(mid) >= 0.0 else (lo, mid)
     x_eq = lo
-    p_ks, p_kl = misid_probs(MisidWindow(x_eq), k)
+    p_ks, p_kl = misid_probs(x_eq, k)
     out.append(CheckResult("misid-equal-window", abs(p_ks - p_kl) < 1e-10,
                            abs(p_ks - p_kl), 1e-10,
                            detail=f"equal-misid window at {x_eq:.4f} tau_S"))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kaoneraser import (JointProjector, MisidWindow, Outcome, SimConfig,
+from kaoneraser import (JointProjector, Outcome, SimConfig,
                         closed_form_joint, estimate_probs, fit_visibility,
                         joint_projective_prob, misid_probs, normalized_pair,
                         pair_visibility, run_experiment)
@@ -83,7 +83,7 @@ def test_criterion_4_delayed_choice(k):
 
 
 def test_criterion_5_misid_window(k):
-    wrong_ks, wrong_kl = misid_probs(MisidWindow(4.8), k)
+    wrong_ks, wrong_kl = misid_probs(4.8, k)
     analytic_ok = abs(wrong_ks - wrong_kl) < 1e-4
     rng = np.random.default_rng(501)
     # K_S sample surviving past the window is misread as K_L, and vice versa

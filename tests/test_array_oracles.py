@@ -18,11 +18,11 @@ import pytest
 
 from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         closed_form_joint, delayed_choice_norms,
-                        joint_decay_rate, joint_projective_prob, lifetime_probs,
+                        joint_decay_rate, joint_projective_prob,
                         mixed_active_passive_prob, mixed_decay_rate,
                         normalized_pair, pair_beam_norm, pair_visibility,
                         passive_joint_prob, passive_single_prob,
-                        single_decay_rate, strangeness_probs)
+                        strangeness_probs)
 from kaoneraser.verify import decay_time_nodes
 
 ULPS = 4 * 2.0 ** -52
@@ -50,13 +50,17 @@ def _one_time(k, model):
         yield (f"closed_form_joint[{kind}]",
                lambda dt, kind=kind: closed_form_joint(kind, dt, k), DTS, "abs")
     yield "strangeness_probs", lambda t: strangeness_probs(t, k), TAUS, "abs"
-    yield "lifetime_probs", lambda t: lifetime_probs(t, k), TAUS, "abs"
+    # a single kaon's K_S share and decay rates: the pair forms with the
+    # partner's K0bar at 0, as analytic and verify evaluate them
+    yield ("single K_S share",
+           lambda t: 2.0 * closed_form_joint("s_ks", -t, k), TAUS, "abs")
     for o in Outcome:
         yield (f"passive_single_prob[{o.value}]",
                lambda t, o=o: passive_single_prob(o, t, k, model), TAUS, "abs")
     for f, times in itertools.product(DecayChannel, (TAUS, nodes)):
-        yield (f"single_decay_rate[{f.value}]",
-               lambda t, f=f: single_decay_rate(f, t, k, model), times, "rel")
+        yield (f"single-kaon rate[{f.value}]",
+               lambda t, f=f: 2.0 * mixed_decay_rate(Outcome.K0BAR, f, 0.0, t,
+                                                     k, model), times, "rel")
 
 
 def _two_times(k, model):
@@ -169,7 +173,7 @@ def _finite_far_out(k):
     yield lambda t: closed_form_joint("ss_like", t, k), 2000.0, 0.25
     yield lambda t: closed_form_joint("s_ks", t, k), -2000.0, 0.0
     yield lambda t: strangeness_probs(t, k), 2000.0, (0.5, 0.5)
-    yield lambda t: lifetime_probs(t, k), 800.0, (0.0, 1.0)
+    yield lambda t: 2.0 * closed_form_joint("s_ks", -t, k), 800.0, 0.0
 
 
 def test_survivor_forms_are_finite_far_out(k):

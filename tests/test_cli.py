@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from kaoneraser import (ExperimentKind, closed_form_joint, cli,
-                        lifetime_probs, pair_visibility, read_events,
-                        strangeness_probs)
+                        pair_visibility, read_events, strangeness_probs)
 from kaoneraser.cli import main
 
 
@@ -80,10 +79,13 @@ class TestAnalytic:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau_grid": taus, "delta_tau_grid": dts}))
         assert run("analytic", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        # P[K_S] of a kaon born as K0 is twice the pair form with the
+        # partner's K0bar at 0 on the left
+        p_ks = [2.0 * closed_form_joint("s_ks", -t, k) for t in taus]
         want = {
             "single_kaon.csv": [
-                (t, *strangeness_probs(t, k), *lifetime_probs(t, k),
-                 pair_visibility(t, k)) for t in taus],
+                (t, *strangeness_probs(t, k), ks, 1.0 - ks,
+                 pair_visibility(t, k)) for t, ks in zip(taus, p_ks)],
             "joint.csv": [
                 (dt, *(closed_form_joint(kind, dt, k) for kind in
                        ("ss_like", "ss_unlike", "s_ks", "s_kl")),
@@ -94,7 +96,8 @@ class TestAnalytic:
 
     def test_grids_take_one_call_per_column(self, tmp_path, monkeypatch):
         """However long the grid, cmd_analytic calls each closed form the
-        same number of times: no loop over the entries."""
+        same number of times: no loop over the entries.  Four calls make the
+        joint columns and one the K_S column of the single-kaon curve."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -110,7 +113,7 @@ class TestAnalytic:
             assert run("analytic", "--config", str(cfg),
                        "--out", str(tmp_path / f"out_{n}")) == 0
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 4
+        assert counts[0] == counts[1] == 5
 
     def test_constants_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -526,7 +529,10 @@ class TestOutOfRange:
         ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "B")),
         ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "C")),
         ({"constants": {"delta_m": 1e308}}, ("simulate", "--kind", "D")),
-        ({"constants": {"delta_m": 1e308}}, ("verify",))])
+        ({"constants": {"delta_m": 1e308}}, ("verify",)),
+        # delta_m * (bin centre) beyond the float range: its cosine is NaN
+        ({"constants": {"delta_m": 1e308}},
+         ("fit", str(TestOneBoundary.GOLDEN_A1)))])
     def test_overflow_is_an_error_line(self, tmp_path, capsys, doc, argv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

@@ -1,4 +1,4 @@
-"""Constants, single-kaon states and their free evolution."""
+"""Constants, the eigenstate table and free evolution of a single kaon."""
 
 import json
 import math
@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import free_propagation
-from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
-                        build_amplitude_model, make_state, pair_beam_norm,
-                        single_decay_rate, strangeness_probs)
+from kaoneraser import (EIGENSTATES, DecayChannel, JointProjector, Outcome,
+                        PhysicalConstants, build_amplitude_model,
+                        delayed_choice_norms, joint_projective_prob,
+                        mixed_decay_rate, normalized_pair, pair_beam_norm,
+                        strangeness_probs)
+from kaoneraser import pairs
+from kaoneraser.core import load_json
 from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -21,9 +25,9 @@ def _norm_sq(c_S, c_L):
 
 def _evolved(out, tau, k):
     """Amplitudes of the eigenstate of `out` after free propagation for tau."""
-    s = make_state(out)
+    c_S, c_L = EIGENSTATES[out]
     f_S, f_L = free_propagation(tau, k)
-    return f_S * s.c_S, f_L * s.c_L
+    return f_S * c_S, f_L * c_L
 
 
 class TestPhysicalConstants:
@@ -61,24 +65,21 @@ class TestPhysicalConstants:
         assert check_branching_consistency(PhysicalConstants(br_sl_L=0.9)).warning
 
     def test_from_json_dict_and_text(self):
+        """The parsed object builds the constants; JSON text is not parsed."""
         from_dict = PhysicalConstants.from_json({"delta_m": 0.5})
-        from_text = PhysicalConstants.from_json(json.dumps({"delta_m": 0.5}))
-        assert from_dict == from_text
-        assert from_dict.delta_m == 0.5
+        assert from_dict == PhysicalConstants(delta_m=0.5)
         assert from_dict.gamma_L == pytest.approx(1.0 / 579.0)
+        with pytest.raises(ValueError, match="^constants must be a JSON "
+                           "object, got '{\"delta_m\": 0.5}'$"):
+            PhysicalConstants.from_json(json.dumps({"delta_m": 0.5}))
 
     def test_from_json_path(self, tmp_path):
+        """A path is not read: the caller parses the file."""
         p = tmp_path / "constants.json"
         p.write_text('{"br_sl_L": 0.5}')
-        assert PhysicalConstants.from_json(p).br_sl_L == 0.5
-
-    def test_from_json_long_text_is_parsed_not_opened(self):
-        """A str is JSON text, never a file name, whatever its length."""
-        doc = {"delta_m": 0.5, "br_sl_L": 0.5, "gamma_L": 0.002,
-               "br_sl_S": 0.001, "gamma_S": 1.0}
-        text = json.dumps(doc, indent=60)  # longer than a file name may be
-        assert len(text) > 300
-        assert PhysicalConstants.from_json(text) == PhysicalConstants(**doc)
+        with pytest.raises(ValueError, match="constants must be a JSON object"):
+            PhysicalConstants.from_json(p)
+        assert PhysicalConstants.from_json(load_json(p.read_text())).br_sl_L == 0.5
 
     @pytest.mark.parametrize("field,value", [
         ("gamma_S", "x"), ("gamma_L", None), ("delta_m", math.nan),
@@ -102,13 +103,12 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError, match="unknown"):
             PhysicalConstants.from_json({"gamma_X": 1.0})
 
-    def test_from_json_duplicate_key(self, tmp_path):
-        text = '{"delta_m": 0.4737, "gamma_S": 1.0, "delta_m": 5}'
-        path = tmp_path / "constants.json"
-        path.write_text(text)
-        for source in (text, path):
-            with pytest.raises(ValueError, match="duplicate JSON key 'delta_m'"):
-                PhysicalConstants.from_json(source)
+    def test_from_json_duplicate_key(self):
+        """A key given twice is rejected where the JSON text is parsed, so
+        it never reaches ``from_json`` as its last value."""
+        text = '{"constants": {"delta_m": 0.4737, "gamma_S": 1.0, "delta_m": 5}}'
+        with pytest.raises(ValueError, match="duplicate JSON key 'delta_m'"):
+            PhysicalConstants.from_json(load_json(text)["constants"])
 
     def test_epsilon_overlap_is_not_a_field(self):
         with pytest.raises(ValueError, match=r"\['epsilon_overlap'\]"):
@@ -134,38 +134,44 @@ class TestZeroSemileptonicWidths:
 class TestStates:
     def test_basis_states_normalized(self):
         for out in Outcome:
-            s = make_state(out)
-            assert _norm_sq(s.c_S, s.c_L) == pytest.approx(1.0, abs=1e-15)
+            assert _norm_sq(*EIGENSTATES[out]) == pytest.approx(1.0, abs=1e-15)
 
     def test_strangeness_decomposition(self):
-        k0 = make_state(Outcome.K0)
-        assert k0.c_S == pytest.approx(1 / math.sqrt(2))
-        assert k0.c_L == pytest.approx(1 / math.sqrt(2))
-        k0b = make_state(Outcome.K0BAR)
-        assert k0b.c_L == pytest.approx(-1 / math.sqrt(2))
+        c_S, c_L = EIGENSTATES[Outcome.K0]
+        assert c_S == pytest.approx(1 / math.sqrt(2))
+        assert c_L == pytest.approx(1 / math.sqrt(2))
+        assert EIGENSTATES[Outcome.K0BAR][1] == pytest.approx(-1 / math.sqrt(2))
 
     def test_projection_on_self_and_conjugate(self):
-        def prob(bra, ket):  # |<bra|ket>|^2
-            amp = bra.c_S.conjugate() * ket.c_S + bra.c_L.conjugate() * ket.c_L
-            return abs(amp) ** 2
+        def prob(bra, ket):  # |<bra|ket>|^2 for real amplitudes
+            return (bra[0] * ket[0] + bra[1] * ket[1]) ** 2
 
         # each outcome and the orthogonal one in the same basis
         for a, b in ((Outcome.K0, Outcome.K0BAR), (Outcome.KS, Outcome.KL)):
             for out, other in ((a, b), (b, a)):
-                s = make_state(out)
+                s = EIGENSTATES[out]
                 assert prob(s, s) == pytest.approx(1.0)
-                assert prob(make_state(other), s) == pytest.approx(0.0, abs=1e-15)
+                assert prob(EIGENSTATES[other], s) == pytest.approx(0.0, abs=1e-15)
 
     def test_basis_states_are_shared_and_immutable(self):
+        """One table: the pair layer reads its kets from it, not from a copy,
+        and each entry is an immutable pair of real floats."""
+        assert list(EIGENSTATES) == list(Outcome)
         for out in Outcome:
-            assert make_state(out) is make_state(out)
-            with pytest.raises(AttributeError):
-                make_state(out).c_S = 0.0
+            assert pairs._ket(out) is EIGENSTATES[out]
+            assert all(type(c) is float for c in EIGENSTATES[out])
+            with pytest.raises(TypeError):
+                EIGENSTATES[out][0] = 0.0
 
     @pytest.mark.parametrize("bad", ["K0", None, 0, [Outcome.K0]])
-    def test_make_state_rejects_non_outcomes(self, bad):
-        with pytest.raises(ValueError):
-            make_state(bad)
+    def test_eigenstate_lookup_rejects_non_outcomes(self, k, bad):
+        """The pair layer looks the eigenstates up by outcome and refuses
+        anything else by name, with no KeyError or TypeError."""
+        with pytest.raises(ValueError, match="^unknown outcome "):
+            joint_projective_prob(normalized_pair(0.0, k),
+                                  JointProjector(bad, Outcome.K0))
+        with pytest.raises(ValueError, match="^unknown outcome "):
+            delayed_choice_norms(1.0, 0.0, JointProjector(Outcome.K0, bad), k)
 
     def test_outcome_metadata(self):
         assert Outcome.K0.observable.value == "strangeness"
@@ -178,9 +184,9 @@ class TestEvolution:
     def test_negative_time_rejected(self, k):
         with pytest.raises(ValueError):
             strangeness_probs(-0.1, k)
-        with pytest.raises(ValueError):
-            single_decay_rate(DecayChannel.SL_PLUS, -0.1, k,
-                              build_amplitude_model(k))
+        with pytest.raises(ValueError):  # the single-kaon rate
+            mixed_decay_rate(Outcome.K0BAR, DecayChannel.SL_PLUS, 0.0, -0.1,
+                             k, build_amplitude_model(k))
 
     def test_ks_pure_exponential(self, k):
         c_S, c_L = _evolved(Outcome.KS, 2.5, k)
@@ -190,9 +196,9 @@ class TestEvolution:
     @given(tau=times)
     def test_norm_equals_survival(self, k, tau):
         for out in (Outcome.K0, Outcome.KL):
-            s = make_state(out)
-            survival = (abs(s.c_S) ** 2 * math.exp(-k.gamma_S * tau)
-                        + abs(s.c_L) ** 2 * math.exp(-k.gamma_L * tau))
+            c_S, c_L = EIGENSTATES[out]
+            survival = (c_S ** 2 * math.exp(-k.gamma_S * tau)
+                        + c_L ** 2 * math.exp(-k.gamma_L * tau))
             assert _norm_sq(*_evolved(out, tau, k)) == pytest.approx(
                 survival, rel=1e-12, abs=1e-300)
 
@@ -222,6 +228,6 @@ class TestEvolution:
         n = math.sqrt(pair_beam_norm(tau, 0.0, k))
         c_S, c_L = (c / n for c in _evolved(Outcome.K0, tau, k))
         assert _norm_sq(c_S, c_L) == pytest.approx(1.0, rel=1e-12)
-        k0 = make_state(Outcome.K0)
-        p_k0 = abs(k0.c_S * c_S + k0.c_L * c_L) ** 2
+        k0_S, k0_L = EIGENSTATES[Outcome.K0]
+        p_k0 = abs(k0_S * c_S + k0_L * c_L) ** 2
         assert p_k0 == pytest.approx(strangeness_probs(tau, k)[0], abs=1e-12)

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kaoneraser import (DecayChannel, Outcome, PhysicalConstants,
+from kaoneraser import (EIGENSTATES, DecayChannel, Outcome, PhysicalConstants,
                         build_amplitude_model, closed_form_joint, decay_width,
                         joint_decay_rate, mixed_active_passive_prob,
                         mixed_decay_rate, pair_beam_norm, passive_joint_prob,
-                        passive_single_prob, single_decay_rate)
-from kaoneraser.core import _EIGENSTATES
+                        passive_single_prob)
 from kaoneraser.decay import (CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME,
                               OUTCOME_CHANNEL)
-from kaoneraser.pairs import _KETS
+from kaoneraser.pairs import _KET_ROW
 from kaoneraser.verify import check_branching_consistency
 
 times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
@@ -111,7 +110,9 @@ class TestDecayWidths:
 
 # each rate or width with a bad channel in its channel slot
 CHANNEL_TAKERS = {
-    "single_decay_rate": lambda ch, k, m: single_decay_rate(ch, 1.0, k, m),
+    # a single kaon's rate: the mixed rate with the partner's K0bar at 0
+    "single_decay_rate": lambda ch, k, m: mixed_decay_rate(
+        Outcome.K0BAR, ch, 0.0, 1.0, k, m),
     "joint_decay_rate": lambda ch, k, m: joint_decay_rate(
         DecayChannel.SL_PLUS, 1.0, ch, 2.0, k, m),
     "mixed_decay_rate": lambda ch, k, m: mixed_decay_rate(
@@ -142,8 +143,8 @@ OUTCOME_TAKERS = {
 @pytest.mark.parametrize("call", OUTCOME_TAKERS.values(), ids=OUTCOME_TAKERS)
 @pytest.mark.parametrize("bad", ["K0", None, 5])
 def test_unknown_outcome_is_a_value_error(k, model, call, bad):
-    """An outcome value, None or int is refused by name, as make_state does,
-    with no KeyError on the way."""
+    """An outcome value, None or int is refused by name, as the pair layer's
+    eigenstate lookup does, with no KeyError on the way."""
     with pytest.raises(ValueError, match=f"^unknown outcome {bad!r}$"):
         call(bad, k, model)
 
@@ -169,7 +170,7 @@ def test_active_left_outcome_must_be_a_strangeness_outcome(k, model, call, bad):
 
 
 # every module table keyed by an enum member, per member type
-ENUM_TABLES = {Outcome: (_EIGENSTATES, _KETS, OUTCOME_CHANNEL),
+ENUM_TABLES = {Outcome: (EIGENSTATES, _KET_ROW, OUTCOME_CHANNEL),
                DecayChannel: (CHANNEL_CODES, CHANNEL_OUTCOME)}
 
 

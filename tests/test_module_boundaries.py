@@ -9,16 +9,18 @@ re-exports.  Every function, class and method must have a caller in the
 package or the benchmark, so API that only tests use does not grow back.  The
 estimator layer (``estimate``) sits above the generators (``sim``) and alone
 maps record codes to outcome codes.  And the package needs nothing outside the
-standard library but numpy.
+standard library but numpy.  README's package layout names each module once.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kaoneraser"
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _trees():
@@ -218,3 +220,13 @@ def test_tests_import_only_declared_dependencies():
     allowed = {"numpy", "pytest", "hypothesis", "scipy", "kaoneraser", "conftest"}
     bad = _foreign_imports(sorted(Path(__file__).parent.glob("*.py")), allowed)
     assert not bad, f"tests import undeclared modules: {bad}"
+
+
+def test_readme_layout_names_every_module():
+    """README's "Package layout" has one entry per module, ``__init__``
+    aside, and none for a module that is gone."""
+    section = README.read_text().split("\n## Package layout\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = re.findall(r"^- `kaoneraser\.(\w+)`", section, flags=re.M)
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert sorted(listed) == modules

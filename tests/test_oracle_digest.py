@@ -17,8 +17,8 @@ import numpy as np
 from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         delayed_choice_norms, decay_width, joint_decay_rate,
                         joint_projective_prob, mixed_active_passive_prob,
-                        normalized_pair, passive_joint_prob,
-                        passive_single_prob, single_decay_rate)
+                        mixed_decay_rate, normalized_pair, passive_joint_prob,
+                        passive_single_prob)
 from kaoneraser.decay import passive_pair_weights
 
 ORACLE_DIGEST = "79fb15f751c8b375cc8c83836594e6363acf3b2cc9a4a3958c07de1b56c6eeb0"
@@ -65,7 +65,9 @@ def oracle_outputs(k, model):
             yield joint_decay_rate(f_l, tl, f_r, tr, k, model)
     for tau in np.arange(0.0, 12.0 + 1e-9, 0.5):
         for channel in DecayChannel:
-            yield single_decay_rate(channel, float(tau), k, model)
+            # a single kaon's rate: the partner's K0bar at 0
+            yield 2.0 * mixed_decay_rate(Outcome.K0BAR, channel, 0.0,
+                                         float(tau), k, model)
     yield from passive_pair_weights(k, model).ravel().tolist()
     # far out, where exp of the time difference overflows and the absolute
     # survival of both kaons underflows: the survivor-normalized pair, and

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import free_propagation
-from kaoneraser import (JointProjector, Observable, Outcome, PhysicalConstants,
-                        TwoKaonState, closed_form_joint, delayed_choice_norms,
-                        joint_projective_prob, make_state, normalized_pair,
-                        pair_visibility, pairs)
+from kaoneraser import (EIGENSTATES, JointProjector, Observable, Outcome,
+                        PhysicalConstants, TwoKaonState, closed_form_joint,
+                        delayed_choice_norms, joint_projective_prob,
+                        normalized_pair, pair_visibility, pairs)
 from kaoneraser.core import on_arrays
 
 dts = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
@@ -428,8 +428,7 @@ def ref_normalized_pair(dt, k):
 
 
 def ref_project_side(state, side, outcome):
-    b = make_state(outcome)
-    b_S, b_L = b.c_S, b.c_L
+    b_S, b_L = EIGENSTATES[outcome]
     bra_S, bra_L = b_S.conjugate(), b_L.conjugate()
     c_LS, c_SL, c_SS, c_LL, _ = state
     if side == "left":

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import free_propagation
 from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
-                        EventSet, ExperimentKind, FitRow, MisidWindow,
+                        EventSet, ExperimentKind, FitRow,
                         Observable, Outcome, Procedure, SimConfig,
                         closed_form_joint, estimate_probs, fit_visibility,
                         mixed_active_passive_prob, normalized_pair,
@@ -86,14 +86,14 @@ _ACTIVE_KL = (Procedure.ACTIVE, Outcome.KL, None)
 
 class TestClassifyLifetime:
     def test_window_rule(self):
-        w = MisidWindow(4.8)
+        w = 4.8
         assert RECORDS[classify_lifetime(5.0, 1.0, w)] == _ACTIVE_KS
         assert RECORDS[classify_lifetime(5.81, 1.0, w)] == _ACTIVE_KL
         assert RECORDS[classify_lifetime(1.0 + 4.8, 1.0, w)] == _ACTIVE_KS
 
     def test_arrays_give_outcome_codes(self):
         """Each outcome as the record code of its active measurement."""
-        codes = classify_lifetime(np.array([0.0, 4.8, 4.81]), 0.0, MisidWindow(4.8))
+        codes = classify_lifetime(np.array([0.0, 4.8, 4.81]), 0.0, 4.8)
         assert codes.dtype == np.int8
         assert [RECORDS[c] for c in codes] == [_ACTIVE_KS, _ACTIVE_KS, _ACTIVE_KL]
 
@@ -699,6 +699,16 @@ class TestEstimators:
                          **{c: getattr(ev, c)[:0] for c in EventSet._COLS})
         with pytest.raises(ValueError):
             estimate_probs(empty)
+
+    def test_event_set_needs_its_columns(self):
+        """A set is built with all four columns, so ``len`` and the
+        estimators never meet a missing one."""
+        with pytest.raises(TypeError):
+            EventSet("A1")
+        cols = {c: np.zeros(2) for c in EventSet._COLS}
+        for c in EventSet._COLS:
+            with pytest.raises(TypeError, match=c):
+                EventSet("A1", **{n: v for n, v in cols.items() if n != c})
 
     def test_discarded_side_with_a_time_is_in_no_cell(self):
         """Only the record code says a side is discarded: a code 0 with a

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import free_propagation
 from kaoneraser import (PhysicalConstants, decay, joint_decay_rate, pairs,
-                        single, verify)
+                        verify)
 from kaoneraser.core import ArrayMath
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
 from kaoneraser.verify import (_delayed_choice_triples, check_active_passive,
@@ -167,7 +167,7 @@ def test_active_passive_catches_a_shift_of_one_time(k, model, monkeypatch,
 
 def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
     """The single-kaon rate and probability are the shared mixed rate (bound
-    in ``decay`` and ``single``) with the partner at 0.  A flipped cross term
+    in ``decay`` and ``verify``) with the partner at 0.  A flipped cross term
     there moves each strangeness probability, so the active-passive check
     fails; the channel sum misses the cross term (sum_f a_S a_L = 0), so the
     normalization passes.  Swapped widths (alpha, beta) = (a_L, +-a_S) fail
@@ -175,7 +175,7 @@ def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
     rate = decay.mixed_decay_rate
     flipped = _mutated(rate, "0.25 * (direct - cross)", "0.25 * (direct + cross)")
     monkeypatch.setattr(decay, "mixed_decay_rate", flipped)
-    monkeypatch.setattr(single, "mixed_decay_rate", flipped)
+    monkeypatch.setattr(verify, "mixed_decay_rate", flipped)
     result = check_active_passive(k, model)
     assert not result.passed and result.worst > 1e-3
     results = {r.name: r for r in check_normalizations(k, model)}
@@ -184,7 +184,7 @@ def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
     swapped = _mutated(rate, "model.a_S[j], sign * model.a_L[j]",
                        "model.a_L[j], sign * model.a_S[j]")
     monkeypatch.setattr(decay, "mixed_decay_rate", swapped)
-    monkeypatch.setattr(single, "mixed_decay_rate", swapped)
+    monkeypatch.setattr(verify, "mixed_decay_rate", swapped)
     results = {r.name: r for r in check_normalizations(k, model)}
     assert not results["single-rate-normalization"].passed
     assert results["single-rate-normalization"].worst > 1.0
