@@ -103,15 +103,19 @@ _RULES = {"constants": _object, "kind": _kind, "n_pairs": _integer,
 
 
 def _effective(args) -> dict:
-    """The config file merged with command-line overrides."""
+    """The config file merged with command-line overrides.  An error in the
+    file's text, encoding or keys names the file."""
     cfg = {}
     if args.config is not None:
-        cfg = load_json(Path(args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(cfg) - _RULES.keys()
-        if unknown:
-            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+        try:
+            cfg = load_json(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(cfg, dict):
+                raise ValueError("config file must hold a JSON object")
+            unknown = set(cfg) - _RULES.keys()
+            if unknown:
+                raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+        except ValueError as exc:  # a UnicodeDecodeError or JSONDecodeError too
+            raise ValueError(f"{args.config}: {exc}") from None
     for key, flag in (("seed", args.seed), ("n_pairs", args.pairs),
                       ("kind", args.kind), ("out", args.out)):
         if flag is not None:
@@ -257,9 +261,12 @@ def _build_parser() -> _Parser:
 _COMMANDS = {"analytic": cmd_analytic, "simulate": cmd_simulate,
              "verify": cmd_verify, "fit": cmd_fit}
 
+# built once: parse_args keeps no state in the parser
+_PARSER = _build_parser()
+
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _effective(args)
         values = {key: _RULES[key](key, value) for key, value in cfg.items()}

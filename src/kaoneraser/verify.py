@@ -91,16 +91,38 @@ def check_active_passive(k: PhysicalConstants,
                        1e-10)
 
 
+def _gauss_rule(diagonal: np.ndarray, off_diagonal: np.ndarray,
+                mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule of the weight of total mass ``mu0`` whose orthonormal
+    polynomials obey b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1}: the nodes
+    are the eigenvalues of its Jacobi matrix (a on the diagonal, b beside it),
+    the weights the Christoffel numbers mu0 / sum_k p_k(x)^2, the recurrence
+    started at p_0 = 1 (so p_k is sqrt(mu0) times the orthonormal one) and
+    run over all nodes at once."""
+    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off_diagonal, -1))
+    prev, p, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    b = off_diagonal.tolist()
+    for a_k, b_k, b_next in zip(diagonal.tolist(), [0.0, *b], b):
+        prev, p = p, ((x - a_k) * p - b_k * prev) / b_next
+        total += p * p
+    return x, mu0 / total
+
+
 def decay_time_nodes(k: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, inf) for exp(-G_S t), exp(-G_L t) and
     exp(-Gbar t) cos(dm t + phase) terms: Gauss-Legendre on [0, T = 32/Gbar],
     its node count growing with the phase r T of the fastest term, r = max(G_S,
-    |Gbar + i dm|); past T, Gauss-Laguerre in G_L for the exp(-G_L t) left."""
+    |Gbar + i dm|); past T, 8-point Gauss-Laguerre in G_L for the exp(-G_L t)
+    left."""
     edge = 32.0 / k.gamma_mean
     rate = max(k.gamma_S, math.hypot(k.gamma_mean, k.delta_m))
     n = min(16 + math.ceil(0.3 * rate * edge), 1024)  # dm up to about 100 Gbar
-    x, w = np.polynomial.legendre.leggauss(n)
-    x_tail, w_tail = np.polynomial.laguerre.laggauss(8)
+    # Legendre on [-1, 1]: a_j = 0, b_j = j / sqrt(4 j^2 - 1), mu0 = 2
+    j = np.arange(1.0, n)
+    x, w = _gauss_rule(np.zeros(n), j / np.sqrt(4.0 * j * j - 1.0), 2.0)
+    # Laguerre, weight exp(-x) on [0, inf): a_j = 2 j + 1, b_j = j, mu0 = 1
+    j = np.arange(8.0)
+    x_tail, w_tail = _gauss_rule(2.0 * j + 1.0, j[1:], 1.0)
     return (np.concatenate((0.5 * edge * (x + 1.0), edge + x_tail / k.gamma_L)),
             np.concatenate((0.5 * edge * w, w_tail * np.exp(x_tail) / k.gamma_L)))
 

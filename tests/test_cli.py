@@ -170,7 +170,26 @@ class TestSimulate:
         cfg.write_text(text)
         out = tmp_path / "out"
         assert run("simulate", "--config", str(cfg), "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: duplicate JSON key {key!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: duplicate JSON key {key!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data,message", [
+        (b'{"seed": 1,}', "Expecting property name enclosed in double quotes: "
+                          "line 1 column 12 (char 11)"),
+        (b'\xff{"seed": 1}', "'utf-8' codec can't decode byte 0xff in "
+                             "position 0: invalid start byte"),
+        (b'[{"seed": 1}]', "config file must hold a JSON object"),
+        (b'{"seed": 1, "bogus": 2}', "unknown config key(s): ['bogus']")],
+        ids=["invalid-json", "not-utf8", "not-an-object", "unknown-key"])
+    def test_config_file_error_names_the_file(self, tmp_path, capsys, data,
+                                              message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "out"
+        assert run("simulate", "--kind", "A1", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not out.exists()
 
     def test_invalid_pairs(self, tmp_path):
@@ -513,6 +532,47 @@ class TestOneBoundary:
         assert captured.err.startswith(f"error: {named}")
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestOneParser:
+    """``main`` parses with the one parser built at import, and no call
+    leaves state in it that a later call reads."""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        def build():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli, "_build_parser", build)
+        assert run("analytic", "--out", str(tmp_path)) == 0
+
+    def test_flags_do_not_carry_over(self, tmp_path, monkeypatch):
+        """A call without --config, --seed and --out writes the same files,
+        its ``# config:`` line included, after a call with all three as
+        before it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_grid": [0, 1],
+                                   "constants": {"delta_m": 0.5}}))
+        before, after = tmp_path / "before", tmp_path / "after"
+        for out in (before, after):
+            out.mkdir()
+            monkeypatch.chdir(out)
+            assert run("analytic") == 0
+            assert run("analytic", "--config", str(cfg), "--seed", "9",
+                       "--out", str(tmp_path / "flagged")) == 0
+        monkeypatch.chdir(tmp_path)
+        assert (tmp_path / "flagged" / "joint.csv").read_text().startswith(
+            '# config: {"constants": {"delta_m": 0.5}, "seed": 9, ')
+        for name, digest in PINNED_ANALYTIC_SHA256.items():
+            text = (after / name).read_bytes()
+            assert text == (before / name).read_bytes(), name
+            assert text.startswith(b"# config: {}\n"), name
+            assert hashlib.sha256(text).hexdigest() == digest, name
+
+    def test_usage_error_does_not_carry_over(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("analytic", "--pairs", "x")
+        assert exc.value.code == 1
+        assert "argument --pairs: invalid int value: 'x'" in capsys.readouterr().err
+        assert run("analytic", "--out", str(tmp_path)) == 0
 
 
 class TestOutOfRange:

@@ -203,7 +203,8 @@ def _foreign_imports(paths, allowed):
 
 def test_only_numpy_outside_the_standard_library():
     """scipy and pytest stay the benchmark's and the tests' own: no module
-    imports another top-level distribution, and the CLI loads no scipy."""
+    imports another top-level distribution, the CLI loads no scipy, and the
+    package loads neither the CLI nor argparse."""
     bad = _foreign_imports(sorted(PACKAGE.glob("*.py")), {"numpy", "kaoneraser"})
     assert not bad, f"modules import outside the standard library and numpy: {bad}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kaoneraser.cli; "
@@ -211,6 +212,12 @@ def test_only_numpy_outside_the_standard_library():
     loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
                             capture_output=True, text=True, check=True).stdout.split()
     assert not loaded, f"importing kaoneraser.cli loads {loaded}"
+    # the CLI builds its parser at import, so the package itself loads neither
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kaoneraser; "
+            "print(*sorted({'kaoneraser.cli', 'argparse'} & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert not loaded, f"importing kaoneraser loads {loaded}"
 
 
 def test_tests_import_only_declared_dependencies():

@@ -20,7 +20,7 @@ from kaoneraser.core import ArrayMath
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
 from kaoneraser.verify import (_delayed_choice_triples, check_active_passive,
                                check_delayed_choice, check_normalizations,
-                               check_oracle_grid, run_all)
+                               check_oracle_grid, decay_time_nodes, run_all)
 
 RATE_CHECKS = ("single-rate-normalization", "joint-rate-normalization",
                "passive-pair-weights", "mixed-rate-normalization")
@@ -236,8 +236,9 @@ def test_pair_weights_catch_a_flipped_cross_term(k, model, monkeypatch):
 
 @pytest.mark.parametrize("constants", [
     {}, {"delta_m": 20.0}, {"gamma_S": 10.0, "gamma_L": 0.01},
-    {"gamma_L": 0.9}],
-    ids=["default", "delta_m=20", "gamma_S=10,gamma_L=0.01", "gamma_L=0.9"])
+    {"gamma_L": 0.9}, {"delta_m": 50.0}],
+    ids=["default", "delta_m=20", "gamma_S=10,gamma_L=0.01", "gamma_L=0.9",
+         "delta_m=50"])
 def test_rate_checks_pass_for_far_constants(constants):
     """The node rule follows dm and the widths; misid-window-4.8 is tuned to
     the measured widths and is not asserted here."""
@@ -247,6 +248,29 @@ def test_rate_checks_pass_for_far_constants(constants):
               if r.name in RATE_CHECKS and not r.passed]
     assert not failed
     assert {r.name for r in results} >= set(RATE_CHECKS)
+
+
+@pytest.mark.parametrize("constants,n,weight_tol", [
+    ({}, 36, 1e-12), ({"delta_m": 50.0}, 975, 1e-8)],
+    ids=["default", "delta_m=50"])
+def test_decay_time_nodes_match_numpys_gauss_rules(constants, n, weight_tol):
+    """The rules built from their Jacobi matrices against numpy.polynomial's
+    leggauss(n) on [0, T = 32/Gbar] and laggauss(8) past T.  Tolerances:
+    Legendre nodes within 2e-15 T, Laguerre nodes within 4e-15 relative,
+    Laguerre weights within 4e-14 relative, Legendre weights within 1e-12
+    relative at 36 nodes and 1e-8 at 975.  The last is numpy's own error:
+    against a 40-digit reference its weights are off by up to 4e-13 at 36
+    nodes and 4e-9 at 975, the Jacobi rule's by 9e-15 and 3e-11."""
+    k = PhysicalConstants(**constants)
+    t, w = decay_time_nodes(k)
+    assert len(t) == len(w) == n + 8
+    edge = 32.0 / k.gamma_mean
+    x, w_x = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(t[:n] - 0.5 * edge * (x + 1.0)) <= 2e-15 * edge)
+    assert np.all(np.abs(w[:n] / (0.5 * edge * w_x) - 1.0) <= weight_tol)
+    x, w_x = np.polynomial.laguerre.laggauss(8)
+    assert np.all(np.abs(t[n:] / (edge + x / k.gamma_L) - 1.0) <= 4e-15)
+    assert np.all(np.abs(w[n:] / (w_x * np.exp(x) / k.gamma_L) - 1.0) <= 4e-14)
 
 
 def test_pair_rate_terms_on_arrays_match_joint_decay_rate(k, model):
