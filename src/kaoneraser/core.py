@@ -59,6 +59,15 @@ def finite_number(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def lookup(table, key, message: str):
+    """``table[key]``; ValueError ``message.format(key)`` for a key the table
+    lacks or cannot hash.  Every caller-given name is looked up here."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ValueError(message.format(key)) from None
+
+
 def _unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (EIGENSTATES, FloatMath, Outcome, PhysicalConstants,
-                   check_times, on_arrays, pair_beam_norm)
+                   check_times, lookup, on_arrays, pair_beam_norm)
 
 
 class DecayChannel(Enum):
@@ -48,21 +48,6 @@ OUTCOME_CHANNEL = {v: k for k, v in CHANNEL_OUTCOME.items()}
 # The relative sign of the two propagation terms of the mixed rate, per
 # active left strangeness outcome.
 _STRANGENESS_SIGN = {Outcome.K0: +1.0, Outcome.K0BAR: -1.0}
-
-
-def channel_code(channel: DecayChannel) -> int:
-    """The integer code of a decay channel; ValueError for anything else."""
-    if (code := CHANNEL_CODES.get(channel)) is None:
-        raise ValueError(f"unknown channel {channel!r}")
-    return code
-
-
-def outcome_channel(outcome: Outcome) -> DecayChannel:
-    """The decay channel that identifies a measurement outcome; ValueError
-    for anything that is not an Outcome."""
-    if (channel := OUTCOME_CHANNEL.get(outcome)) is None:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return channel
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,8 @@ def joint_decay_rate(f_l: DecayChannel, tau_l: float, f_r: DecayChannel,
     """Joint decay rate density of the entangled pair into (f_l, f_r)."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(joint_decay_rate, f_l, tau_l, f_r, tau_r, k, model)
-    i, j = channel_code(f_l), channel_code(f_r)
+    i = lookup(CHANNEL_CODES, f_l, "unknown channel {!r}")
+    j = lookup(CHANNEL_CODES, f_r, "unknown channel {!r}")
     direct, cross = pair_rate_terms(model.a_L[i] * model.a_S[j],
                                     model.a_S[i] * model.a_L[j],
                                     tau_l, tau_r, k, m or FloatMath)
@@ -143,9 +129,9 @@ def mixed_decay_rate(active_out_l: Outcome, f_r: DecayChannel, tau_l: float,
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(mixed_decay_rate, active_out_l, f_r, tau_l, tau_r, k,
                          model)
-    if (sign := _STRANGENESS_SIGN.get(active_out_l)) is None:
-        raise ValueError("active left outcome must be a strangeness outcome")
-    j = channel_code(f_r)
+    sign = lookup(_STRANGENESS_SIGN, active_out_l,
+                  "active left outcome must be a strangeness outcome")
+    j = lookup(CHANNEL_CODES, f_r, "unknown channel {!r}")
     direct, cross = pair_rate_terms(model.a_S[j], sign * model.a_L[j],
                                     tau_l, tau_r, k, m or FloatMath)
     return 0.25 * (direct - cross)
@@ -158,7 +144,7 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
     Computed by contracting the channel amplitudes with the tagged state, e.g.
     Gamma(K0 -> pi- l+ nu) = |<f|T|K0>|^2 = 2 |a_sl|^2 = br_sl_L * Gamma_L.
     """
-    c = channel_code(channel)
+    c = lookup(CHANNEL_CODES, channel, "unknown channel {!r}")
     c_S, c_L = EIGENSTATES[CHANNEL_OUTCOME[channel]]
     w = abs(c_S * model.a_S[c] + c_L * model.a_L[c]) ** 2
     if w <= 0.0:
@@ -182,8 +168,8 @@ def passive_joint_prob(out_l: Outcome, tau_l: float, out_r: Outcome,
     m = m or FloatMath
     d = tau_l - tau_r
     tau_l, tau_r = (d > 0) * d, (d < 0) * -d
-    f_l = outcome_channel(out_l)
-    f_r = outcome_channel(out_r)
+    f_l = lookup(OUTCOME_CHANNEL, out_l, "unknown outcome {!r}")
+    f_r = lookup(OUTCOME_CHANNEL, out_r, "unknown outcome {!r}")
     rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model, m)
     denom = (decay_width(f_l, k, model) * decay_width(f_r, k, model)
              * pair_beam_norm(tau_l, tau_r, k, m))
@@ -203,7 +189,7 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
     m = m or FloatMath
     d = tau_l - tau_r
     tau_l, tau_r = (d > 0) * d, (d < 0) * -d
-    f_r = outcome_channel(out_r)
+    f_r = lookup(OUTCOME_CHANNEL, out_r, "unknown outcome {!r}")
     rate = mixed_decay_rate(active_out_l, f_r, tau_l, tau_r, k, model, m)
     denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)
     return rate / denom

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (EIGENSTATES, FloatMath, Outcome, PhysicalConstants,
-                   check_time_difference, check_times, on_arrays)
+                   check_time_difference, check_times, lookup, on_arrays)
 
 _SQRT2 = math.sqrt(2.0)
 JOINT_KINDS = ("ss_like", "ss_unlike", "s_ks", "s_kl")
@@ -42,8 +42,14 @@ class TwoKaonState(NamedTuple):
 
 @dataclass(frozen=True)
 class JointProjector:
+    """One outcome per side, each checked when it is built."""
+
     left: Outcome
     right: Outcome
+
+    def __post_init__(self):
+        lookup(EIGENSTATES, self.left, "unknown outcome {!r}")
+        lookup(EIGENSTATES, self.right, "unknown outcome {!r}")
 
 
 _INITIAL = (1.0 / _SQRT2, -1.0 / _SQRT2, 0.0, 0.0)
@@ -80,35 +86,22 @@ def normalized_pair(delta_tau: float, k: PhysicalConstants,
     )
 
 
-def _ket(outcome: Outcome) -> tuple:
-    try:
-        return EIGENSTATES[outcome]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown outcome {outcome!r}") from None
-
-
 # EIGENSTATES as one array, a row per outcome, and the row of each outcome
 _KET_ROWS = np.array(list(EIGENSTATES.values()))
 _KET_ROW = {o: i for i, o in enumerate(EIGENSTATES)}
 
 
 def _kets(outcomes: list) -> tuple:
-    """``_ket`` of each outcome, as two arrays."""
-    try:
-        rows = [_KET_ROW[o] for o in outcomes]
-    except (KeyError, TypeError):
-        for o in outcomes:
-            _ket(o)  # the ValueError naming the first unknown outcome
-        raise
-    return tuple(_KET_ROWS.take(rows, axis=0).T)
+    """The eigenstate of each outcome, as two arrays."""
+    return tuple(_KET_ROWS.take([_KET_ROW[o] for o in outcomes], axis=0).T)
 
 
 def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     """|<out_l, out_r | state>|^2 for a normalized two-kaon state."""
     if not state.normalized:
         raise ValueError("joint_projective_prob needs a normalized state")
-    ls, ll = _ket(p.left)
-    rs, rl = _ket(p.right)
+    ls, ll = EIGENSTATES[p.left]
+    rs, rl = EIGENSTATES[p.right]
     c_LS, c_SL, _ = state
     amp = ll * rs * c_LS + ls * rl * c_SL
     return abs(amp) ** 2
@@ -216,7 +209,7 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
                          np.asarray(tau_r0, float), p, k)
     m = m or FloatMath
     if isinstance(p, JointProjector):
-        b_l, b_r = _ket(p.left), _ket(p.right)
+        b_l, b_r = EIGENSTATES[p.left], EIGENSTATES[p.right]
     else:
         b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
 

@@ -35,12 +35,13 @@ pairs, still picks its candidates with np.where.)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (ArrayMath, Outcome, PhysicalConstants, Procedure,
-                   finite_number, pair_beam_norm, usable_cpus)
+                   finite_number, lookup, pair_beam_norm, usable_cpus)
 from .decay import (CHANNEL_BY_CODE, CHANNEL_OUTCOME, AmplitudeModel,
                     pair_rate_terms, passive_pair_weights)
 from .pairs import closed_form_joint
@@ -75,6 +76,10 @@ class SimConfig:
     partitions: int = 1
 
     def __post_init__(self):
+        for name in ("n_pairs", "seed", "partitions"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
         if self.n_pairs > np.iinfo(np.intp).max:
@@ -434,9 +439,7 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
     partition is raised here.  The caller works rather than waits: a pool
     of all w workers, one more thread, raised perfbench's `generate` peak
     RSS from 121-122 to 133.5-134.5 MB (3 runs each, 2-CPU VM)."""
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    gen = _GENERATORS[kind]
+    gen = lookup(_GENERATORS, kind, "unknown experiment kind {!r}")
     cols = _empty_columns(cfg.n_pairs)
     n, parts = cfg.n_pairs, cfg.partitions
     filled = min(parts, n)  # partitions past the first n are empty

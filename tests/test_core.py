@@ -9,9 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import free_propagation
 from kaoneraser import (EIGENSTATES, DecayChannel, JointProjector, Outcome,
                         PhysicalConstants, build_amplitude_model,
-                        delayed_choice_norms, joint_projective_prob,
-                        mixed_decay_rate, normalized_pair, pair_beam_norm,
-                        strangeness_probs)
+                        mixed_decay_rate, pair_beam_norm, strangeness_probs)
 from kaoneraser import pairs
 from kaoneraser.core import load_json
 from kaoneraser.verify import check_branching_consistency
@@ -154,24 +152,27 @@ class TestStates:
                 assert prob(EIGENSTATES[other], s) == pytest.approx(0.0, abs=1e-15)
 
     def test_basis_states_are_shared_and_immutable(self):
-        """One table: the pair layer reads its kets from it, not from a copy,
-        and each entry is an immutable pair of real floats."""
+        """One table: the pair layer's array of kets holds each outcome's
+        entry in that outcome's row, and each entry is an immutable pair of
+        real floats."""
         assert list(EIGENSTATES) == list(Outcome)
+        assert len(pairs._KET_ROWS) == len(Outcome)
         for out in Outcome:
-            assert pairs._ket(out) is EIGENSTATES[out]
+            assert (pairs._KET_ROWS[pairs._KET_ROW[out]].tolist()
+                    == list(EIGENSTATES[out]))
             assert all(type(c) is float for c in EIGENSTATES[out])
             with pytest.raises(TypeError):
                 EIGENSTATES[out][0] = 0.0
 
     @pytest.mark.parametrize("bad", ["K0", None, 0, [Outcome.K0]])
-    def test_eigenstate_lookup_rejects_non_outcomes(self, k, bad):
-        """The pair layer looks the eigenstates up by outcome and refuses
-        anything else by name, with no KeyError or TypeError."""
-        with pytest.raises(ValueError, match="^unknown outcome "):
-            joint_projective_prob(normalized_pair(0.0, k),
-                                  JointProjector(bad, Outcome.K0))
-        with pytest.raises(ValueError, match="^unknown outcome "):
-            delayed_choice_norms(1.0, 0.0, JointProjector(Outcome.K0, bad), k)
+    def test_eigenstate_lookup_rejects_non_outcomes(self, bad):
+        """The pair layer looks the eigenstates up by outcome: a projector
+        refuses anything else by name when it is built, before an oracle
+        reads it, with no KeyError or TypeError."""
+        for left, right in ((bad, Outcome.K0), (Outcome.K0, bad)):
+            with pytest.raises(ValueError) as err:
+                JointProjector(left, right)
+            assert str(err.value) == f"unknown outcome {bad!r}"
 
     def test_outcome_metadata(self):
         assert Outcome.K0.observable.value == "strangeness"

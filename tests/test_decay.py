@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -122,11 +123,12 @@ CHANNEL_TAKERS = {
 
 
 @pytest.mark.parametrize("call", CHANNEL_TAKERS.values(), ids=CHANNEL_TAKERS)
-@pytest.mark.parametrize("bad", ["2pi", 5, None])
+@pytest.mark.parametrize("bad", ["2pi", 5, None, [DecayChannel.SL_PLUS]])
 def test_unknown_channel_is_a_value_error(k, model, call, bad):
-    """A channel value, int or None is refused by name, with no KeyError,
-    TypeError or DeprecationWarning on the way."""
-    with pytest.raises(ValueError, match=f"^unknown channel {bad!r}$"):
+    """A channel value, int, None or unhashable list is refused by name,
+    with no KeyError, TypeError or DeprecationWarning on the way."""
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'unknown channel {bad!r}')}$"):
         call(bad, k, model)
 
 
@@ -141,11 +143,12 @@ OUTCOME_TAKERS = {
 
 
 @pytest.mark.parametrize("call", OUTCOME_TAKERS.values(), ids=OUTCOME_TAKERS)
-@pytest.mark.parametrize("bad", ["K0", None, 5])
+@pytest.mark.parametrize("bad", ["K0", None, 5, [Outcome.K0]])
 def test_unknown_outcome_is_a_value_error(k, model, call, bad):
-    """An outcome value, None or int is refused by name, as the pair layer's
-    eigenstate lookup does, with no KeyError on the way."""
-    with pytest.raises(ValueError, match=f"^unknown outcome {bad!r}$"):
+    """An outcome value, None, int or unhashable list is refused by name, as
+    a pair projector is, with no KeyError or TypeError on the way."""
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'unknown outcome {bad!r}')}$"):
         call(bad, k, model)
 
 
@@ -159,7 +162,8 @@ ACTIVE_TAKERS = {
 
 
 @pytest.mark.parametrize("call", ACTIVE_TAKERS.values(), ids=ACTIVE_TAKERS)
-@pytest.mark.parametrize("bad", [Outcome.KS, Outcome.KL, "K0", None])
+@pytest.mark.parametrize("bad", [Outcome.KS, Outcome.KL, "K0", None,
+                                 [Outcome.K0]])
 def test_active_left_outcome_must_be_a_strangeness_outcome(k, model, call, bad):
     """The mixed rate owns the sign of K0 and K0bar and refuses the rest,
     on floats and arrays."""

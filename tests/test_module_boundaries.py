@@ -8,8 +8,10 @@ another package module must be defined there, which covers what ``__init__``
 re-exports.  Every function, class and method must have a caller in the
 package or the benchmark, so API that only tests use does not grow back.  The
 estimator layer (``estimate``) sits above the generators (``sim``) and alone
-maps record codes to outcome codes.  And the package needs nothing outside the
-standard library but numpy.  README's package layout names each module once.
+maps record codes to outcome codes.  Only ``core.lookup`` catches KeyError, so
+an unknown name is refused in one place.  And the package needs nothing
+outside the standard library but numpy.  README's package layout names each
+module once.
 """
 
 import ast
@@ -174,6 +176,29 @@ def test_every_definition_has_a_caller():
     unused = [f"{mod}.{qualname}" for mod, tree in trees.items()
               for qualname, name in _definitions(tree) if name not in used]
     assert not unused, f"definitions nothing calls: {unused}"
+
+
+def _key_error_handlers(tree, where=""):
+    """For each ``except`` clause that names KeyError (or its base,
+    LookupError), the name of the innermost function around it ('' at
+    module level)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {getattr(t, "id", getattr(t, "attr", None)) for t in types} & {
+                    "KeyError", "LookupError"}:
+                yield where
+        inner = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _key_error_handlers(node, node.name if inner else where)
+
+
+def test_only_lookup_catches_a_key_error():
+    """An unknown name is refused in one place: ``core.lookup`` turns the
+    KeyError of a missing key into the ValueError naming it, and no other
+    handler in the package catches KeyError."""
+    found = [f"{mod}.{where}" for mod, tree in _trees().items()
+             for where in _key_error_handlers(tree)]
+    assert found == ["core.lookup"], found
 
 
 def _foreign_imports(paths, allowed):

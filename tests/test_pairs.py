@@ -220,7 +220,7 @@ class TestStateOperations:
         """Float and array factors are finite however far dt reaches, either
         way, and keep the norm of the singlet with one side projected."""
         c = _amplitudes(normalized_pair(0.0, k))
-        b = pairs._ket(Outcome.K0)
+        b = EIGENSTATES[Outcome.K0]
         for dt in (-2000.0, -760.0, 760.0, 2000.0):
             array = on_arrays(pairs._survivor_factors, np.array([dt]), k)
             for f in (pairs._survivor_factors(dt, k), [v[0] for v in array]):
@@ -233,7 +233,7 @@ class TestStateOperations:
 
     def test_project_side_idempotent(self, k):
         c = _amplitudes(normalized_pair(1.3, k))
-        b = pairs._ket(Outcome.K0)
+        b = EIGENSTATES[Outcome.K0]
         for project in (pairs._project_left, pairs._project_right):
             once = project(c, b)
             twice = project(once, b)
@@ -244,8 +244,8 @@ class TestStateOperations:
         c = _amplitudes(normalized_pair(2.0, k))
         for project in (pairs._project_left, pairs._project_right):
             for a, b in ((Outcome.K0, Outcome.K0BAR), (Outcome.KS, Outcome.KL)):
-                total = (pairs._norm_sq(project(c, pairs._ket(a)))
-                         + pairs._norm_sq(project(c, pairs._ket(b))))
+                total = (pairs._norm_sq(project(c, EIGENSTATES[a]))
+                         + pairs._norm_sq(project(c, EIGENSTATES[b])))
                 assert total == pytest.approx(1.0, rel=1e-12)
 
     @given(dt=st.floats(min_value=-6.0, max_value=6.0))
@@ -255,7 +255,7 @@ class TestStateOperations:
         pair -- the situation where the reordering trick is used."""
         f = pairs._survivor_factors(dt, k)
         c = _amplitudes(normalized_pair(0.0, k))
-        b = pairs._ket(Outcome.K0)
+        b = EIGENSTATES[Outcome.K0]
         for project, propagate in ((pairs._project_right, pairs._propagate_left),
                                    (pairs._project_left, pairs._propagate_right)):
             state = project(c, b)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import free_propagation
-from kaoneraser import (CHANNEL_OUTCOME, Binning, DecayChannel, Estimate,
-                        EventSet, ExperimentKind, FitRow,
+from kaoneraser import (CHANNEL_OUTCOME, EIGENSTATES, Binning, DecayChannel,
+                        Estimate, EventSet, ExperimentKind, FitRow,
                         Observable, Outcome, Procedure, SimConfig,
                         closed_form_joint, estimate_probs, fit_visibility,
                         mixed_active_passive_prob, normalized_pair,
@@ -74,6 +74,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_pairs must be at most"):
             SimConfig(n_pairs=np.iinfo(np.intp).max + 1)
 
+    @pytest.mark.parametrize("field", ["n_pairs", "seed", "partitions"])
+    @pytest.mark.parametrize("bad", [1.5, 10.0, True, "10", None])
+    def test_integer_fields_must_be_integers(self, field, bad):
+        """A float, even an integral one, a bool, a string or None is refused
+        by field name when the config is built, not deep in a run."""
+        with pytest.raises(ValueError) as err:
+            SimConfig(**{"n_pairs": 10, field: bad})
+        assert str(err.value) == f"{field} must be an integer, got {bad!r}"
+
+    def test_integer_fields_take_numpy_integers(self, k, model):
+        cfg = SimConfig(n_pairs=np.int64(10), seed=np.int64(7),
+                        partitions=np.int32(2))
+        assert len(run_experiment("D", cfg, k, model)) == 10
+
     def test_default_grid_brackets_tau_r0(self):
         grid = SimConfig(n_pairs=1).tau_l_grid
         assert min(grid) < 4.8 < max(grid)
@@ -120,8 +134,11 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.l_time, b.l_time)
 
     def test_unknown_kind(self, k, model):
-        with pytest.raises(ValueError):
-            run_experiment("X", _cfg(), k, model)
+        """An unknown or unhashable kind is refused by name."""
+        for bad in ("X", None, ["A1"]):
+            with pytest.raises(ValueError) as err:
+                run_experiment(bad, _cfg(), k, model)
+            assert str(err.value) == f"unknown experiment kind {bad!r}"
 
 
 # sha256 over the concatenated run_experiment columns, in the order
@@ -435,7 +452,7 @@ def active_measure_and_collapse(c, side, observable, rng):
         outcomes = (Outcome.K0, Outcome.K0BAR)
     else:
         outcomes = (Outcome.KS, Outcome.KL)
-    projected = [project(c, pairs._ket(o)) for o in outcomes]
+    projected = [project(c, EIGENSTATES[o]) for o in outcomes]
     probs = [pairs._norm_sq(s) for s in projected]
     pick = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
     norm = math.sqrt(probs[pick])
