@@ -160,7 +160,7 @@ def cmd_analytic(args, cfg, values, k, sim) -> int:
              pair_visibility(dt, k))
 
     # nothing is written unless every row evaluated
-    out = values.get("out", Path("."))
+    out = values["out"]
     comment = _config_comment(cfg)
     _write_csv(out / "single_kaon.csv", comment,
                "tau,p_k0,p_k0bar,p_ks,p_kl,visibility", _CURVE_ROW, single)
@@ -174,7 +174,7 @@ def cmd_analytic(args, cfg, values, k, sim) -> int:
 def cmd_simulate(args, cfg, values, k, sim) -> int:
     kind = _kind("kind", values.get("kind"))  # the one key a command requires
     model = build_amplitude_model(k)
-    out = values.get("out", Path("."))
+    out = values["out"]
     events = run_experiment(kind, sim, k, model)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / f"events_{kind}.csv"
@@ -227,7 +227,7 @@ def cmd_fit(args, cfg, values, k, sim) -> int:
     rows = fit_visibility(estimate_probs(events), k)
     if not rows:
         raise ValueError("no strangeness-strangeness events to fit")
-    path = values.get("out", Path(".")) / "visibility.csv"
+    path = values["out"] / "visibility.csv"
     _write_csv(path, _config_comment(cfg),
                "delta_tau_bin,v_hat,stderr,excluded_flag",
                "%.12g,%.12g,%.12g,%d\n",
@@ -269,10 +269,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _effective(args)
-        values = {key: _RULES[key](key, value) for key, value in cfg.items()}
+        values = {"out": Path(".")} | {key: _RULES[key](key, value)
+                                       for key, value in cfg.items()}
         k = PhysicalConstants.from_json(values.get("constants", {}))
-        sim = SimConfig(**{"n_pairs": 10000} | {
-            f.name: values[f.name] for f in fields(SimConfig) if f.name in values})
+        sim = SimConfig(**{f.name: values[f.name] for f in fields(SimConfig)
+                           if f.name in values})
         return _COMMANDS[args.command](args, cfg, values, k, sim)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

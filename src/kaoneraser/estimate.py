@@ -41,18 +41,17 @@ class FitRow:
     excluded: bool
 
 
-@dataclass(frozen=True)
 class Binning:
-    lo: float = -10.0
-    hi: float = 10.0
-    width: float = 0.5
+    """The one binning of time differences: [lo, hi) in ``bins`` of ``width``."""
 
-    @property
-    def bins(self) -> int:
-        return int(round((self.hi - self.lo) / self.width))
+    lo = -10.0
+    hi = 10.0
+    width = 0.5
+    bins = 40
 
-    def centers(self):
-        return self.lo + self.width * (np.arange(self.bins) + 0.5)
+    @classmethod
+    def centers(cls):
+        return cls.lo + cls.width * (np.arange(cls.bins) + 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +61,10 @@ class CountTable:
     OUTCOME_BY_CODE.  Iterating it yields its nonzero cells, bin by bin, as
     Estimate rows."""
 
-    binning: Binning
     counts: np.ndarray = field(repr=False)
 
     def __iter__(self):
-        centers = self.binning.centers()
+        centers = Binning.centers()
         totals = self.counts.sum(axis=(1, 2))
         for b in np.flatnonzero(totals):
             n = int(totals[b])
@@ -85,7 +83,7 @@ def lifetime_share(rec: np.ndarray) -> float:
     return float(np.mean(_RECORD_OUT[rec] >= 2))
 
 
-def estimate_probs(events: EventSet, binning: Binning = Binning()) -> CountTable:
+def estimate_probs(events: EventSet) -> CountTable:
     """Per-bin counts of ordered outcome pairs among classified pairs.
 
     Discarded pairs never enter a cell (survivor normalization), whatever
@@ -98,10 +96,10 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> CountTable
     """
     if len(events) == 0:
         raise ValueError("empty event set")
-    nbins = binning.bins
+    nbins = Binning.bins
     x = np.subtract(events.l_time, events.r_time)
-    x -= binning.lo
-    x /= binning.width
+    x -= Binning.lo
+    x /= Binning.width
     keep = events.classified
     keep &= x >= 0
     keep &= x < nbins
@@ -110,7 +108,7 @@ def estimate_probs(events: EventSet, binning: Binning = Binning()) -> CountTable
     cell = (x[j].astype(np.intp) * 16 + _RECORD_OUT[events.l_rec[j]] * 4
             + _RECORD_OUT[events.r_rec[j]])
     counts = np.bincount(cell, minlength=16 * nbins).reshape(nbins, 4, 4)
-    return CountTable(binning, counts)
+    return CountTable(counts)
 
 
 def fit_visibility(table: CountTable, k: PhysicalConstants) -> list[FitRow]:
@@ -120,7 +118,7 @@ def fit_visibility(table: CountTable, k: PhysicalConstants) -> list[FitRow]:
     cosine is below 0.1 in size are flagged as excluded, not dropped."""
     ss = table.counts[:, :2, :2]  # outcome codes 0 and 1: K0 and K0bar
     like_all, unlike_all = ss[:, 0, 0] + ss[:, 1, 1], ss[:, 0, 1] + ss[:, 1, 0]
-    centers = table.binning.centers()
+    centers = Binning.centers()
     rows = []
     for b in np.flatnonzero(like_all + unlike_all):
         like, unlike = int(like_all[b]), int(unlike_all[b])

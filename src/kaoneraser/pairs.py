@@ -100,8 +100,11 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     """|<out_l, out_r | state>|^2 for a normalized two-kaon state."""
     if not state.normalized:
         raise ValueError("joint_projective_prob needs a normalized state")
-    ls, ll = EIGENSTATES[p.left]
-    rs, rl = EIGENSTATES[p.right]
+    try:
+        ls, ll = EIGENSTATES[p.left]
+        rs, rl = EIGENSTATES[p.right]
+    except AttributeError:
+        raise ValueError(f"p must be a JointProjector, got {p!r:.80}") from None
     c_LS, c_SL, _ = state
     amp = ll * rs * c_LS + ls * rl * c_SL
     return abs(amp) ** 2
@@ -211,7 +214,11 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     if isinstance(p, JointProjector):
         b_l, b_r = EIGENSTATES[p.left], EIGENSTATES[p.right]
     else:
-        b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
+        try:
+            b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
+        except (AttributeError, TypeError):
+            raise ValueError("p must be a JointProjector or a sequence of them, "
+                             f"got {p!r:.80}") from None
 
     # direct: project the survivor-normalized pair at tau_l - tau_r0
     c_LS, c_SL, _ = normalized_pair(tau_l - tau_r0, k, m)

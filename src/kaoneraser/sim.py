@@ -68,7 +68,7 @@ _BLOCK = 16384
 
 @dataclass(frozen=True)
 class SimConfig:
-    n_pairs: int
+    n_pairs: int = 10_000
     tau_l_grid: tuple = tuple(round(4.8 + d, 10) for d in np.arange(-4.5, 8.01, 0.5))
     tau_r0: float = 4.8
     window: float = 4.8  # lifetime misidentification window, in tau_S
@@ -102,7 +102,7 @@ class SimConfig:
 class EventSet:
     """Columnar store of simulated pairs: per side an int8 record code (an
     index into RECORDS, 0 for a discarded side) and a time (NaN for a
-    discarded side)."""
+    discarded side).  ``_COLS`` maps each column to its dtype."""
 
     kind: str
     l_rec: np.ndarray = field(repr=False)
@@ -110,7 +110,8 @@ class EventSet:
     r_rec: np.ndarray = field(repr=False)
     r_time: np.ndarray = field(repr=False)
 
-    _COLS = ("l_rec", "l_time", "r_rec", "r_time")
+    _COLS = {"l_rec": np.int8, "l_time": np.float64,
+             "r_rec": np.int8, "r_time": np.float64}
 
     def __len__(self):
         return len(self.l_rec)
@@ -123,15 +124,6 @@ class EventSet:
     @property
     def n_discarded(self) -> int:
         return int(np.sum(~self.classified))
-
-
-def _empty_columns(n):
-    """Uninitialized columns: each generator writes every element of its slices."""
-    cols = {}
-    for prefix in ("l_", "r_"):
-        cols[prefix + "rec"] = np.empty(n, dtype=np.int8)
-        cols[prefix + "time"] = np.empty(n)
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +432,9 @@ def run_experiment(kind: str, cfg: SimConfig, k: PhysicalConstants,
     of all w workers, one more thread, raised perfbench's `generate` peak
     RSS from 121-122 to 133.5-134.5 MB (3 runs each, 2-CPU VM)."""
     gen = lookup(_GENERATORS, kind, "unknown experiment kind {!r}")
-    cols = _empty_columns(cfg.n_pairs)
     n, parts = cfg.n_pairs, cfg.partitions
+    # uninitialized: each generator writes every element of its slices
+    cols = {col: np.empty(n, dtype) for col, dtype in EventSet._COLS.items()}
     filled = min(parts, n)  # partitions past the first n are empty
     workers = min(filled, usable_cpus())
 

@@ -19,7 +19,7 @@ from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
 from .pairs import (JOINT_KINDS, JointProjector, closed_form_joint,
                     delayed_choice_norms, joint_projective_prob,
                     normalized_pair, strangeness_probs)
-from .sim import misid_probs
+from .sim import SimConfig, misid_probs
 
 
 @dataclass(frozen=True)
@@ -167,31 +167,31 @@ def check_normalizations(k: PhysicalConstants, model: AmplitudeModel) -> list[Ch
             CheckResult("mixed-rate-normalization", mixed < 1e-5, mixed, 1e-5)]
 
 
-def _delayed_choice_triples(n_triples: int, seed: int) -> tuple:
-    """The (tau_l, tau_r0, projector) triples as three columns: both times
-    uniform on [0, 8), each side's outcome uniform over the four, drawn as
-    one array of each."""
-    rng = np.random.default_rng(seed)
-    tau_l, tau_r0 = rng.uniform(0.0, 8.0, (n_triples, 2)).T
-    sides = rng.integers(4, size=(n_triples, 2)).tolist()
+def _delayed_choice_triples() -> tuple:
+    """The 1000 (tau_l, tau_r0, projector) triples as three columns: both
+    times uniform on [0, 8), each side's outcome uniform over the four, drawn
+    as one array of each from a fixed seed."""
+    rng = np.random.default_rng(20240824)
+    tau_l, tau_r0 = rng.uniform(0.0, 8.0, (1000, 2)).T
+    sides = rng.integers(4, size=(1000, 2)).tolist()
     table = [[JointProjector(left, right) for right in Outcome]
              for left in Outcome]
     return tau_l, tau_r0, [table[i][j] for i, j in sides]
 
 
-def check_delayed_choice(k: PhysicalConstants, n_triples: int = 1000,
-                         seed: int = 20240824) -> CheckResult:
+def check_delayed_choice(k: PhysicalConstants) -> CheckResult:
     """Squared norms of the three operator orderings agree for randomized
     (tau_l, tau_r0, projector) triples, all evaluated in one array call."""
-    norms = delayed_choice_norms(*_delayed_choice_triples(n_triples, seed), k)
+    norms = delayed_choice_norms(*_delayed_choice_triples(), k)
     worst = float(np.ptp(norms, axis=0).max(initial=0.0))
     return CheckResult("delayed-choice-identity", worst < 1e-12, worst, 1e-12)
 
 
 def check_misid_window(k: PhysicalConstants) -> list[CheckResult]:
     out = []
-    p_ks, p_kl = misid_probs(4.8, k)
-    out.append(CheckResult("misid-window-4.8", abs(p_ks - p_kl) < 1e-4,
+    w = SimConfig.window  # the window simulated runs use
+    p_ks, p_kl = misid_probs(w, k)
+    out.append(CheckResult(f"misid-window-{w}", abs(p_ks - p_kl) < 1e-4,
                            abs(p_ks - p_kl), 1e-4,
                            detail=f"wrong_KS={p_ks:.6f} wrong_KL={p_kl:.6f}"))
     # f(x) = P(K_S decays after x) - P(K_L decays before x) is 1 at x = 0 and

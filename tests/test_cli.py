@@ -139,6 +139,15 @@ class TestSimulate:
         assert summary["rng_scheme"]
         assert summary["estimates"]
 
+    def test_run_defaults(self, tmp_path, monkeypatch):
+        """Without --pairs and --out, SimConfig's 10 000 pairs, written to
+        the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--kind", "A1") == 0
+        summary = json.loads((tmp_path / "summary_A1.json").read_text())
+        assert summary["n_pairs"] == summary["counts"]["records"] == 10_000
+        assert (tmp_path / "events_A1.csv").exists()
+
     def test_b_summary_reports_half_split(self, tmp_path):
         assert run("simulate", "--kind", "B", "--pairs", "20000",
                    "--out", str(tmp_path)) == 0

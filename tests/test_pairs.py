@@ -207,6 +207,20 @@ class TestStateOperations:
         with pytest.raises(ValueError, match="needs a normalized state"):
             joint_projective_prob(raw, JointProjector(Outcome.K0, Outcome.K0))
 
+    @pytest.mark.parametrize("bad", [(Outcome.K0, Outcome.K0), None, Outcome.K0],
+                             ids=["tuple", "none", "outcome"])
+    def test_projector_argument_must_be_a_projector(self, k, bad):
+        """Not a bare AttributeError or TypeError: a ValueError naming p, for
+        float and array times and for a bad entry in a sequence."""
+        good = JointProjector(Outcome.K0, Outcome.K0BAR)
+        message = "^p must be a JointProjector"
+        with pytest.raises(ValueError, match=message):
+            joint_projective_prob(normalized_pair(0.5, k), bad)
+        with pytest.raises(ValueError, match=message):
+            delayed_choice_norms(1.0, 0.0, bad, k)
+        with pytest.raises(ValueError, match=message):
+            delayed_choice_norms(np.ones(2), np.zeros(2), [good, bad], k)
+
     def test_states_are_immutable(self, k):
         state = normalized_pair(0.7, k)
         with pytest.raises(AttributeError):

@@ -88,6 +88,9 @@ class TestConfig:
                         partitions=np.int32(2))
         assert len(run_experiment("D", cfg, k, model)) == 10
 
+    def test_pair_count_defaults_to_ten_thousand(self):
+        assert SimConfig(seed=1).n_pairs == 10_000
+
     def test_default_grid_brackets_tau_r0(self):
         grid = SimConfig(n_pairs=1).tau_l_grid
         assert min(grid) < 4.8 < max(grid)
@@ -622,16 +625,16 @@ class TestCountBelow:
             np.testing.assert_array_equal(got, np.searchsorted(cdf, u))
 
 
-def _naive_estimates(events, binning=Binning()):
+def _naive_estimates(events):
     """Reference estimator: one boolean mask per occupied bin."""
     mask = events.classified
     dt = events.l_time[mask] - events.r_time[mask]
     lo_, ro_ = _fields(events, "l_")[2][mask], _fields(events, "r_")[2][mask]
-    nbins = int(round((binning.hi - binning.lo) / binning.width))
-    ib = np.floor((dt - binning.lo) / binning.width).astype(int)
+    nbins = int(round((Binning.hi - Binning.lo) / Binning.width))
+    ib = np.floor((dt - Binning.lo) / Binning.width).astype(int)
     ok = (ib >= 0) & (ib < nbins)
     ib, lo_, ro_ = ib[ok], lo_[ok], ro_[ok]
-    centers = binning.centers()
+    centers = Binning.centers()
     out = []
     for b in np.unique(ib):
         sel = ib == b
@@ -661,14 +664,14 @@ def _random_events(rng, n, low=0, high=9, t_max=24):
     return EventSet(kind="D", **cols)
 
 
-def _per_cell_counts(events, binning):
+def _per_cell_counts(events):
     """Reference count table: each (bin, left outcome, right outcome) cell
     counted with its own mask over the classified pairs."""
     mask = events.classified
     dt = events.l_time[mask] - events.r_time[mask]
     lo_, ro_ = _fields(events, "l_")[2][mask], _fields(events, "r_")[2][mask]
-    ib = np.floor((dt - binning.lo) / binning.width)
-    counts = np.zeros((len(binning.centers()), 4, 4), dtype=int)
+    ib = np.floor((dt - Binning.lo) / Binning.width)
+    counts = np.zeros((len(Binning.centers()), 4, 4), dtype=int)
     for b, l, r in np.ndindex(counts.shape):
         counts[b, l, r] = np.count_nonzero((ib == b) & (lo_ == l) & (ro_ == r))
     return counts
@@ -741,7 +744,9 @@ class TestEstimators:
         assert counts[22, 0, 1] == 1
 
     def test_binning_centers(self):
-        centers = Binning().centers()
+        b = Binning()
+        assert (b.lo, b.hi, b.width, b.bins) == (-10.0, 10.0, 0.5, 40)
+        centers = b.centers()
         assert len(centers) == 40
         assert centers[0] == pytest.approx(-9.75)
         assert centers[-1] == pytest.approx(9.75)
@@ -761,19 +766,13 @@ class TestEstimators:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_bin_reference(self, seed):
         rng = np.random.default_rng(seed)
-        ev = _random_events(rng, int(rng.integers(1, 400)))
-        assert list(estimate_probs(ev)) == _naive_estimates(ev)
-        narrow = Binning(lo=-1.0, hi=2.0, width=0.25)
-        assert list(estimate_probs(ev, narrow)) == _naive_estimates(ev, narrow)
-        # every pair classified (the shape of D), and time differences up to
-        # 10^4, both inside and far outside the binning
-        wide = Binning(lo=-1e4, hi=1e4, width=0.5)
-        for ev in (_random_events(rng, 300, low=1),
+        # bin edges, discarded sides and time differences outside [-10, 10);
+        # then every pair classified (the shape of D), and time differences
+        # up to 10^4, mostly far outside the binning
+        for ev in (_random_events(rng, int(rng.integers(1, 400))),
+                   _random_events(rng, 300, low=1),
                    _random_events(rng, 300, t_max=10**4)):
-            for binning in (Binning(), narrow, wide):
-                assert (list(estimate_probs(ev, binning))
-                        == _naive_estimates(ev, binning))
-            assert list(estimate_probs(ev, wide))
+            assert list(estimate_probs(ev)) == _naive_estimates(ev)
         assert list(estimate_probs(_random_events(rng, 300, high=1))) == []
 
     @pytest.mark.parametrize("seed", range(8))
@@ -781,22 +780,18 @@ class TestEstimators:
         """Every cell, zero cells included; pairs whose time difference
         falls outside the binning are in none."""
         rng = np.random.default_rng(seed)
-        narrow = Binning(lo=-1.0, hi=2.0, width=0.25)
         for ev in (_random_events(rng, int(rng.integers(1, 400))),
                    _random_events(rng, 300, low=1),
                    _random_events(rng, 300, high=1)):
-            for binning in (Binning(), narrow):
-                table = estimate_probs(ev, binning)
-                assert table.binning == binning
-                assert table.counts.shape == (len(binning.centers()), 4, 4)
-                np.testing.assert_array_equal(table.counts,
-                                              _per_cell_counts(ev, binning))
+            table = estimate_probs(ev)
+            assert table.counts.shape == (40, 4, 4)
+            np.testing.assert_array_equal(table.counts, _per_cell_counts(ev))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_matches_string_compare_reference(self, k, seed):
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 50, (40, 4, 4)) * (rng.random((40, 4, 4)) < 0.5)
-        for table in (CountTable(Binning(), counts),
+        for table in (CountTable(counts),
                       estimate_probs(_random_events(rng, 400, low=1, high=5))):
             rows = fit_visibility(table, k)
             assert rows and rows == _ss_fit_reference(table, k)
@@ -805,7 +800,7 @@ class TestEstimators:
         n, like, unlike = 3_000_000, 1_000_001, 1_999_999
         counts = np.zeros((40, 4, 4), dtype=np.int64)
         counts[20, 0, 0], counts[20, 0, 1] = like, unlike  # the bin at 0.25
-        table = CountTable(Binning(), counts)
+        table = CountTable(counts)
         # p_hat carried to six digits, as a table read back from text would be
         assert [e.bin for e in table] == [0.25, 0.25]
         assert [round(float(f"{e.p_hat:.6g}") * n) for e in table] != [like, unlike]
@@ -818,11 +813,13 @@ class TestEstimators:
 class TestEventFileRoundTrip:
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
     def test_lossless_round_trip(self, k, model, kind, tmp_path):
+        """The same values, each column in its dtype of EventSet._COLS."""
         ev = run_experiment(kind, _cfg(n_pairs=500), k, model)
         path = tmp_path / "events.csv"
         write_events(ev, path)
         back = read_events(path, kind=kind)
-        for col in EventSet._COLS:
+        for col, dtype in EventSet._COLS.items():
+            assert getattr(ev, col).dtype == getattr(back, col).dtype == dtype
             np.testing.assert_array_equal(
                 getattr(ev, col), getattr(back, col),
                 err_msg=f"{kind}:{col}")

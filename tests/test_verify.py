@@ -39,7 +39,7 @@ def _mutated(func, old, new):
 def test_delayed_choice_catches_missing_survivor_rescaling(k, monkeypatch):
     # both reorderings take their one-sided propagator from _survivor_factors
     monkeypatch.setattr(pairs, "_survivor_factors", free_propagation)
-    result = check_delayed_choice(k, n_triples=50)
+    result = check_delayed_choice(k)
     assert not result.passed
     assert result.worst > 1e-3
 
@@ -76,21 +76,15 @@ def test_delayed_choice_catches_a_wrong_side_in_the_delayed_ordering(k, monkeypa
                           "delayed = _norm_sq(_project_right(s, b_r))",
                           "delayed = _norm_sq(_project_left(s, b_r))")
     monkeypatch.setattr("kaoneraser.verify.delayed_choice_norms", wrong_side)
-    result = check_delayed_choice(k, n_triples=50)
+    result = check_delayed_choice(k)
     assert not result.passed
     assert result.worst > 1e-3
 
 
-def _default_draw():
-    defaults = inspect.signature(check_delayed_choice).parameters
-    return _delayed_choice_triples(defaults["n_triples"].default,
-                                   defaults["seed"].default)
-
-
 def test_delayed_choice_draw_covers_the_identity(k):
-    """The default draw meets all 16 projectors and both orderings of the
-    two times (tau_l < tau_r0 is delayed-choice mode), and repeats."""
-    tau_l, tau_r0, projectors = _default_draw()
+    """The draw meets all 16 projectors and both orderings of the two times
+    (tau_l < tau_r0 is delayed-choice mode), and repeats."""
+    tau_l, tau_r0, projectors = _delayed_choice_triples()
     assert len(tau_l) == len(tau_r0) == len(projectors) == 1000
     assert len({(p.left, p.right) for p in projectors}) == 16
     assert np.any(tau_l < tau_r0)
@@ -101,21 +95,26 @@ def test_delayed_choice_draw_covers_the_identity(k):
 def test_batched_norms_match_the_float_calls(k):
     """One array call gives each triple's float-call norms, to a few units
     in the last place (numpy's exp may round otherwise than math.exp and
-    cmath.exp); the norms are at most 1, so the bound is absolute."""
-    tau_l, tau_r0, projectors = _default_draw()
+    cmath.exp); the norms are at most 1, so the bound is absolute.  A batch
+    of one triple gives arrays of one norm."""
+    tau_l, tau_r0, projectors = _delayed_choice_triples()
     batched = np.array(pairs.delayed_choice_norms(tau_l, tau_r0, projectors, k))
     each = np.array([pairs.delayed_choice_norms(tl, tr, p, k) for tl, tr, p
                      in zip(tau_l.tolist(), tau_r0.tolist(), projectors)])
     assert batched.shape == (3, 1000)
     assert np.max(np.abs(batched.T - each)) <= 4 * 2.0 ** -52
-    one = check_delayed_choice(k, n_triples=1)
-    assert one.passed and type(one.worst) is float
+    one = np.array(pairs.delayed_choice_norms(tau_l[:1], tau_r0[:1],
+                                              projectors[:1], k))
+    np.testing.assert_array_equal(one, batched[:, :1])
+    result = check_delayed_choice(k)
+    assert result.passed and type(result.worst) is float
 
 
 def test_delayed_choice_check_rescales_in_one_batch(k, monkeypatch):
-    """The check calls the survivor rescaling once per reordering, however
-    many triples it draws."""
+    """A batch calls the survivor rescaling once per reordering, however
+    many triples it holds, and so does the check."""
     calls, survivor_factors = [], pairs._survivor_factors
+    tau_l, tau_r0, projectors = _delayed_choice_triples()
 
     def counted(*args):
         calls.append(1)
@@ -123,8 +122,11 @@ def test_delayed_choice_check_rescales_in_one_batch(k, monkeypatch):
     monkeypatch.setattr(pairs, "_survivor_factors", counted)
     for n in (1, 50, 1000):
         calls.clear()
-        assert check_delayed_choice(k, n_triples=n).passed
+        pairs.delayed_choice_norms(tau_l[:n], tau_r0[:n], projectors[:n], k)
         assert len(calls) == 2, n
+    calls.clear()
+    assert check_delayed_choice(k).passed
+    assert len(calls) == 2
 
 
 def test_oracle_grid_catches_a_wrong_sign(k, monkeypatch):
