@@ -7,10 +7,12 @@ Subcommands
     fit       -- reconstruct oscillation visibility from an event file
 
 Every command passes the same boundary in `main`: the config file is merged
-with the flags, every key is checked against its rule in `_RULES` (the one
-list of config keys), and the constants and the `SimConfig`, which check
-their own ranges, are built once; only then does a command run.  A config
-that breaks a rule is rejected by whichever command reads it.
+with the flags, and each key is checked once, by the object that owns it,
+before any command runs.  `PhysicalConstants.from_json` checks `constants`;
+`SimConfig` checks the keys named like its fields (`n_pairs`, `seed`,
+`partitions`, `tau_r0`, `window`, `tau_l_grid`); the rules of `_RULES` (the
+one list of config keys) check `kind`, `out` and the grids' JSON types.  So
+a config that breaks a rule is rejected by whichever command reads it.
 
 Exit status: 0 on success, 1 on configuration/validation errors and sampler
 failures, 2 when the verification suite reports a failure.
@@ -43,16 +45,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _integer(key: str, value) -> int:
-    """An integer; integral JSON numbers such as 1e6 are accepted."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return int(value)
+def _integer(key: str, value):
+    """An integral JSON float such as 1e6 as an int; `SimConfig` checks
+    every value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
-def _number(key: str, value) -> float:
-    return finite_number(f"config key {key!r}", value)
+def _as_given(key: str, value):
+    return value
 
 
 def _grid(key: str, value) -> tuple[float, ...]:
@@ -75,12 +77,6 @@ def _times(key: str, value) -> tuple[float, ...]:
     return grid
 
 
-def _object(key: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
-
-
 def _path(key: str, value) -> Path:
     if not isinstance(value, str):
         raise ValueError(f"config key {key!r} must be a path string, got {value!r}")
@@ -93,13 +89,12 @@ def _kind(key: str, value) -> str:
     return value
 
 
-# Each config key and the rule that checks its JSON value and converts it.
-# The keys named like SimConfig fields build it; SimConfig and
-# PhysicalConstants check their own ranges (tau_l_grid's included).
-_RULES = {"constants": _object, "kind": _kind, "n_pairs": _integer,
-          "seed": _integer, "partitions": _integer, "tau_r0": _number,
-          "window": _number, "tau_l_grid": _grid, "tau_grid": _times, "delta_tau_grid": _grid,
-          "out": _path}
+# Each config key and the rule that checks or converts its JSON value; the
+# values passed on as given are checked by SimConfig or the constants.
+_RULES = {"constants": _as_given, "kind": _kind, "n_pairs": _integer,
+          "seed": _integer, "partitions": _integer, "tau_r0": _as_given,
+          "window": _as_given, "tau_l_grid": _grid, "tau_grid": _times,
+          "delta_tau_grid": _grid, "out": _path}
 
 
 def _effective(args) -> dict:
@@ -245,8 +240,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON run-configuration file")
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--pairs", type=int, help="number of kaon pairs")
-        p.add_argument("--kind", choices=ExperimentKind.ALL,
-                       help="experiment kind")
+        p.add_argument("--kind", help="experiment kind: "
+                       + ", ".join(ExperimentKind.ALL))
         p.add_argument("--out", help="output directory (default: .)")
 
     common(sub.add_parser("analytic", help="emit closed-form curves"))

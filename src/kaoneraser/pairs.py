@@ -100,11 +100,10 @@ def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     """|<out_l, out_r | state>|^2 for a normalized two-kaon state."""
     if not state.normalized:
         raise ValueError("joint_projective_prob needs a normalized state")
-    try:
-        ls, ll = EIGENSTATES[p.left]
-        rs, rl = EIGENSTATES[p.right]
-    except AttributeError:
-        raise ValueError(f"p must be a JointProjector, got {p!r:.80}") from None
+    if not isinstance(p, JointProjector):
+        raise ValueError(f"p must be a JointProjector, got {p!r:.80}")
+    ls, ll = EIGENSTATES[p.left]
+    rs, rl = EIGENSTATES[p.right]
     c_LS, c_SL, _ = state
     amp = ll * rs * c_LS + ls * rl * c_SL
     return abs(amp) ** 2
@@ -203,9 +202,9 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     over tau_l - tau_r0 with ``_survivor_factors``; direct projects
     ``normalized_pair`` and shares only the two eigenstates with them.
 
-    Given arrays of times and a sequence of projectors, one per pair, or one
-    projector for every pair, the same steps run on numpy arrays and the
-    three norms are arrays."""
+    Given arrays of times and a list or tuple of projectors, one per pair,
+    or one projector for every pair, the same steps run on numpy arrays and
+    the three norms are arrays."""
     if m is None and (check_times("evolution times", tau_l, tau_r0)
                       or not isinstance(p, JointProjector)):
         return on_arrays(delayed_choice_norms, np.asarray(tau_l, float),
@@ -213,12 +212,12 @@ def delayed_choice_norms(tau_l: float, tau_r0: float, p: JointProjector,
     m = m or FloatMath
     if isinstance(p, JointProjector):
         b_l, b_r = EIGENSTATES[p.left], EIGENSTATES[p.right]
+    elif (isinstance(p, (list, tuple))
+          and all(isinstance(q, JointProjector) for q in p)):
+        b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
     else:
-        try:
-            b_l, b_r = _kets([q.left for q in p]), _kets([q.right for q in p])
-        except (AttributeError, TypeError):
-            raise ValueError("p must be a JointProjector or a sequence of them, "
-                             f"got {p!r:.80}") from None
+        raise ValueError("p must be a JointProjector or a list or tuple of "
+                         f"them, got {p!r:.80}")
 
     # direct: project the survivor-normalized pair at tau_l - tau_r0
     c_LS, c_SL, _ = normalized_pair(tau_l - tau_r0, k, m)

@@ -93,9 +93,11 @@ class SimConfig:
             raise ValueError("tau_r0 must be nonnegative")
         if finite_number("window", self.window) <= 0:
             raise ValueError("window length must be positive")
-        if (not self.tau_l_grid
-                or any(finite_number("tau_l_grid", t) < 0 for t in self.tau_l_grid)):
-            raise ValueError("tau_l_grid must be nonempty and nonnegative")
+        grid = self.tau_l_grid
+        if (not isinstance(grid, (list, tuple)) or not grid
+                or any(finite_number("tau_l_grid", t) < 0 for t in grid)):
+            raise ValueError("tau_l_grid must be a nonempty list or tuple of "
+                             f"nonnegative numbers, got {grid!r}")
 
 
 @dataclass

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaoneraser import (ExperimentKind, closed_form_joint, cli,
-                        pair_visibility, read_events, strangeness_probs)
+from kaoneraser import (ExperimentKind, PhysicalConstants, SimConfig,
+                        closed_form_joint, cli, pair_visibility, read_events,
+                        strangeness_probs)
 from kaoneraser.cli import main
 
 
@@ -159,9 +160,7 @@ class TestSimulate:
         assert "kind" in capsys.readouterr().err
 
     def test_bad_kind_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("simulate", "--kind", "Z", "--out", str(tmp_path))
-        assert exc.value.code == 1
+        assert run("simulate", "--kind", "Z", "--out", str(tmp_path)) == 1
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -213,7 +212,8 @@ class TestSimulate:
         cfg.write_text(json.dumps({key: value}))
         assert run("simulate", "--kind", "A1", "--config", str(cfg),
                    "--out", str(tmp_path)) == 1
-        assert f"'{key}' must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {key} must be an integer, got {value!r}\n")
         assert not (tmp_path / "events_A1.csv").exists()
 
     @pytest.mark.parametrize("doc,message", [
@@ -221,11 +221,11 @@ class TestSimulate:
         ({"tau_l_grid": [1e400]},
          "config key 'tau_l_grid' entry must be a finite number, got inf"),
         ({"tau_r0": float("nan")},
-         "config key 'tau_r0' must be a finite number, got nan"),
-        ({"tau_r0": "abc"}, "config key 'tau_r0' must be a finite number, got 'abc'"),
-        ({"window": "w"}, "config key 'window' must be a finite number, got 'w'"),
-        ({"constants": []}, "config key 'constants' must be a JSON object, got []"),
-        ({"constants": None}, "config key 'constants' must be a JSON object, got None"),
+         "tau_r0 must be a finite number, got nan"),
+        ({"tau_r0": "abc"}, "tau_r0 must be a finite number, got 'abc'"),
+        ({"window": "w"}, "window must be a finite number, got 'w'"),
+        ({"constants": []}, "constants must be a JSON object, got []"),
+        ({"constants": None}, "constants must be a JSON object, got None"),
         ({"constants": {"gamma_S": "x"}},
          "constants field 'gamma_S' must be a finite number, got 'x'"),
         ({"constants": {"delta_m": float("nan")}},
@@ -308,6 +308,21 @@ class TestSimulate:
         for name in (f"events_{kind}.csv", f"summary_{kind}.json"):
             a, b = (out / name for out in runs)
             assert a.read_bytes() == b.read_bytes(), name
+
+    @pytest.mark.parametrize("kind", ExperimentKind.ALL)
+    def test_integer_times_give_the_same_events(self, tmp_path, kind):
+        """tau_r0 and window reach SimConfig as JSON spells them: 5 and 5.0
+        write the same event file."""
+        for name, doc in (("int", {"tau_r0": 5, "window": 5}),
+                          ("float", {"tau_r0": 5.0, "window": 5.0})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            assert run("simulate", "--kind", kind, "--pairs", "20000",
+                       "--seed", "3", "--config", str(cfg),
+                       "--out", str(tmp_path / name)) == 0
+        a, b = (tmp_path / name / f"events_{kind}.csv"
+                for name in ("int", "float"))
+        assert a.read_bytes() == b.read_bytes()
 
 
 # sha256 of the files `simulate` then `fit` write for 20 000 pairs, seed 5,
@@ -525,7 +540,7 @@ class TestOneBoundary:
     GOLDEN_A1 = Path(__file__).parent / "data" / "golden_events_A1.csv"
 
     @pytest.mark.parametrize("doc,named", [
-        ({"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
         ({"tau_l_grid": 5}, "config key 'tau_l_grid' must be a list of numbers"),
         ({"partitions": 0}, "partitions must be >= 1"),
         ({"window": -1}, "window length must be positive"),
@@ -541,6 +556,47 @@ class TestOneBoundary:
         assert captured.err.startswith(f"error: {named}")
         assert captured.out == ""
         assert not out.exists()
+
+    # each key whose value the CLI passes to its owner, and a value the
+    # owner refuses
+    OWNED = [("n_pairs", 1.5), ("seed", "x"), ("partitions", True),
+             ("tau_r0", "abc"), ("window", float("nan")), ("constants", [])]
+    COMMANDS = ["analytic", "simulate", "verify", "fit"]
+
+    @pytest.mark.parametrize("key,value", OWNED)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_message_per_bad_value(self, tmp_path, capsys, command, key,
+                                       value):
+        """The error line is the message of the owner's own check, on
+        every command."""
+        with pytest.raises(ValueError) as owner:
+            if key == "constants":
+                PhysicalConstants.from_json(value)
+            else:
+                SimConfig(**{key: value})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        events = [str(self.GOLDEN_A1)] if command == "fit" else []
+        assert run(command, *events, "--kind", "A1", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {owner.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_kind_flag_and_key_print_one_line(self, tmp_path, capsys,
+                                                  command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "Z"}))
+        events = [str(self.GOLDEN_A1)] if command == "fit" else []
+        lines = []
+        for source in (["--kind", "Z"], ["--config", str(cfg)]):
+            assert run(command, *events, *source,
+                       "--out", str(tmp_path / "out")) == 1
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] == (
+            f"error: kind must be one of {ExperimentKind.ALL}, got 'Z'\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestOneParser:

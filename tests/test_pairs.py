@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -207,11 +208,13 @@ class TestStateOperations:
         with pytest.raises(ValueError, match="needs a normalized state"):
             joint_projective_prob(raw, JointProjector(Outcome.K0, Outcome.K0))
 
-    @pytest.mark.parametrize("bad", [(Outcome.K0, Outcome.K0), None, Outcome.K0],
-                             ids=["tuple", "none", "outcome"])
+    @pytest.mark.parametrize("bad", [(Outcome.K0, Outcome.K0), None, Outcome.K0,
+                                     SimpleNamespace(left="K0", right="K0")],
+                             ids=["tuple", "none", "outcome", "duck-typed"])
     def test_projector_argument_must_be_a_projector(self, k, bad):
-        """Not a bare AttributeError or TypeError: a ValueError naming p, for
-        float and array times and for a bad entry in a sequence."""
+        """Not a bare AttributeError, TypeError or KeyError: a ValueError
+        naming p, for float and array times and for a bad entry in a
+        sequence."""
         good = JointProjector(Outcome.K0, Outcome.K0BAR)
         message = "^p must be a JointProjector"
         with pytest.raises(ValueError, match=message):

@@ -83,6 +83,16 @@ class TestConfig:
             SimConfig(**{"n_pairs": 10, field: bad})
         assert str(err.value) == f"{field} must be an integer, got {bad!r}"
 
+    @pytest.mark.parametrize("grid", [5, np.float64(2.0), np.array([1.0, 2.0])],
+                             ids=["int", "numpy-scalar", "array"])
+    def test_grid_must_be_a_list_or_tuple(self, grid):
+        """Not a TypeError or numpy's ambiguous truth value: a ValueError
+        naming the field."""
+        with pytest.raises(ValueError) as err:
+            SimConfig(n_pairs=10, tau_l_grid=grid)
+        assert str(err.value) == ("tau_l_grid must be a nonempty list or tuple "
+                                  f"of nonnegative numbers, got {grid!r}")
+
     def test_integer_fields_take_numpy_integers(self, k, model):
         cfg = SimConfig(n_pairs=np.int64(10), seed=np.int64(7),
                         partitions=np.int32(2))
