@@ -11,7 +11,7 @@ with the flags, and each key is checked once, by the object that owns it,
 before any command runs.  `PhysicalConstants.from_json` checks `constants`;
 `SimConfig` checks the keys named like its fields (`n_pairs`, `seed`,
 `partitions`, `tau_r0`, `window`, `tau_l_grid`); the rules of `_RULES` (the
-one list of config keys) check `kind`, `out` and the grids' JSON types.  So
+one list of config keys) check `kind`, `out` and `analytic`'s two grids.  So
 a config that breaks a rule is rejected by whichever command reads it.
 
 Exit status: 0 on success, 1 on configuration/validation errors and sampler
@@ -93,7 +93,7 @@ def _kind(key: str, value) -> str:
 # values passed on as given are checked by SimConfig or the constants.
 _RULES = {"constants": _as_given, "kind": _kind, "n_pairs": _integer,
           "seed": _integer, "partitions": _integer, "tau_r0": _as_given,
-          "window": _as_given, "tau_l_grid": _grid, "tau_grid": _times,
+          "window": _as_given, "tau_l_grid": _as_given, "tau_grid": _times,
           "delta_tau_grid": _grid, "out": _path}
 
 

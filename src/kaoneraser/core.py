@@ -256,9 +256,8 @@ EIGENSTATES = {
 def pair_beam_norm(tau_l: float, tau_r: float, k: PhysicalConstants,
                    m=None) -> float:
     """Two-beam survivor normalization N(tau_l, tau_r) = [exp(-G_L tau_l -
-    G_S tau_r) + exp(-G_S tau_l - G_L tau_r)]/2.  At tau_r = 0 it is the
-    survival probability of a single kaon born in a strangeness eigenstate,
-    the denominator of every passive-measurement probability."""
+    G_S tau_r) + exp(-G_S tau_l - G_L tau_r)]/2, the chance that both kaons
+    survive; at tau_r = 0, that a single kaon born as K0 or K0bar survives."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(pair_beam_norm, tau_l, tau_r, k)
     m = m or FloatMath

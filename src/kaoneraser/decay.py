@@ -5,8 +5,8 @@ channel carries a scalar effective amplitude <f|T|K_S,L> whose squared modulus
 is the corresponding partial width.  Phases are all zero except the mandatory
 minus sign between the two semileptonic couplings of K_L, which follows from
 the Delta-S = Delta-Q rule and the basis convention K0 = (K_S + K_L)/sqrt(2).
-The rate and probability oracles take float times or arrays of times, by the
-float/array rule of ``core``.
+Passive probabilities project decay bras (``AmplitudeModel.bras``); the
+oracles take float times or arrays of times, by the float/array rule of core.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .core import (EIGENSTATES, FloatMath, Outcome, PhysicalConstants,
-                   check_times, lookup, on_arrays, pair_beam_norm)
+                   check_times, lookup, on_arrays)
+from .pairs import bra_projection, normalized_pair
 
 
 class DecayChannel(Enum):
@@ -63,6 +65,20 @@ class AmplitudeModel:
 
     a_S: tuple
     a_L: tuple
+
+    @cached_property
+    def bras(self) -> dict:
+        """Per outcome o, the bra (a_S(f), a_L(f)) / |<f|T|o>| of the decay f
+        identifying it, its amplitudes scaled first so no width underflows."""
+        bras = {}
+        for o, f in OUTCOME_CHANNEL.items():
+            a_S, a_L = self.a_S[CHANNEL_CODES[f]], self.a_L[CHANNEL_CODES[f]]
+            top = max(abs(a_S), abs(a_L)) or 1.0
+            (c_S, c_L), a_S, a_L = EIGENSTATES[o], a_S / top, a_L / top
+            if not (root := abs(c_S * a_S + c_L * a_L)):
+                raise ValueError(f"identifying width of {f.value!r} is zero")
+            bras[o] = a_S / root, a_L / root
+        return bras
 
 
 def build_amplitude_model(k: PhysicalConstants) -> AmplitudeModel:
@@ -158,22 +174,14 @@ def decay_width(channel: DecayChannel, k: PhysicalConstants,
 def passive_joint_prob(out_l: Outcome, tau_l: float, out_r: Outcome,
                        tau_r: float, k: PhysicalConstants,
                        model: AmplitudeModel, m=None) -> float:
-    """Joint detection probability reconstructed from passive decay rates.
-    Rate and survivor norm both scale by exp(-(G_S + G_L) s) when both times
-    shift by s, so the quotient is taken with the earlier time at 0: the
-    norm then underflows only for times some 745 K_L lifetimes apart."""
+    """Joint probability of two passive measurements: both decay bras
+    projected on the survivor-conditioned pair at tau_l - tau_r."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(passive_joint_prob, out_l, tau_l, out_r, tau_r, k,
                          model)
-    m = m or FloatMath
-    d = tau_l - tau_r
-    tau_l, tau_r = (d > 0) * d, (d < 0) * -d
-    f_l = lookup(OUTCOME_CHANNEL, out_l, "unknown outcome {!r}")
-    f_r = lookup(OUTCOME_CHANNEL, out_r, "unknown outcome {!r}")
-    rate = joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model, m)
-    denom = (decay_width(f_l, k, model) * decay_width(f_r, k, model)
-             * pair_beam_norm(tau_l, tau_r, k, m))
-    return rate / denom
+    return bra_projection(lookup(model.bras, out_l, "unknown outcome {!r}"),
+                          lookup(model.bras, out_r, "unknown outcome {!r}"),
+                          normalized_pair(tau_l - tau_r, k, m or FloatMath))
 
 
 def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
@@ -181,26 +189,22 @@ def mixed_active_passive_prob(active_out_l: Outcome, tau_l: float,
                               k: PhysicalConstants,
                               model: AmplitudeModel, m=None) -> float:
     """Joint probability: active strangeness on the left, passive on the
-    right, the mixed rate over the right identifying width and the survivor
-    norm, taken with the earlier time at 0 as in ``passive_joint_prob``."""
+    right, its eigenstate and decay bra projected as in passive_joint_prob."""
     if m is None and check_times("times", tau_l, tau_r):
         return on_arrays(mixed_active_passive_prob, active_out_l, tau_l,
                          out_r, tau_r, k, model)
-    m = m or FloatMath
-    d = tau_l - tau_r
-    tau_l, tau_r = (d > 0) * d, (d < 0) * -d
-    f_r = lookup(OUTCOME_CHANNEL, out_r, "unknown outcome {!r}")
-    rate = mixed_decay_rate(active_out_l, f_r, tau_l, tau_r, k, model, m)
-    denom = decay_width(f_r, k, model) * pair_beam_norm(tau_l, tau_r, k, m)
-    return rate / denom
+    lookup(_STRANGENESS_SIGN, active_out_l,
+           "active left outcome must be a strangeness outcome")
+    b_r = lookup(model.bras, out_r, "unknown outcome {!r}")
+    return bra_projection(EIGENSTATES[active_out_l], b_r,
+                          normalized_pair(tau_l - tau_r, k, m or FloatMath))
 
 
 def passive_single_prob(outcome: Outcome, tau: float, k: PhysicalConstants,
                         model: AmplitudeModel) -> float:
-    """Detection probability of a single kaon born as K0, reconstructed from
-    the identifying decay rate: finding the partner as K0bar at tau = 0
-    prepares the K0, so it is twice the mixed probability with that partner.
-    Coincides with the active closed forms."""
+    """Passive detection probability of a single kaon born as K0: finding
+    the partner as K0bar at tau = 0 prepares the K0, so it is twice the mixed
+    probability with that partner."""
     check_times("tau", tau)
     return 2.0 * mixed_active_passive_prob(Outcome.K0BAR, 0.0, outcome, tau,
                                            k, model)

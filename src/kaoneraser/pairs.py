@@ -96,17 +96,19 @@ def _kets(outcomes: list) -> tuple:
     return tuple(_KET_ROWS.take([_KET_ROW[o] for o in outcomes], axis=0).T)
 
 
+def bra_projection(b_l: tuple, b_r: tuple, state: TwoKaonState) -> float:
+    """|<b_l, b_r | state>|^2 for real bras (b_S, b_L) of outcomes or decays."""
+    (ls, ll), (rs, rl), (c_LS, c_SL, _) = b_l, b_r, state
+    return abs(ll * rs * c_LS + ls * rl * c_SL) ** 2
+
+
 def joint_projective_prob(state: TwoKaonState, p: JointProjector) -> float:
     """|<out_l, out_r | state>|^2 for a normalized two-kaon state."""
     if not state.normalized:
         raise ValueError("joint_projective_prob needs a normalized state")
     if not isinstance(p, JointProjector):
         raise ValueError(f"p must be a JointProjector, got {p!r:.80}")
-    ls, ll = EIGENSTATES[p.left]
-    rs, rl = EIGENSTATES[p.right]
-    c_LS, c_SL, _ = state
-    amp = ll * rs * c_LS + ls * rl * c_SL
-    return abs(amp) ** 2
+    return bra_projection(EIGENSTATES[p.left], EIGENSTATES[p.right], state)
 
 
 def closed_form_joint(kind: str, delta_tau: float, k: PhysicalConstants,

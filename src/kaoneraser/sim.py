@@ -161,7 +161,7 @@ def _draw_tau_l(n, rng, cfg):
     """The tau_l grid and each pair's index into it.  tau_l takes only
     len(grid) values, so whatever depends on tau_l alone is evaluated once
     on the grid and gathered per pair with [ig]."""
-    grid = np.asarray(cfg.tau_l_grid)
+    grid = np.asarray(cfg.tau_l_grid, dtype=float)
     return grid, rng.integers(0, len(grid), n)
 
 

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayMath, Outcome, PhysicalConstants, pair_beam_norm
-from .decay import (AmplitudeModel, DecayChannel, build_amplitude_model,
+from .core import (ArrayMath, Outcome, PhysicalConstants, on_arrays,
+                   pair_beam_norm)
+from .decay import (OUTCOME_CHANNEL, AmplitudeModel, DecayChannel,
+                    build_amplitude_model, decay_width, joint_decay_rate,
                     mixed_active_passive_prob, mixed_decay_rate,
                     pair_rate_terms, passive_joint_prob, passive_pair_weights,
                     passive_single_prob)
@@ -34,7 +36,9 @@ class CheckResult:
 
 def _worst(got, want) -> float:
     """The largest deviation of ``got`` from ``want``, taken elementwise:
-    relative, or absolute where both are below 1e-12 in size."""
+    relative, or absolute where both are below 1e-12 in size.  A check
+    takes it once over all its values, so that a NaN anywhere makes it NaN
+    (Python's max would keep an earlier number over a later NaN)."""
     diff = abs(got - want)
     scale = np.maximum(abs(got), abs(want))
     return float((diff / np.where(scale < 1e-12, 1.0, scale)).max(initial=0.0))
@@ -64,29 +68,53 @@ def check_oracle_grid(k: PhysicalConstants) -> CheckResult:
     dt = np.arange(-12.0, 12.0 + 1e-9, 0.25)
     state = normalized_pair(dt, k)
     closed = _closed_forms(dt, k)
-    worst = max(_worst(joint_projective_prob(state, JointProjector(l, r)),
-                       closed[kind]) for l, r, kind in _PAIRS)
+    worst = _worst(np.array([joint_projective_prob(state, JointProjector(l, r))
+                             for l, r, _ in _PAIRS]),
+                   np.array([closed[kind] for _, _, kind in _PAIRS]))
     return CheckResult("oracle-equivalence-grid", worst < 1e-10, worst, 1e-10)
+
+
+def _rate_quotients(left: Outcome, right: Outcome, tau_l, tau_r,
+                    k: PhysicalConstants, model: AmplitudeModel, m) -> tuple:
+    """The paper's passive and mixed probabilities of (left, right): the joint
+    and the mixed decay rate over the identifying widths and the survivor
+    norm.  Rates and norm all scale by exp(-(G_S + G_L) s) when both times
+    shift by s, so they are taken with the earlier time at 0."""
+    d = tau_l - tau_r
+    tau_l, tau_r = (d > 0) * d, (d < 0) * -d
+    f_l, f_r = OUTCOME_CHANNEL[left], OUTCOME_CHANNEL[right]
+    w_l, w_r = decay_width(f_l, k, model), decay_width(f_r, k, model)
+    norm = pair_beam_norm(tau_l, tau_r, k, m)
+    return (joint_decay_rate(f_l, tau_l, f_r, tau_r, k, model, m)
+            / (w_l * w_r * norm),
+            mixed_decay_rate(left, f_r, tau_l, tau_r, k, model, m) / (w_r * norm))
 
 
 def check_active_passive(k: PhysicalConstants,
                          model: AmplitudeModel) -> CheckResult:
     """Passive and mixed joint probabilities vs the active closed forms on the
-    (tau_l, tau_r) product grid {0,1,2,4,8}^2, plus the single-kaon case."""
+    (tau_l, tau_r) product grid {0,1,2,4,8}^2, by the rate quotients (on
+    arrays, under ``on_arrays``' error state) and by the projection oracles;
+    plus the single-kaon case."""
     grid = np.array((0.0, 1.0, 2.0, 4.0, 8.0))
     tl, tr = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     closed = _closed_forms(tl - tr, k)
-    worst = max(_worst(oracle(left, tl, right, tr, k, model), closed[kind])
-                for left, right, kind in _PAIRS
-                for oracle in (passive_joint_prob, mixed_active_passive_prob))
+    # the quotients first: at a zero identifying width decay_width names the
+    # constants field, where the oracles' bras name only the channel
+    got = [p for left, right, _ in _PAIRS
+           for p in on_arrays(_rate_quotients, left, right, tl, tr, k, model)]
+    got += [oracle(left, tl, right, tr, k, model) for left, right, _ in _PAIRS
+            for oracle in (passive_joint_prob, mixed_active_passive_prob)]
+    want = [closed[kind] for _, _, kind in _PAIRS for _ in range(2)] * 2
     tau = np.arange(0.0, 12.0 + 1e-9, 0.5)
     p_k0, p_k0b = strangeness_probs(tau, k)
     # P[K_S] of a kaon born as K0: the partner's K0bar at 0 is the left side
     p_ks = 2.0 * closed_form_joint("s_ks", -tau, k)
-    for outcome, want in ((Outcome.K0, p_k0), (Outcome.K0BAR, p_k0b),
-                          (Outcome.KS, p_ks), (Outcome.KL, 1.0 - p_ks)):
-        worst = max(worst, _worst(passive_single_prob(outcome, tau, k, model),
-                                  want))
+    for outcome, p in ((Outcome.K0, p_k0), (Outcome.K0BAR, p_k0b),
+                       (Outcome.KS, p_ks), (Outcome.KL, 1.0 - p_ks)):
+        got.append(passive_single_prob(outcome, tau, k, model))
+        want.append(p)
+    worst = _worst(np.concatenate(got), np.concatenate(want))
     return CheckResult("active-passive-coincidence", worst < 1e-10, worst,
                        1e-10)
 

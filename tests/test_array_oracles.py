@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from kaoneraser import (DecayChannel, JointProjector, Outcome,
-                        closed_form_joint, delayed_choice_norms,
+                        PhysicalConstants, closed_form_joint,
+                        delayed_choice_norms,
                         joint_decay_rate, joint_projective_prob,
                         mixed_active_passive_prob, mixed_decay_rate,
                         normalized_pair, pair_beam_norm, pair_visibility,
@@ -124,10 +125,10 @@ def test_an_array_state_gives_the_float_projections(k):
 
 def _failing(k, model):
     """(oracle of one time, a time at which its float call fails, the float
-    call's error): a survivor norm that underflows to zero under a zero
-    rate, here G_L tau > 745."""
-    yield (lambda t: passive_single_prob(Outcome.K0, t, k, model), 5e5,
-           ZeroDivisionError)
+    call's error): a cosine of a phase delta_m delta_tau beyond the float
+    range, which ``math.cos`` refuses with a ValueError."""
+    huge_dm = PhysicalConstants(delta_m=1e308)
+    yield (lambda t: closed_form_joint("ss_like", t, huge_dm), 2.0, ValueError)
 
 
 def test_arrays_fail_where_floats_fail(k, model):
@@ -141,15 +142,24 @@ def test_arrays_fail_where_floats_fail(k, model):
             oracle(np.array([1.0, bad]))
 
 
+# K0 with K_S at equal times: 1/4, or 1 ulp below it where the K0 side is
+# the active eigenstate, whose 1/sqrt(2) rounds down so that its square is
+# below 1/2; the sl+ decay's bra, 1/(2 (1/sqrt(2))), rounds up, and the
+# product of the two is 1/2
+EQUAL_TIMES_K0_KS = {passive_joint_prob: 0.25,
+                     mixed_active_passive_prob: 0.2499999999999999}
+
+
 @pytest.mark.parametrize("oracle", [passive_joint_prob,
                                     mixed_active_passive_prob])
 def test_passive_pair_probabilities_evaluate_far_out(k, model, oracle):
-    """Rate and survivor norm scale alike when both times shift, so at 800
-    tau_S, where both underflow, a pair probability is the one at the
-    earlier time 0, float and array; at equal times K0 with K_S is 1/4."""
-    assert oracle(Outcome.K0, 800.0, Outcome.KS, 800.0, k, model) == 0.25
+    """The pair conditioned on survival depends on tau_l - tau_r only, so at
+    800 tau_S, where the survival of both kaons underflows, a pair
+    probability is the one at the earlier time 0, float and array."""
+    quarter = EQUAL_TIMES_K0_KS[oracle]
+    assert oracle(Outcome.K0, 800.0, Outcome.KS, 800.0, k, model) == quarter
     far = np.array([1.0, 800.0])
-    assert oracle(Outcome.K0, far, Outcome.KS, far, k, model)[1] == 0.25
+    assert oracle(Outcome.K0, far, Outcome.KS, far, k, model)[1] == quarter
     near = (0.0, 1.0, 3.0)
     for (a, b), (left, right) in itertools.product(
             itertools.product(near, repeat=2),
@@ -183,6 +193,16 @@ def test_survivor_forms_are_finite_far_out(k):
         assert oracle(far) == limit
         got = np.asarray(oracle(np.array([1.0, far])))[..., 1]
         assert got.tolist() == np.asarray(limit).tolist()
+
+
+def test_passive_single_prob_evaluates_far_out(k, model):
+    """At 5e5 tau_S, G_L tau > 745 and the survivor norm underflows to 0;
+    the projection on the survivor-conditioned pair gives P[K_S] = 0.0, as a
+    float and in an array."""
+    got = passive_single_prob(Outcome.KS, 5e5, k, model)
+    assert type(got) is float and got == 0.0
+    got = passive_single_prob(Outcome.KS, np.array([1.0, 5e5]), k, model)
+    assert got.dtype == float and got[1] == 0.0
 
 
 def test_survivor_norm_is_finite_far_out(k):

@@ -217,9 +217,9 @@ class TestSimulate:
         assert not (tmp_path / "events_A1.csv").exists()
 
     @pytest.mark.parametrize("doc,message", [
-        ({"tau_l_grid": 5}, "config key 'tau_l_grid' must be a list of numbers, got 5"),
-        ({"tau_l_grid": [1e400]},
-         "config key 'tau_l_grid' entry must be a finite number, got inf"),
+        ({"tau_l_grid": 5}, "tau_l_grid must be a nonempty list or tuple of "
+                            "nonnegative numbers, got 5"),
+        ({"tau_l_grid": [1e400]}, "tau_l_grid must be a finite number, got inf"),
         ({"tau_r0": float("nan")},
          "tau_r0 must be a finite number, got nan"),
         ({"tau_r0": "abc"}, "tau_r0 must be a finite number, got 'abc'"),
@@ -311,18 +311,22 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind", ExperimentKind.ALL)
     def test_integer_times_give_the_same_events(self, tmp_path, kind):
-        """tau_r0 and window reach SimConfig as JSON spells them: 5 and 5.0
-        write the same event file."""
-        for name, doc in (("int", {"tau_r0": 5, "window": 5}),
-                          ("float", {"tau_r0": 5.0, "window": 5.0})):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps(doc))
-            assert run("simulate", "--kind", kind, "--pairs", "20000",
-                       "--seed", "3", "--config", str(cfg),
-                       "--out", str(tmp_path / name)) == 0
-        a, b = (tmp_path / name / f"events_{kind}.csv"
-                for name in ("int", "float"))
-        assert a.read_bytes() == b.read_bytes()
+        """tau_r0, window and tau_l_grid reach SimConfig as JSON spells them:
+        5 and 5.0, [3, 5] and [3.0, 5.0], and a grid entry beyond the int64
+        range and its float each write the same event file."""
+        for i, docs in enumerate((
+                ({"tau_r0": 5, "window": 5}, {"tau_r0": 5.0, "window": 5.0}),
+                ({"tau_l_grid": [3, 5]}, {"tau_l_grid": [3.0, 5.0]}),
+                ({"tau_l_grid": [3, 10 ** 30]}, {"tau_l_grid": [3.0, 1e30]}))):
+            for name, doc in zip(("int", "float"), docs):
+                cfg = tmp_path / f"{name}{i}.json"
+                cfg.write_text(json.dumps(doc))
+                assert run("simulate", "--kind", kind, "--pairs", "20000",
+                           "--seed", "3", "--config", str(cfg),
+                           "--out", str(tmp_path / f"{name}{i}")) == 0
+            a, b = (tmp_path / f"{name}{i}" / f"events_{kind}.csv"
+                    for name in ("int", "float"))
+            assert a.read_bytes() == b.read_bytes(), docs
 
 
 # sha256 of the files `simulate` then `fit` write for 20 000 pairs, seed 5,
@@ -541,7 +545,7 @@ class TestOneBoundary:
 
     @pytest.mark.parametrize("doc,named", [
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
-        ({"tau_l_grid": 5}, "config key 'tau_l_grid' must be a list of numbers"),
+        ({"tau_l_grid": 5}, "tau_l_grid must be a nonempty list or tuple"),
         ({"partitions": 0}, "partitions must be >= 1"),
         ({"window": -1}, "window length must be positive"),
         ({"kind": "Z"}, "kind must be one of")])
@@ -560,7 +564,8 @@ class TestOneBoundary:
     # each key whose value the CLI passes to its owner, and a value the
     # owner refuses
     OWNED = [("n_pairs", 1.5), ("seed", "x"), ("partitions", True),
-             ("tau_r0", "abc"), ("window", float("nan")), ("constants", [])]
+             ("tau_r0", "abc"), ("window", float("nan")), ("constants", []),
+             ("tau_l_grid", 5)]
     COMMANDS = ["analytic", "simulate", "verify", "fit"]
 
     @pytest.mark.parametrize("key,value", OWNED)

@@ -2,19 +2,21 @@
 
 import copy
 import inspect
+import itertools
 import math
 import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from kaoneraser import (EIGENSTATES, DecayChannel, Outcome, PhysicalConstants,
-                        build_amplitude_model, closed_form_joint, decay_width,
-                        joint_decay_rate, mixed_active_passive_prob,
-                        mixed_decay_rate, pair_beam_norm, passive_joint_prob,
-                        passive_single_prob)
+from kaoneraser import (EIGENSTATES, DecayChannel, JointProjector, Outcome,
+                        PhysicalConstants, build_amplitude_model,
+                        closed_form_joint, decay_width, joint_decay_rate,
+                        joint_projective_prob, mixed_active_passive_prob,
+                        mixed_decay_rate, normalized_pair, pair_beam_norm,
+                        passive_joint_prob, passive_single_prob)
 from kaoneraser.decay import (CHANNEL_BY_CODE, CHANNEL_CODES, CHANNEL_OUTCOME,
                               OUTCOME_CHANNEL)
 from kaoneraser.pairs import _KET_ROW
@@ -107,6 +109,75 @@ class TestDecayWidths:
         through the small semileptonic-width mismatch of the inputs."""
         assert decay_width(DecayChannel.TWO_PI, k, model) == pytest.approx(
             (1.0 - k.br_sl_S) * k.gamma_S, rel=1e-4)
+
+
+# Valid constants whose identifying widths are all nonzero, gamma_L from
+# 1e-300 (where the product of two K_L-tagged widths underflows) to 0.1.
+bra_constants = st.builds(
+    lambda g_l, dm, br: PhysicalConstants(gamma_L=g_l, delta_m=dm, br_sl_L=br),
+    st.floats(-300.0, -1.0).map(lambda e: 10.0 ** e), st.floats(0.0, 20.0),
+    st.floats(0.01, 0.99))
+
+
+class TestDecayBras:
+    """A passive decay into f measures the outcome f identifies with the bra
+    (a_S(f), a_L(f)) / sqrt(Gamma_f), which is that outcome's eigenstate: the
+    paper's passive = active claim, amplitude by amplitude.  The bra is the
+    row of EIGENSTATES to 1 ulp (1/sqrt(2) is rounded once in each)."""
+
+    @staticmethod
+    def _assert_eigenstates(model):
+        for f in DecayChannel:
+            o = CHANNEL_OUTCOME[f]
+            for got, want in zip(model.bras[o], EIGENSTATES[o]):
+                assert abs(got - want) <= math.ulp(want), (f, got, want)
+
+    def test_default_constants(self, model):
+        assert list(model.bras) == list(OUTCOME_CHANNEL)
+        self._assert_eigenstates(model)
+
+    @given(consts=bra_constants)
+    @example(consts=PhysicalConstants(gamma_L=1e-300))
+    def test_drawn_constants(self, consts):
+        self._assert_eigenstates(build_amplitude_model(consts))
+
+    def test_built_once_per_model(self, model):
+        assert model.bras is model.bras
+
+    @pytest.mark.parametrize("br,channel", [(0.0, "sl+"), (1.0, "3pi")])
+    def test_a_zero_width_has_no_bra(self, br, channel):
+        """br_sl_L = 0 leaves the sl+- decays no width, 1 the 3pi decay: no
+        decay bra is built, for any outcome, and the error names the
+        channel."""
+        k = PhysicalConstants(br_sl_L=br, br_sl_S=0.0)
+        model = build_amplitude_model(k)
+        message = f"identifying width of {channel!r} is zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            passive_joint_prob(Outcome.KS, 1.0, Outcome.KS, 2.0, k, model)
+
+
+def test_passive_oracles_evaluate_at_a_tiny_gamma_l():
+    """At gamma_L = 1e-300 the product of two K_L-tagged widths underflows
+    to 0; the bras are built from amplitudes scaled to modulus 1, so the
+    passive and mixed probabilities are the projections of the outcomes
+    they identify, float and array, within 4 * 2^-52 (the bras are the
+    eigenstates to 1 ulp)."""
+    k = PhysicalConstants(gamma_L=1e-300)
+    model = build_amplitude_model(k)
+    tl = np.array((0.0, 1.0, 0.0, 3.0, 800.0))
+    tr = np.array((0.0, 0.0, 1.0, 1.5, 0.0))
+    for left, right in itertools.product(Outcome, repeat=2):
+        want = joint_projective_prob(normalized_pair(tl - tr, k),
+                                     JointProjector(left, right))
+        oracles = [passive_joint_prob]
+        if left in SS_OUTCOMES:
+            oracles.append(mixed_active_passive_prob)
+        for oracle in oracles:
+            got = oracle(left, tl, right, tr, k, model)
+            assert np.all(np.abs(got - want) <= 4 * 2.0 ** -52), (left, right)
+            floats = [oracle(left, a, right, b, k, model)
+                      for a, b in zip(tl.tolist(), tr.tolist())]
+            assert np.all(np.abs(np.array(floats) - want) <= 4 * 2.0 ** -52)
 
 
 # each rate or width with a bad channel in its channel slot

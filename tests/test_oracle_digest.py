@@ -21,7 +21,7 @@ from kaoneraser import (DecayChannel, JointProjector, Outcome,
                         passive_single_prob)
 from kaoneraser.decay import passive_pair_weights
 
-ORACLE_DIGEST = "79fb15f751c8b375cc8c83836594e6363acf3b2cc9a4a3958c07de1b56c6eeb0"
+ORACLE_DIGEST = "d1ed766139ad079282013d5bd65742f9bda5073c08a416403694dc0dcf2473cc"
 
 
 # the 8 ordered outcome pairs of check_active_passive

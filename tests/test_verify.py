@@ -8,15 +8,16 @@ pass with the default constants is acceptance criteria 2, 4 and 7
 (tests/test_acceptance.py)."""
 
 import inspect
+import math
 import textwrap
 
 import numpy as np
 import pytest
 
 from conftest import free_propagation
-from kaoneraser import (PhysicalConstants, decay, joint_decay_rate, pairs,
-                        verify)
-from kaoneraser.core import ArrayMath
+from kaoneraser import (Outcome, PhysicalConstants, closed_form_joint, decay,
+                        joint_decay_rate, pairs, verify)
+from kaoneraser.core import ArrayMath, on_arrays
 from kaoneraser.decay import CHANNEL_BY_CODE, pair_rate_terms
 from kaoneraser.verify import (_delayed_choice_triples, check_active_passive,
                                check_delayed_choice, check_normalizations,
@@ -155,28 +156,78 @@ def test_active_passive_catches_a_swapped_strangeness_sign(k, model, monkeypatch
                                   "mixed_active_passive_prob"])
 def test_active_passive_catches_a_shift_of_one_time(k, model, monkeypatch,
                                                      name):
-    """The quotient is taken with both times shifted by the earlier one; a
-    shift of tau_l alone moves the probabilities where both times are
-    positive."""
-    left_only = _mutated(getattr(decay, name),
+    """The rate quotients, the reference for the oracle ``name`` and its
+    partner, are taken with both times shifted by the earlier one; a shift
+    of tau_l alone moves the quotient of ``name`` where both times are
+    positive, and the check fails."""
+    left_only = _mutated(verify._rate_quotients,
                          "tau_l, tau_r = (d > 0) * d, (d < 0) * -d",
                          "tau_l, tau_r = (d > 0) * d, tau_r")
-    monkeypatch.setattr(verify, name, left_only)
+    tl, tr = np.array([2.0, 1.0]), np.array([1.0, 2.0])
+    quotients = on_arrays(left_only, Outcome.K0, Outcome.K0BAR, tl, tr, k,
+                          model)
+    quotient = quotients[["passive_joint_prob",
+                          "mixed_active_passive_prob"].index(name)]
+    want = closed_form_joint("ss_unlike", tl - tr, k)
+    assert np.all(np.abs(quotient - want) > 1e-3)
+    monkeypatch.setattr(verify, "_rate_quotients", left_only)
     result = check_active_passive(k, model)
     assert not result.passed
     assert result.worst > 1e-3
 
 
+def test_active_passive_catches_swapped_bra_components(k, model, monkeypatch):
+    """Decay bras built as (b_L, b_S): the K_S and K_L decays trade bras
+    (the sl+- bras only change sign), so the projection oracles miss the
+    closed forms while the rate quotients still meet them."""
+    swapped = _mutated(decay.AmplitudeModel.bras.func,
+                       "bras[o] = a_S / root, a_L / root",
+                       "bras[o] = a_L / root, a_S / root")
+    monkeypatch.setattr(decay.AmplitudeModel, "bras", property(swapped.func))
+    assert model.bras[Outcome.KS] == (0.0, 1.0)
+    result = check_active_passive(k, model)
+    assert not result.passed
+    assert result.worst > 1e-3
+
+
+# each oracle a check calls, with the check and the outcome pair of a call
+NAN_ORACLES = {
+    "joint_projective_prob": (lambda k, model: check_oracle_grid(k),
+                              lambda state, p: (p.left, p.right)),
+    "passive_joint_prob": (check_active_passive, lambda l, tl, r, *_: (l, r)),
+    "mixed_active_passive_prob": (check_active_passive,
+                                  lambda l, tl, r, *_: (l, r)),
+}
+
+
+@pytest.mark.parametrize("name", NAN_ORACLES)
+def test_a_nan_fails_its_check_wherever_it_falls(k, model, monkeypatch, name):
+    """An oracle that returns NaN for the last outcome pair, (K0bar, K_L),
+    after every other pair has passed: Python's max would keep the earlier
+    deviation and pass; the check reports NaN and fails."""
+    check, pair = NAN_ORACLES[name]
+    oracle = getattr(verify, name)
+
+    def nan_for_the_last_pair(*args):
+        got = oracle(*args)
+        if pair(*args) == (Outcome.K0BAR, Outcome.KL):
+            return np.full_like(got, np.nan)
+        return got
+    monkeypatch.setattr(verify, name, nan_for_the_last_pair)
+    result = check(k, model)
+    assert not result.passed
+    assert math.isnan(result.worst)
+
+
 def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
-    """The single-kaon rate and probability are the shared mixed rate (bound
-    in ``decay`` and ``verify``) with the partner at 0.  A flipped cross term
-    there moves each strangeness probability, so the active-passive check
-    fails; the channel sum misses the cross term (sum_f a_S a_L = 0), so the
+    """The single-kaon rate is the mixed rate with the partner at 0, and the
+    mixed rate is the reference of the mixed probability.  A flipped cross
+    term there moves the rate quotients, so the active-passive check fails;
+    the channel sum misses the cross term (sum_f a_S a_L = 0), so the
     normalization passes.  Swapped widths (alpha, beta) = (a_L, +-a_S) fail
     the normalization."""
     rate = decay.mixed_decay_rate
     flipped = _mutated(rate, "0.25 * (direct - cross)", "0.25 * (direct + cross)")
-    monkeypatch.setattr(decay, "mixed_decay_rate", flipped)
     monkeypatch.setattr(verify, "mixed_decay_rate", flipped)
     result = check_active_passive(k, model)
     assert not result.passed and result.worst > 1e-3
@@ -185,7 +236,6 @@ def test_single_rate_checks_catch_a_wrong_single_rate(k, model, monkeypatch):
 
     swapped = _mutated(rate, "model.a_S[j], sign * model.a_L[j]",
                        "model.a_L[j], sign * model.a_S[j]")
-    monkeypatch.setattr(decay, "mixed_decay_rate", swapped)
     monkeypatch.setattr(verify, "mixed_decay_rate", swapped)
     results = {r.name: r for r in check_normalizations(k, model)}
     assert not results["single-rate-normalization"].passed
